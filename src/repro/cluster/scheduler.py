@@ -43,13 +43,11 @@ model, since per-replica DIMM pools are identical hardware.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .. import obs
-from ..obs.metrics import Histogram
 from ..engine.scheduler import (
     EngineCostModel,
     Request,
@@ -57,7 +55,13 @@ from ..engine.scheduler import (
     RequestStats,
     ScheduleResult,
     SchedulerPolicy,
-    poisson_requests,
+    _DegradationScope,
+    _latency_fields,
+    _load_streams,
+    _ordered,
+    _point_json,
+    _ServingSummary,
+    _stats,
 )
 from ..engine.serving import GenerationServer
 from ..pim.platforms import TransferBandwidth
@@ -117,6 +121,32 @@ def failures_from_fault_plan(
     return [ReplicaFailure(replica=r, at_s=at_s, plan=plan) for r in hit]
 
 
+def _replica_cost(
+    server: GenerationServer,
+    config: TransformerConfig,
+    shards: int,
+    context_bucket: int,
+    interconnect: Optional[TransferBandwidth] = None,
+    activation_dtype_bytes: Optional[int] = None,
+) -> EngineCostModel:
+    """Memoized cost model of one replica, layer-split across ``shards``
+    pools joined by the platform's scatter path at its GEMM dtype."""
+    if shards == 1:
+        return EngineCostModel(server, config, context_bucket=context_bucket)
+    platform = server.platform
+    plan = ShardPlan(
+        config=config,
+        shards=shards,
+        interconnect=platform.scatter if interconnect is None else interconnect,
+        activation_dtype_bytes=(
+            platform.gemm_dtype_bytes
+            if activation_dtype_bytes is None
+            else activation_dtype_bytes
+        ),
+    )
+    return ShardedCostModel(server, plan, context_bucket=context_bucket)
+
+
 @dataclass(frozen=True)
 class ClusterRequestStats:
     """One request's cluster-level outcome.
@@ -141,46 +171,20 @@ class ClusterRequestStats:
         return self.replica < 0
 
 
-def _pct(values: List[float], q: float) -> float:
-    # Same exact order-statistic interpolation RequestScheduler.run uses
-    # (full sample retention), so 1-replica parity is structural.
-    if not values:
-        return 0.0
-    hist = Histogram("cluster.pct", sample_capacity=len(values))
-    for v in values:
-        hist.observe(v)
-    return hist.percentile(q)
-
-
 @dataclass(frozen=True)
-class ClusterResult:
-    """Aggregate outcome of one cluster run over a request stream."""
+class ClusterResult(_ServingSummary):
+    """Aggregate outcome of one cluster run over a request stream.
+
+    Shares its latency/SLO/attribution code with ``ScheduleResult``.
+    """
 
     router: str
     replicas: int
     shards: int
-    policy: SchedulerPolicy
-    completed: int
-    rejected: int
     #: Requests dropped because no replica was alive when they (re-)arrived.
     shed: int
     #: Re-route events (one per request per replica failure it survived).
     failovers: int
-    steps: int
-    makespan_s: float
-    busy_s: float
-    prefill_tokens: int
-    generated_tokens: int
-    ttft_p50_s: float
-    ttft_p95_s: float
-    ttft_p99_s: float
-    tpot_p50_s: float
-    tpot_p95_s: float
-    tpot_p99_s: float
-    e2e_p50_s: float
-    e2e_p95_s: float
-    e2e_p99_s: float
-    mean_e2e_s: float
     #: Per-replica single-node results (a failed replica's entry is its
     #: counterfactual full run; see the module docstring).
     replica_results: Tuple[ScheduleResult, ...]
@@ -205,52 +209,13 @@ class ClusterResult:
         denom = self.replicas * self.makespan_s
         return self.busy_s / denom if denom > 0 else 0.0
 
-    @property
-    def throughput_rps(self) -> float:
-        return self.completed / self.makespan_s if self.makespan_s > 0 else 0.0
-
-    @property
-    def goodput_rps(self) -> float:
-        if self.makespan_s <= 0:
-            return 0.0
-        return self.slo_attained / self.makespan_s
-
-    @property
-    def slo_attained(self) -> int:
-        good = 0
-        for c in self.requests:
-            if c.shed or c.stats.rejected:
-                continue
-            s = c.stats
-            if (
-                self.policy.slo_ttft_s is not None
-                and s.ttft_s > self.policy.slo_ttft_s
-            ):
-                continue
-            if (
-                self.policy.slo_e2e_s is not None
-                and s.e2e_s > self.policy.slo_e2e_s
-            ):
-                continue
-            good += 1
-        return good
+    def _request_stats(self):
+        # A shed request's stats are marked rejected.
+        return (c.stats for c in self.requests)
 
     @property
     def max_queue_depth(self) -> int:
         return max(self.replica_max_queue_depth, default=0)
-
-    def phase_attribution(self, request_class: Optional[str] = None):
-        """Cluster-wide bottleneck attribution (see ``ScheduleResult``)."""
-        from ..obs.profiler import BottleneckReport
-
-        phases: Dict[str, float] = {}
-        for key, seconds in self.phase_seconds.items():
-            cls, _, phase = key.partition("/")
-            if request_class is not None and cls != request_class:
-                continue
-            phase = phase or cls
-            phases[phase] = phases.get(phase, 0.0) + seconds
-        return BottleneckReport.from_phases(phases)
 
     def replica_phase_attribution(
         self, replica: int, request_class: Optional[str] = None
@@ -260,27 +225,12 @@ class ClusterResult:
 
     def to_jsonable(self) -> dict:
         return {
+            **self._summary_json(),
             "router": self.router,
             "replicas": self.replicas,
             "shards": self.shards,
-            "completed": self.completed,
-            "rejected": self.rejected,
             "shed": self.shed,
             "failovers": self.failovers,
-            "steps": self.steps,
-            "makespan_s": self.makespan_s,
-            "busy_s": self.busy_s,
-            "utilization": self.utilization,
-            "prefill_tokens": self.prefill_tokens,
-            "generated_tokens": self.generated_tokens,
-            "throughput_rps": self.throughput_rps,
-            "goodput_rps": self.goodput_rps,
-            "ttft_s": {"p50": self.ttft_p50_s, "p95": self.ttft_p95_s,
-                       "p99": self.ttft_p99_s},
-            "tpot_s": {"p50": self.tpot_p50_s, "p95": self.tpot_p95_s,
-                       "p99": self.tpot_p99_s},
-            "e2e_s": {"p50": self.e2e_p50_s, "p95": self.e2e_p95_s,
-                      "p99": self.e2e_p99_s, "mean": self.mean_e2e_s},
             "replica_routed": list(self.replica_routed),
             "replica_max_queue_depth": list(self.replica_max_queue_depth),
             "replica_failed_at": list(self.replica_failed_at),
@@ -288,11 +238,7 @@ class ClusterResult:
             "shard_plan": (
                 self.shard_plan.to_jsonable() if self.shard_plan else None
             ),
-            "phase_seconds": dict(self.phase_seconds),
             "events": [dict(e) for e in self.events],
-            "degradation": (
-                self.degradation.to_jsonable() if self.degradation else None
-            ),
         }
 
 
@@ -338,6 +284,8 @@ class ClusterScheduler:
     ):
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
         self.server = server
         self.config = config
         self.replicas = replicas
@@ -360,32 +308,30 @@ class ClusterScheduler:
             sorted(by_replica.values(), key=lambda f: (f.at_s, f.replica))
         )
 
-        self.shard_plan: Optional[ShardPlan] = None
-        if cost_model is not None:
-            self.cost = cost_model
-            self.shard_plan = getattr(cost_model, "plan", None)
-        elif shards > 1:
-            self.shard_plan = ShardPlan(
-                config=config,
-                shards=shards,
-                interconnect=interconnect or server.platform.scatter,
-                activation_dtype_bytes=(
-                    activation_dtype_bytes or server.platform.gemm_dtype_bytes
-                ),
+        if cost_model is None:
+            cost_model = _replica_cost(
+                server, config, shards, context_bucket,
+                interconnect=interconnect,
+                activation_dtype_bytes=activation_dtype_bytes,
             )
-            self.cost = ShardedCostModel(
-                server, self.shard_plan, context_bucket=context_bucket
-            )
-        else:
-            self.cost = EngineCostModel(
-                server, config, context_bucket=context_bucket
-            )
+        self.cost = cost_model
+        self.shard_plan: Optional[ShardPlan] = getattr(cost_model, "plan", None)
 
         self.placement = placement
         self.schedulers: List[RequestScheduler] = []
-        prefill_cost = None
+        # Replicas are homogeneous: they share the memoized engine costs,
+        # the prefill pool's included.
+        prefill_cost = self.cost if prefill_server is None else None
         for r in range(replicas):
-            if placement is not None:
+            if placement is None:
+                sched = RequestScheduler(
+                    server,
+                    config,
+                    policy=self.policy,
+                    context_bucket=context_bucket,
+                    name=f"replica{r}",
+                )
+            else:
                 from ..engine.disagg import DisaggScheduler
 
                 sched = DisaggScheduler(
@@ -398,22 +344,10 @@ class ClusterScheduler:
                     context_bucket=context_bucket,
                     name=f"replica{r}",
                 )
-                sched.cost = self.cost  # share the memoized engine costs
-                if prefill_server is None:
-                    sched.prefill_cost = self.cost
-                elif prefill_cost is None:
+                if prefill_cost is None:
                     prefill_cost = sched.prefill_cost
-                else:
-                    sched.prefill_cost = prefill_cost
-            else:
-                sched = RequestScheduler(
-                    server,
-                    config,
-                    policy=self.policy,
-                    context_bucket=context_bucket,
-                    name=f"replica{r}",
-                )
-                sched.cost = self.cost  # share the memoized engine costs
+                sched.prefill_cost = prefill_cost
+            sched.cost = self.cost
             self.schedulers.append(sched)
 
     # ------------------------------------------------------------------
@@ -426,10 +360,7 @@ class ClusterScheduler:
         """Simulate the stream across the cluster; see the module docstring."""
         registry = obs.get_registry()
         tracer = obs.get_tracer()
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        ids = [r.request_id for r in ordered]
-        if len(set(ids)) != len(ids):
-            raise ValueError("request ids must be unique within a stream")
+        ordered = _ordered(requests)
         R = self.replicas
 
         self.router.reset(R, seed=self.seed)
@@ -498,8 +429,13 @@ class ClusterScheduler:
                     }
                 )
 
-        def process_failure(rep: int, t_f: float) -> None:
-            failure = next(f for f in self.failures if f.replica == rep)
+        def simulate(rep: int, **attributes) -> ScheduleResult:
+            with tracer.span("cluster.replica", replica=rep, **attributes):
+                results[rep] = self.schedulers[rep].run(assignments[rep])
+            return results[rep]
+
+        def process_failure(failure: ReplicaFailure) -> None:
+            rep, t_f = failure.replica, failure.at_s
             events.append(
                 {
                     "kind": "replica_failed",
@@ -514,11 +450,7 @@ class ClusterScheduler:
             # The dead replica's substream is final: arrivals after t_f
             # can never route here.  Simulate it fully; keep only what
             # finished at or before the failure.
-            with tracer.span(
-                "cluster.replica", replica=rep, failed_at_s=t_f
-            ):
-                res = self.schedulers[rep].run(assignments[rep])
-            results[rep] = res
+            res = simulate(rep, failed_at_s=t_f)
             by_id = {s.request_id: s for s in res.requests}
             moved: List[Request] = []
             for req in assignments[rep]:
@@ -532,52 +464,32 @@ class ClusterScheduler:
                 registry.counter("cluster.failovers").inc()
                 assign(replace(req, arrival_s=t_f), t_f, failed_from=rep)
 
-        ledger = None
-        cluster_scope = None
-        if self.server.resilience is not None and self.server.resilience.active:
-            ledger = self.server.resilience.ledger
-            cluster_scope = ledger.open_request_scope("cluster.run")
+        with _DegradationScope(self.server, "cluster.run") as scope, tracer.span(
+            "cluster.run",
+            replicas=R,
+            shards=self.shards,
+            router=self.router.name,
+            requests=len(ordered),
+        ) as run_span:
+            # Route arrivals in time order, interleaving failures.
+            pending = deque(self.failures)
+            for req in ordered:
+                while pending and pending[0].at_s <= req.arrival_s:
+                    process_failure(pending.popleft())
+                assign(req, req.arrival_s, failed_from=None)
+            while pending:
+                process_failure(pending.popleft())
 
-        try:
-            with tracer.span(
-                "cluster.run",
-                replicas=R,
-                shards=self.shards,
-                router=self.router.name,
-                requests=len(ordered),
-            ) as run_span:
-                # Route arrivals in time order, interleaving failures.
-                pending = list(self.failures)
-                fi = 0
-                for req in ordered:
-                    while fi < len(pending) and pending[fi].at_s <= req.arrival_s:
-                        process_failure(pending[fi].replica, pending[fi].at_s)
-                        fi += 1
-                    assign(req, req.arrival_s, failed_from=None)
-                while fi < len(pending):
-                    process_failure(pending[fi].replica, pending[fi].at_s)
-                    fi += 1
-
-                # Simulate surviving replicas on their final substreams.
-                for rep in range(R):
-                    if rep in fail_at:
-                        continue
-                    with tracer.span("cluster.replica", replica=rep):
-                        res = self.schedulers[rep].run(assignments[rep])
-                    results[rep] = res
-                    for s in res.requests:
+            # Simulate surviving replicas on their final substreams.
+            for rep in range(R):
+                if rep not in fail_at:
+                    for s in simulate(rep).requests:
                         final[s.request_id] = (rep, s)
 
-                run_span.set_attribute("failovers", sum(failover_count.values()))
-                run_span.set_attribute("shed", len(shed_ids))
-        except BaseException:
-            if cluster_scope is not None:
-                ledger.close_request_scope(cluster_scope)
-            raise
+            run_span.set_attribute("failovers", sum(failover_count.values()))
+            run_span.set_attribute("shed", len(shed_ids))
 
-        degradation = None
-        if cluster_scope is not None:
-            degradation = ledger.close_request_scope(cluster_scope)
+        degradation = scope.summary
 
         # ----------------------------------------------------------
         # Aggregate: union of per-request stats, original arrivals.
@@ -585,43 +497,25 @@ class ClusterScheduler:
         cluster_requests: List[ClusterRequestStats] = []
         for req in ordered:
             rid = req.request_id
-            fo = failover_count[rid]
-            if rid in final:
-                rep, s = final[rid]
-                if s.arrival_s != req.arrival_s:
-                    s = replace(s, arrival_s=req.arrival_s)
-                cluster_requests.append(
-                    ClusterRequestStats(replica=rep, failovers=fo, stats=s)
+            if rid not in final and rid not in shed_ids:
+                raise RuntimeError(
+                    f"request {rid} lost by the cluster simulation"
                 )
-            else:
-                if rid not in shed_ids:
-                    raise RuntimeError(
-                        f"request {rid} lost by the cluster simulation"
-                    )
-                cluster_requests.append(
-                    ClusterRequestStats(
-                        replica=-1,
-                        failovers=fo,
-                        stats=RequestStats(
-                            request_id=rid,
-                            arrival_s=req.arrival_s,
-                            prompt_len=req.prompt_len,
-                            generate_len=req.generate_len,
-                            batch=req.batch,
-                            rejected=True,
-                        ),
-                    )
+            rep, s = (
+                final[rid] if rid in final else (-1, _stats(req, rejected=True))
+            )
+            if s.arrival_s != req.arrival_s:
+                s = replace(s, arrival_s=req.arrival_s)
+            cluster_requests.append(
+                ClusterRequestStats(
+                    replica=rep, failovers=failover_count[rid], stats=s
                 )
+            )
 
-        done = [
-            c.stats
-            for c in cluster_requests
-            if not c.shed and not c.stats.rejected
-        ]
-        rejected = sum(
-            1 for c in cluster_requests if not c.shed and c.stats.rejected
-        )
+        # A shed request's stats are marked rejected too.
+        done = [c.stats for c in cluster_requests if not c.stats.rejected]
         shed = sum(1 for c in cluster_requests if c.shed)
+        rejected = len(cluster_requests) - len(done) - shed
         failovers = sum(failover_count.values())
 
         # A failed replica contributes to the cluster timeline only up to
@@ -645,11 +539,6 @@ class ClusterScheduler:
                     1 for t, _ in res.occupancy_timeline if t <= t_f
                 )
 
-        ttfts = [s.ttft_s for s in done]
-        tpots = [s.tpot_s for s in done if s.generate_len]
-        e2es = [s.e2e_s for s in done]
-        busy_s = busy_total
-
         registry.counter("cluster.runs").inc()
         registry.series("cluster.completed").append(float(len(done)))
 
@@ -664,19 +553,10 @@ class ClusterScheduler:
             failovers=failovers,
             steps=steps_total,
             makespan_s=max(makespans, default=0.0),
-            busy_s=busy_s,
+            busy_s=busy_total,
             prefill_tokens=sum(s.batch * s.prompt_len for s in done),
             generated_tokens=sum(s.batch * s.generate_len for s in done),
-            ttft_p50_s=_pct(ttfts, 50),
-            ttft_p95_s=_pct(ttfts, 95),
-            ttft_p99_s=_pct(ttfts, 99),
-            tpot_p50_s=_pct(tpots, 50),
-            tpot_p95_s=_pct(tpots, 95),
-            tpot_p99_s=_pct(tpots, 99),
-            e2e_p50_s=_pct(e2es, 50),
-            e2e_p95_s=_pct(e2es, 95),
-            e2e_p99_s=_pct(e2es, 99),
-            mean_e2e_s=float(np.mean(e2es)) if e2es else 0.0,
+            **_latency_fields(done),
             replica_results=tuple(results[r] for r in sorted(results)),
             replica_routed=tuple(routed_count),
             replica_max_queue_depth=tuple(max_depth),
@@ -701,14 +581,7 @@ class ClusterSweepPoint:
     result: ClusterResult
 
     def to_jsonable(self) -> dict:
-        return {
-            "replicas": self.replicas,
-            "shards": self.shards,
-            "router": self.router,
-            "target_utilization": self.target_utilization,
-            "arrival_rate_rps": self.arrival_rate_rps,
-            "result": self.result.to_jsonable(),
-        }
+        return _point_json(self)
 
 
 def cluster_load_sweep(
@@ -738,53 +611,23 @@ def cluster_load_sweep(
     latency for pool capacity.  Every cell at one load level consumes the
     *identical* seeded stream, so cells are directly comparable.
     """
-    # Validate the whole sweep before simulating anything, with the
-    # explicit non-positive check (never truthiness — 0.0 is an error, not
-    # "use a default"): the same convention `serve-sim` applies to
-    # --rate/--utilization.
-    for rho in utilizations:
-        if rho <= 0.0:
-            raise ValueError(f"utilizations must be positive, got {rho}")
-    probe = Request(
-        request_id=-1,
-        arrival_s=0.0,
-        prompt_len=prompt_len,
-        generate_len=generate_len,
-        batch=batch,
-    )
     reference = RequestScheduler(
         server, config, policy=policy, context_bucket=context_bucket
     )
-    service_s = reference.fifo_service_time(probe)
+    streams = _load_streams(
+        reference, utilizations, num_requests, prompt_len, generate_len,
+        batch, arrivals, seed, sessions=sessions,
+    )
 
     # One shared cost model per shard count: replicas are homogeneous and
     # the sweep amortizes the engine costing across every cell.
     costs: Dict[int, EngineCostModel] = {1: reference.cost}
     for shards in shard_counts:
         if shards not in costs:
-            plan = ShardPlan(
-                config=config,
-                shards=shards,
-                interconnect=server.platform.scatter,
-                activation_dtype_bytes=server.platform.gemm_dtype_bytes,
-            )
-            costs[shards] = ShardedCostModel(
-                server, plan, context_bucket=context_bucket
-            )
+            costs[shards] = _replica_cost(server, config, shards, context_bucket)
 
     points: List[ClusterSweepPoint] = []
-    for rho in utilizations:
-        rate = rho / service_s
-        stream = poisson_requests(
-            num_requests,
-            rate,
-            prompt_len=prompt_len,
-            generate_len=generate_len,
-            batch=batch,
-            arrivals=arrivals,
-            seed=seed,
-            sessions=sessions,
-        )
+    for rho, rate, stream in streams:
         for shards in shard_counts:
             for replicas in replica_counts:
                 for router in routers:

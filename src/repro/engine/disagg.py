@@ -28,9 +28,10 @@ module models that split:
 Phase attribution keeps the exact-partition guarantee: the ``prefill/*``,
 ``decode/*`` and ``kv_transfer`` entries of
 :attr:`~repro.engine.scheduler.ScheduleResult.phase_seconds` sum to
-``busy_s`` (pool-busy plus transfer seconds) to float precision — engine
-phase reports are normalized per step so the invariant survives engines
-whose phases drift from wall time (e.g. under transfer overlap).
+``busy_s`` (pool-busy plus transfer seconds) to float precision — the
+:class:`~repro.engine.scheduler.EngineCostModel` behind both pools
+rescales each engine phase report to its cost, so the invariant survives
+engines whose phases drift from wall time (e.g. under transfer overlap).
 
 Everything is instrumented under the ``disagg.*`` telemetry namespace and
 the per-pool busy segments are exported for the Chrome-trace bridge's
@@ -44,8 +45,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .. import obs
 from ..baselines.roofline import RooflineDevice
 from ..pim.platforms import TransferBandwidth
@@ -55,11 +54,12 @@ from .scheduler import (
     EngineCostModel,
     Request,
     RequestScheduler,
-    RequestStats,
     ScheduleResult,
     SchedulerPolicy,
+    _add_phases,
     _InFlight,
-    poisson_requests,
+    _load_streams,
+    _point_json,
 )
 from .serving import GenerationServer
 
@@ -247,35 +247,130 @@ class HostPrefillPool:
         return self._prefill
 
 
-def _normalized_phases(
-    phases: Dict[str, float], duration_s: float
-) -> Dict[str, float]:
-    """Scale an engine's phase report to partition ``duration_s`` exactly.
+class _PrefillPool:
+    """One run's prefill-pool state, driven by the shared event loop.
 
-    Engine reports may drift from their wall time (e.g. overlap-hidden
-    transfer seconds); the scheduler-level invariant — phase seconds sum
-    to busy seconds within 1e-9 — must hold regardless, so each step's
-    phases are renormalized to its charged duration.  An engine with no
-    phase report charges everything to ``other``.
+    The pool is a serialized FIFO whose job durations are deterministic,
+    so a prompt's whole pool schedule is known when it is placed.  Its
+    KV migrations land through a heap keyed by landing time and then wait
+    in ``ready`` for a decode-batch slot.
     """
-    if duration_s <= 0.0:
-        return {}
-    total = sum(phases.values())
-    if not phases or total <= 0.0:
-        return {"other": duration_s}
-    scale = duration_s / total
-    return {phase: seconds * scale for phase, seconds in phases.items()}
+
+    def __init__(self, sched: "DisaggScheduler", finish, phase_totals):
+        registry = obs.get_registry()
+        self.sched = sched
+        self.finish = finish
+        self.phase_totals = phase_totals
+        #: Landed pool output awaiting a decode-batch slot, FIFO.
+        self.ready: deque = deque()
+        #: In-flight KV migrations: (ready_at, tiebreak, flight).
+        self.transfers: List[Tuple[float, int, _InFlight]] = []
+        self.timeline: List[Tuple[str, str, float, float]] = []
+        self.free_at = 0.0
+        self.busy_s = 0.0
+        self.kv_transfer_s = 0.0
+        self.kv_transfers = 0
+        self.prefill_tokens = 0
+        self.placed_pool = registry.counter("disagg.placed_pool")
+        self.placed_colocated = registry.counter("disagg.placed_colocated")
+        self.prefills = registry.counter("disagg.pool_prefills")
+        self.migrations = registry.counter("disagg.kv_transfers")
+        self.migration_s = registry.histogram("disagg.kv_transfer_s")
+
+    @property
+    def pending(self) -> bool:
+        return bool(self.ready or self.transfers)
+
+    def landed(self, now: float) -> deque:
+        """Pool output whose KV migration has landed by ``now``."""
+        while self.transfers and self.transfers[0][0] <= now:
+            self.ready.append(heapq.heappop(self.transfers)[2])
+        return self.ready
+
+    def place(self, r: Request, now: float, running: List[_InFlight]) -> bool:
+        """Run the prompt on the pool if the placement policy says so."""
+        sched = self.sched
+        pools = PoolSnapshot(
+            now=now,
+            prefill_pool_backlog_s=max(0.0, self.free_at - now),
+            decode_pool_backlog_s=sched._decode_backlog_s(running),
+            pool_prefill_s=sched.prefill_cost.prefill_s(r.prompt_len, r.batch),
+            colocated_prefill_s=sched.cost.prefill_s(r.prompt_len, r.batch),
+            kv_transfer_s=(
+                sched.kv.transfer_s(r.prompt_len, r.batch)
+                if r.generate_len
+                else 0.0
+            ),
+        )
+        if sched.placement.choose(r, pools) != _POOL:
+            return False
+        self.placed_pool.inc()
+        duration = pools.pool_prefill_s
+        start = max(now, self.free_at)
+        done = start + duration
+        flight = _InFlight(
+            request=r, admitted_s=now, prefilled=r.prompt_len,
+            prefill_done_s=done, decode_ready=True,
+        )
+        self.free_at = done
+        self.busy_s += duration
+        self.prefill_tokens += r.prompt_len * r.batch
+        _add_phases(
+            self.phase_totals,
+            "prefill",
+            sched.prefill_cost.prefill_phases(r.prompt_len, r.batch),
+        )
+        self.timeline.append(
+            ("prefill_pool", f"prefill req {r.request_id}", start, done)
+        )
+        self.prefills.inc()
+        if r.generate_len == 0:
+            # Prefill-only request: done at the pool, no migration.
+            self.finish(flight, done)
+            return True
+        migrate_s = pools.kv_transfer_s
+        self.kv_transfer_s += migrate_s
+        self.kv_transfers += 1
+        self.phase_totals[KV_TRANSFER_PHASE] = (
+            self.phase_totals.get(KV_TRANSFER_PHASE, 0.0) + migrate_s
+        )
+        self.migrations.inc()
+        self.migration_s.observe(migrate_s)
+        if migrate_s > 0:
+            self.timeline.append(
+                ("kv_transfer", f"kv req {r.request_id}", done, done + migrate_s)
+            )
+        heapq.heappush(
+            self.transfers, (done + migrate_s, self.kv_transfers, flight)
+        )
+        return True
+
+    def record_step(self, start: float, end: float, seqs: int) -> None:
+        self.timeline.append(("decode_pool", f"step[b={seqs}]", start, end))
+
+    def annotate(self, run_span) -> None:
+        run_span.set_attribute("placement", self.sched.placement.name)
+        run_span.set_attribute("kv_transfers", self.kv_transfers)
+
+    def result_fields(self, decode_busy_s: float) -> dict:
+        return {
+            "busy_s": self.busy_s + decode_busy_s + self.kv_transfer_s,
+            "placement": self.sched.placement.name,
+            "kv_transfers": self.kv_transfers,
+            "kv_transfer_s": self.kv_transfer_s,
+            "prefill_pool_busy_s": self.busy_s,
+            "decode_pool_busy_s": decode_busy_s,
+            "pool_timeline": tuple(self.timeline),
+        }
 
 
-class DisaggScheduler:
+class DisaggScheduler(RequestScheduler):
     """Two-pool discrete-event scheduler with pluggable placement.
 
-    Interface-compatible with
-    :class:`~repro.engine.scheduler.RequestScheduler` (``run``,
-    ``fifo_service_time``, a shareable ``cost`` model, ``policy``,
-    ``name``), so the cluster layer can drop it in per replica.  The
-    decode pool replicates the single-engine scheduler's continuous
-    batching exactly; under the ``colocated`` policy no request ever
+    A :class:`~repro.engine.scheduler.RequestScheduler` whose event loop
+    also drives a prefill pool, so the cluster layer can drop it in per
+    replica.  The decode pool is the single-engine scheduler's continuous
+    batching itself; under the ``colocated`` policy no request ever
     touches the prefill pool, and the simulation is numerically identical
     to ``RequestScheduler`` (pinned to 1e-9 in ``tests/test_disagg.py``).
 
@@ -297,6 +392,8 @@ class DisaggScheduler:
         uses.
     """
 
+    _ns = "disagg"
+
     def __init__(
         self,
         server: GenerationServer,
@@ -308,11 +405,11 @@ class DisaggScheduler:
         context_bucket: int = 32,
         name: Optional[str] = None,
     ):
-        self.server = server
-        self.config = config
-        self.policy = policy or SchedulerPolicy()
+        super().__init__(
+            server, config, policy=policy, context_bucket=context_bucket,
+            name=name,
+        )
         self.placement = make_placement(placement)
-        self.cost = EngineCostModel(server, config, context_bucket=context_bucket)
         if prefill_server is None:
             # A second identical PIM engine: share the memoized costs.
             self.prefill_cost = self.cost
@@ -328,38 +425,14 @@ class DisaggScheduler:
                 interconnect=server.platform.scatter,
                 kv_dtype_bytes=server.platform.gemm_dtype_bytes,
             )
-        self.name = name
 
-    # ------------------------------------------------------------------
-    # Admission policy (identical to RequestScheduler's)
-    # ------------------------------------------------------------------
-    def _feasible(self, request: Request) -> bool:
-        return (
-            request.batch <= self.policy.max_batch_size
-            and request.total_context <= self.policy.max_context_tokens
-        )
+    def run(self, requests: Sequence[Request]) -> ScheduleResult:
+        """Simulate the stream across both pools; see the module docstring."""
+        return self._simulate(requests)
 
-    def _fits(self, request: Request, running: List[_InFlight]) -> bool:
-        seqs = sum(f.request.batch for f in running)
-        tokens = sum(f.request.total_context for f in running)
-        return (
-            seqs + request.batch <= self.policy.max_batch_size
-            and tokens + request.total_context <= self.policy.max_context_tokens
-        )
+    def _prefill_pool(self, finish, phase_totals: Dict[str, float]):
+        return _PrefillPool(self, finish, phase_totals)
 
-    # ------------------------------------------------------------------
-    def fifo_service_time(self, request: Request) -> float:
-        """Unbatched colocated service time — the same normalization
-        ``RequestScheduler`` uses, so load levels are comparable across
-        placement policies."""
-        total = self.cost.prefill_s(request.prompt_len, request.batch)
-        for step in range(request.generate_len):
-            total += self.cost.decode_step_s(
-                request.batch, request.prompt_len + step
-            )
-        return total
-
-    # ------------------------------------------------------------------
     def _decode_backlog_s(self, running: List[_InFlight]) -> float:
         """Committed decode-pool work: queued colocated prefills plus the
         longest in-flight decode tail at today's batch shape (a live
@@ -383,394 +456,6 @@ class DisaggScheduler:
             backlog += max(remaining) * step_s
         return backlog
 
-    # ------------------------------------------------------------------
-    # The event loop
-    # ------------------------------------------------------------------
-    def run(self, requests: Sequence[Request]) -> ScheduleResult:
-        """Simulate the stream across both pools; see the module docstring."""
-        policy = self.policy
-        registry = obs.get_registry()
-        tracer = obs.get_tracer()
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-
-        ledger = None
-        scope = None
-        if self.server.resilience is not None and self.server.resilience.active:
-            ledger = self.server.resilience.ledger
-            owner = f"disagg.run[{self.name}]" if self.name else "disagg.run"
-            scope = ledger.open_request_scope(owner)
-
-        waiting: deque = deque()
-        running: List[_InFlight] = []
-        #: Prefill-pool output awaiting a decode-batch slot, FIFO by
-        #: transfer-completion time.
-        ready: deque = deque()
-        #: In-flight KV migrations: (ready_at, tiebreak, flight).
-        transfers: List[Tuple[float, int, _InFlight]] = []
-        stats: Dict[int, RequestStats] = {}
-        rejected = 0
-        steps = 0
-        pool_busy_s = 0.0
-        decode_busy_s = 0.0
-        kv_transfer_s = 0.0
-        kv_transfers = 0
-        prefill_tokens = 0
-        generated_tokens = 0
-        occupancy: List[Tuple[float, float]] = []
-        occupancy_weighted = 0.0
-        peak_occupancy = 0
-        timeline: List[Tuple[str, str, float, float]] = []
-        phase_totals: Dict[str, float] = {}
-        pool_free_at = 0.0
-        last_finish = 0.0
-        now = 0.0
-        idx = 0
-        transfer_seq = 0
-
-        def add_phases(
-            request_class: str, phases: Dict[str, float], duration_s: float
-        ) -> None:
-            for phase, seconds in _normalized_phases(phases, duration_s).items():
-                key = f"{request_class}/{phase}"
-                phase_totals[key] = phase_totals.get(key, 0.0) + seconds
-
-        def finish(flight: _InFlight, when: float) -> None:
-            nonlocal generated_tokens, last_finish
-            r = flight.request
-            stats[r.request_id] = RequestStats(
-                request_id=r.request_id,
-                arrival_s=r.arrival_s,
-                prompt_len=r.prompt_len,
-                generate_len=r.generate_len,
-                batch=r.batch,
-                admitted_s=flight.admitted_s,
-                prefill_done_s=flight.prefill_done_s,
-                first_token_s=(
-                    flight.first_token_s
-                    if flight.first_token_s is not None
-                    else flight.prefill_done_s
-                ),
-                finished_s=when,
-            )
-            last_finish = max(last_finish, when)
-            registry.counter("disagg.requests_completed").inc()
-            registry.histogram("disagg.ttft_s").observe(
-                stats[r.request_id].ttft_s
-            )
-            registry.histogram("disagg.e2e_s").observe(stats[r.request_id].e2e_s)
-
-        def reject(r: Request) -> None:
-            nonlocal rejected
-            rejected += 1
-            stats[r.request_id] = RequestStats(
-                request_id=r.request_id,
-                arrival_s=r.arrival_s,
-                prompt_len=r.prompt_len,
-                generate_len=r.generate_len,
-                batch=r.batch,
-                rejected=True,
-            )
-            registry.counter("disagg.requests_rejected").inc()
-
-        def place_on_pool(r: Request, at_s: float) -> None:
-            """Run the prompt on the prefill pool and start the migration.
-
-            The pool is FIFO with deterministic durations, so its whole
-            schedule for this job is known at placement time.
-            """
-            nonlocal pool_free_at, pool_busy_s, kv_transfer_s, kv_transfers
-            nonlocal prefill_tokens, transfer_seq
-            flight = _InFlight(request=r, admitted_s=at_s)
-            duration = self.prefill_cost.prefill_s(r.prompt_len, r.batch)
-            start = max(at_s, pool_free_at)
-            done = start + duration
-            pool_free_at = done
-            pool_busy_s += duration
-            prefill_tokens += r.prompt_len * r.batch
-            add_phases(
-                "prefill",
-                self.prefill_cost.prefill_phases(r.prompt_len, r.batch),
-                duration,
-            )
-            flight.prefilled = r.prompt_len
-            flight.prefill_done_s = done
-            timeline.append(
-                ("prefill_pool", f"prefill req {r.request_id}", start, done)
-            )
-            registry.counter("disagg.pool_prefills").inc()
-            if r.generate_len == 0:
-                # Prefill-only request: done at the pool, no migration.
-                finish(flight, done)
-                return
-            migrate_s = self.kv.transfer_s(r.prompt_len, r.batch)
-            kv_transfer_s += migrate_s
-            kv_transfers += 1
-            phase_totals[KV_TRANSFER_PHASE] = (
-                phase_totals.get(KV_TRANSFER_PHASE, 0.0) + migrate_s
-            )
-            registry.counter("disagg.kv_transfers").inc()
-            registry.histogram("disagg.kv_transfer_s").observe(migrate_s)
-            if migrate_s > 0:
-                timeline.append(
-                    ("kv_transfer", f"kv req {r.request_id}", done,
-                     done + migrate_s)
-                )
-            flight.decode_ready = True
-            transfer_seq += 1
-            heapq.heappush(transfers, (done + migrate_s, transfer_seq, flight))
-
-        try:
-            with tracer.span(
-                "disagg.run",
-                model=self.config.name,
-                engine=self.server.name,
-                placement=self.placement.name,
-                requests=len(ordered),
-                max_batch_size=policy.max_batch_size,
-            ) as run_span:
-                while (
-                    idx < len(ordered) or waiting or ready or transfers or running
-                ):
-                    # 1. Move arrivals into the bounded wait queue.
-                    while idx < len(ordered) and ordered[idx].arrival_s <= now:
-                        r = ordered[idx]
-                        idx += 1
-                        if not self._feasible(r):
-                            reject(r)
-                        elif len(waiting) >= policy.max_queue_len:
-                            reject(r)
-                        else:
-                            waiting.append(r)
-                            registry.counter("disagg.requests_queued").inc()
-
-                    # 2. Matured KV migrations join the decode-ready queue.
-                    while transfers and transfers[0][0] <= now:
-                        _, _, flight = heapq.heappop(transfers)
-                        ready.append(flight)
-
-                    # 3. Admit decode-ready pool output first (its prefill
-                    #    is already paid), then place from the wait queue.
-                    while ready and self._fits(ready[0].request, running):
-                        running.append(ready.popleft())
-                        registry.counter("disagg.requests_admitted").inc()
-                    while waiting:
-                        head = waiting[0]
-                        pools = PoolSnapshot(
-                            now=now,
-                            prefill_pool_backlog_s=max(0.0, pool_free_at - now),
-                            decode_pool_backlog_s=self._decode_backlog_s(running),
-                            pool_prefill_s=self.prefill_cost.prefill_s(
-                                head.prompt_len, head.batch
-                            ),
-                            colocated_prefill_s=self.cost.prefill_s(
-                                head.prompt_len, head.batch
-                            ),
-                            kv_transfer_s=(
-                                self.kv.transfer_s(head.prompt_len, head.batch)
-                                if head.generate_len
-                                else 0.0
-                            ),
-                        )
-                        if self.placement.choose(head, pools) == _POOL:
-                            waiting.popleft()
-                            registry.counter("disagg.placed_pool").inc()
-                            place_on_pool(head, now)
-                        elif self._fits(head, running):
-                            waiting.popleft()
-                            registry.counter("disagg.placed_colocated").inc()
-                            running.append(
-                                _InFlight(request=head, admitted_s=now)
-                            )
-                        else:
-                            break  # head-of-line blocking, as single-pool
-
-                    # 4. Execute one decode-pool step (colocated prefill
-                    #    work, then a decode iteration — identical to the
-                    #    single-engine scheduler's step).
-                    decoding = [f for f in running if f.decode_ready]
-                    has_prefill = any(f.prefill_remaining > 0 for f in running)
-                    if running and (decoding or has_prefill):
-                        step_s = 0.0
-                        step_prefill = 0
-                        budget = (
-                            policy.prefill_chunk
-                            if policy.chunked_prefill
-                            else float("inf")
-                        )
-                        prefilling: List[_InFlight] = []
-                        with tracer.span("disagg.step") as sp:
-                            for f in running:
-                                if f.prefill_remaining <= 0 or budget <= 0:
-                                    continue
-                                take = f.prefill_remaining
-                                if policy.chunked_prefill:
-                                    take = min(take, int(budget))
-                                cost_s = self.cost.prefill_s(
-                                    take, f.request.batch
-                                )
-                                step_s += cost_s
-                                add_phases(
-                                    "prefill",
-                                    self.cost.prefill_phases(
-                                        take, f.request.batch
-                                    ),
-                                    cost_s,
-                                )
-                                f.prefilled += take
-                                budget -= take
-                                step_prefill += take * f.request.batch
-                                prefilling.append(f)
-
-                            seqs = sum(f.request.batch for f in decoding)
-                            if seqs:
-                                total_ctx = sum(
-                                    f.context_len * f.request.batch
-                                    for f in decoding
-                                )
-                                decode_s = self.cost.decode_step_s(
-                                    seqs, total_ctx / seqs
-                                )
-                                step_s += decode_s
-                                add_phases(
-                                    "decode",
-                                    self.cost.decode_step_phases(
-                                        seqs, total_ctx / seqs
-                                    ),
-                                    decode_s,
-                                )
-                            sp.set_attribute("batch_seqs", seqs)
-                            sp.set_attribute("prefill_tokens", step_prefill)
-                            sp.set_attribute("model_seconds", step_s)
-
-                        if step_s <= 0.0:
-                            # Freshly prefilled requests become decode-ready
-                            # without consuming time, as in the single pool.
-                            for f in running:
-                                f.decode_ready = (
-                                    f.prefilled >= f.request.prompt_len
-                                )
-                            continue
-
-                        step_start = now
-                        now += step_s
-                        decode_busy_s += step_s
-                        steps += 1
-                        prefill_tokens += step_prefill
-                        timeline.append(
-                            ("decode_pool", f"step[b={seqs}]", step_start, now)
-                        )
-                        registry.counter("disagg.steps").inc()
-                        registry.counter("disagg.prefill_tokens").inc(
-                            step_prefill
-                        )
-                        registry.counter("disagg.decode_tokens").inc(seqs)
-                        generated_tokens += seqs
-
-                        # 5. Post-step bookkeeping.
-                        for f in prefilling:
-                            if (
-                                f.prefill_remaining <= 0
-                                and f.prefill_done_s is None
-                            ):
-                                f.prefill_done_s = now
-                                f.decode_ready = True
-                        for f in decoding:
-                            f.generated += 1
-                            if f.first_token_s is None:
-                                f.first_token_s = now
-                        for f in list(running):
-                            if f.done:
-                                if f.prefill_done_s is None:
-                                    f.prefill_done_s = now
-                                finish(f, now)
-                                running.remove(f)
-
-                        occ = float(sum(f.request.batch for f in running))
-                        occupancy.append((now, occ))
-                        occupancy_weighted += occ * step_s
-                        peak_occupancy = max(peak_occupancy, int(occ))
-                        registry.series("disagg.batch_occupancy").append(occ)
-                        continue
-
-                    # 6. Idle decode pool: jump to the next event.
-                    horizon = []
-                    if idx < len(ordered):
-                        horizon.append(ordered[idx].arrival_s)
-                    if transfers:
-                        horizon.append(transfers[0][0])
-                    if not horizon:
-                        break  # nothing left anywhere
-                    now = max(now, min(horizon))
-
-                run_span.set_attribute("completed", len(stats) - rejected)
-                run_span.set_attribute("rejected", rejected)
-                run_span.set_attribute("kv_transfers", kv_transfers)
-                run_span.set_attribute("model_makespan_s", max(now, last_finish))
-        except BaseException:
-            if scope is not None:
-                ledger.close_request_scope(scope)
-            raise
-
-        degradation = None
-        if scope is not None:
-            degradation = ledger.close_request_scope(scope)
-            if degradation.degraded:
-                registry.counter("disagg.degraded_runs").inc()
-
-        done = [s for s in stats.values() if not s.rejected]
-
-        def pct(values: List[float], q: float) -> float:
-            from ..obs.metrics import Histogram
-
-            if not values:
-                return 0.0
-            hist = Histogram("disagg.pct", sample_capacity=len(values))
-            for v in values:
-                hist.observe(v)
-            return hist.percentile(q)
-
-        ttfts = [s.ttft_s for s in done]
-        tpots = [s.tpot_s for s in done if s.generate_len]
-        e2es = [s.e2e_s for s in done]
-        ordered_stats = tuple(
-            stats[r.request_id] for r in ordered if r.request_id in stats
-        )
-        busy_s = pool_busy_s + decode_busy_s + kv_transfer_s
-        return ScheduleResult(
-            policy=policy,
-            completed=len(done),
-            rejected=rejected,
-            steps=steps,
-            makespan_s=max(now, last_finish),
-            busy_s=busy_s,
-            prefill_tokens=prefill_tokens,
-            generated_tokens=generated_tokens,
-            ttft_p50_s=pct(ttfts, 50),
-            ttft_p95_s=pct(ttfts, 95),
-            ttft_p99_s=pct(ttfts, 99),
-            tpot_p50_s=pct(tpots, 50),
-            tpot_p95_s=pct(tpots, 95),
-            tpot_p99_s=pct(tpots, 99),
-            e2e_p50_s=pct(e2es, 50),
-            e2e_p95_s=pct(e2es, 95),
-            e2e_p99_s=pct(e2es, 99),
-            mean_e2e_s=float(np.mean(e2es)) if e2es else 0.0,
-            mean_batch_occupancy=(
-                occupancy_weighted / decode_busy_s if decode_busy_s > 0 else 0.0
-            ),
-            peak_batch_occupancy=peak_occupancy,
-            occupancy_timeline=tuple(occupancy),
-            requests=ordered_stats,
-            degradation=degradation,
-            phase_seconds=phase_totals,
-            placement=self.placement.name,
-            kv_transfers=kv_transfers,
-            kv_transfer_s=kv_transfer_s,
-            prefill_pool_busy_s=pool_busy_s,
-            decode_pool_busy_s=decode_busy_s,
-            pool_timeline=tuple(timeline),
-        )
-
 
 @dataclass(frozen=True)
 class DisaggSweepPoint:
@@ -782,12 +467,7 @@ class DisaggSweepPoint:
     result: ScheduleResult
 
     def to_jsonable(self) -> dict:
-        return {
-            "placement": self.placement,
-            "target_utilization": self.target_utilization,
-            "arrival_rate_rps": self.arrival_rate_rps,
-            "result": self.result.to_jsonable(),
-        }
+        return _point_json(self)
 
 
 def disagg_load_sweep(
@@ -818,9 +498,6 @@ def disagg_load_sweep(
     engine — the regime where the decode pool's freedom from prefill
     stalls shows up as retained goodput.
     """
-    for rho in utilizations:
-        if rho <= 0.0:
-            raise ValueError(f"utilizations must be positive, got {rho}")
     if not placements:
         raise ValueError("placements must name at least one policy")
 
@@ -847,27 +524,11 @@ def disagg_load_sweep(
             )
         schedulers[sched.placement.name] = sched
 
-    probe = Request(
-        request_id=-1,
-        arrival_s=0.0,
-        prompt_len=prompt_len,
-        generate_len=generate_len,
-        batch=batch,
-    )
-    service_s = shared.fifo_service_time(probe)
-
     points: List[DisaggSweepPoint] = []
-    for rho in utilizations:
-        rate = rho / service_s
-        stream = poisson_requests(
-            num_requests,
-            rate,
-            prompt_len=prompt_len,
-            generate_len=generate_len,
-            batch=batch,
-            arrivals=arrivals,
-            seed=seed,
-        )
+    for rho, rate, stream in _load_streams(
+        shared, utilizations, num_requests, prompt_len, generate_len, batch,
+        arrivals, seed,
+    ):
         for name, sched in schedulers.items():
             points.append(
                 DisaggSweepPoint(

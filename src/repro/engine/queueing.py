@@ -1,4 +1,4 @@
-"""Queueing analysis: serving latency under load (discrete-event).
+"""Queueing analysis: the FIFO oracle for the serving simulators.
 
 The engine reports give the *service time* of one request; an operator also
 needs to know how latency behaves under a request arrival stream.  This
@@ -7,8 +7,11 @@ deterministic service times (per-request cost from any engine/server
 report) and Poisson or deterministic arrivals, reporting utilization and
 P50/P95/P99 sojourn times.
 
-Kept deliberately simple — one PIM system, one queue — matching the
-single-node scope of the paper's evaluation.
+Kept deliberately simple — one PIM system, one queue, the single-node
+scope of the paper — and independent of the serving event loop: a
+batch-1 unchunked scheduler and a prefill-only stream on the
+disaggregated prefill pool must both reduce to :func:`simulate_queue`
+exactly, which is what their parity tests check.
 """
 
 from __future__ import annotations

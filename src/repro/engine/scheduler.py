@@ -24,6 +24,10 @@ cost model:
 * per-request TTFT / TPOT / end-to-end latencies, SLO goodput, and the
   batch-occupancy timeline come out the other end.
 
+One event loop serves every scheduler:
+:class:`~repro.engine.disagg.DisaggScheduler` runs it with a prefill pool
+attached, and the cluster's replicas run it unchanged.
+
 Everything is instrumented through :mod:`repro.obs` (``scheduler.*``
 counters/histograms/series, a span per scheduler step) and is compatible
 with :class:`~repro.resilience.recovery.RecoveryManager`: a resilient
@@ -36,13 +40,13 @@ interleave, which the ledger itself enforces).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import obs
-from ..obs.metrics import Histogram
+from ..obs.metrics import percentiles
 from ..resilience.recovery import DegradationSummary
 from ..workloads.configs import TransformerConfig
 from .queueing import generate_arrivals
@@ -166,9 +170,53 @@ class RequestStats:
         return self.finished_s - self.arrival_s
 
 
+def _stats(r: Request, **outcome) -> RequestStats:
+    """``r``'s :class:`RequestStats` with the given outcome fields."""
+    return RequestStats(
+        request_id=r.request_id,
+        arrival_s=r.arrival_s,
+        prompt_len=r.prompt_len,
+        generate_len=r.generate_len,
+        batch=r.batch,
+        **outcome,
+    )
+
+
+def _ordered(requests: Sequence[Request]) -> List[Request]:
+    """The stream in arrival order; request ids must be unique in it."""
+    ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+    if len({r.request_id for r in ordered}) != len(ordered):
+        raise ValueError("request ids must be unique within a stream")
+    return ordered
+
+
+#: Latency percentiles every serving result reports.
+_PERCENTILES = (50, 95, 99)
+
+
+def _latency_fields(done: Sequence[RequestStats]) -> Dict[str, float]:
+    """Percentile and mean latency fields of completed requests' stats."""
+    e2es = [s.e2e_s for s in done]
+    out = {"mean_e2e_s": float(np.mean(e2es)) if e2es else 0.0}
+    for metric, values in (
+        ("ttft", [s.ttft_s for s in done]),
+        ("tpot", [s.tpot_s for s in done if s.generate_len]),
+        ("e2e", e2es),
+    ):
+        for q, value in zip(_PERCENTILES, percentiles(values, _PERCENTILES)):
+            out[f"{metric}_p{q}_s"] = value
+    return out
+
+
 @dataclass(frozen=True)
-class ScheduleResult:
-    """Aggregate outcome of one scheduler run over a request stream."""
+class _ServingSummary:
+    """Fields, latency, SLO, attribution and JSON code of serving results.
+
+    Shared by :class:`ScheduleResult` and
+    :class:`~repro.cluster.scheduler.ClusterResult`; a subclass adds its
+    own fields, ``utilization``, ``degradation``, ``phase_seconds`` and
+    ``requests``.
+    """
 
     policy: SchedulerPolicy
     completed: int
@@ -188,6 +236,84 @@ class ScheduleResult:
     e2e_p95_s: float
     e2e_p99_s: float
     mean_e2e_s: float
+
+    def _request_stats(self):
+        return self.requests
+
+    @property
+    def throughput_rps(self) -> float:
+        return self.completed / self.makespan_s if self.makespan_s > 0 else 0.0
+
+    @property
+    def goodput_rps(self) -> float:
+        """Completed requests meeting the policy's SLOs, per second.
+
+        Without SLOs in the policy this equals :attr:`throughput_rps`;
+        rejected requests never count.
+        """
+        if self.makespan_s <= 0:
+            return 0.0
+        return self.slo_attained / self.makespan_s
+
+    @property
+    def slo_attained(self) -> int:
+        """Completed requests that met both SLOs (all, if none set)."""
+        ttft, e2e = self.policy.slo_ttft_s, self.policy.slo_e2e_s
+        return sum(
+            1 for r in self._request_stats()
+            if not r.rejected
+            and not (ttft is not None and r.ttft_s > ttft)
+            and not (e2e is not None and r.e2e_s > e2e)
+        )
+
+    def phase_attribution(self, request_class: Optional[str] = None):
+        """Bottleneck attribution of the busy time, per request class.
+
+        ``request_class`` restricts to ``"prefill"`` or ``"decode"``
+        (phase names lose their prefix); ``None`` aggregates both classes
+        into plain phase names.  Returns a
+        :class:`~repro.obs.profiler.BottleneckReport`.
+        """
+        from ..obs.profiler import BottleneckReport
+
+        phases: Dict[str, float] = {}
+        for key, seconds in self.phase_seconds.items():
+            cls, _, phase = key.partition("/")
+            if request_class is not None and cls != request_class:
+                continue
+            phase = phase or cls
+            phases[phase] = phases.get(phase, 0.0) + seconds
+        return BottleneckReport.from_phases(phases)
+
+    def _summary_json(self) -> dict:
+        return {
+            "completed": self.completed,
+            "rejected": self.rejected,
+            "steps": self.steps,
+            "makespan_s": self.makespan_s,
+            "busy_s": self.busy_s,
+            "utilization": self.utilization,
+            "prefill_tokens": self.prefill_tokens,
+            "generated_tokens": self.generated_tokens,
+            "throughput_rps": self.throughput_rps,
+            "goodput_rps": self.goodput_rps,
+            "ttft_s": {"p50": self.ttft_p50_s, "p95": self.ttft_p95_s,
+                       "p99": self.ttft_p99_s},
+            "tpot_s": {"p50": self.tpot_p50_s, "p95": self.tpot_p95_s,
+                       "p99": self.tpot_p99_s},
+            "e2e_s": {"p50": self.e2e_p50_s, "p95": self.e2e_p95_s,
+                      "p99": self.e2e_p99_s, "mean": self.mean_e2e_s},
+            "phase_seconds": dict(self.phase_seconds),
+            "degradation": (
+                self.degradation.to_jsonable() if self.degradation else None
+            ),
+        }
+
+
+@dataclass(frozen=True)
+class ScheduleResult(_ServingSummary):
+    """Aggregate outcome of one scheduler run over a request stream."""
+
     mean_batch_occupancy: float
     peak_batch_occupancy: int
     #: (time, sequences in the running batch) after every step.
@@ -198,11 +324,11 @@ class ScheduleResult:
     degradation: Optional[DegradationSummary] = None
     #: Modeled phase attribution of the busy time, keyed
     #: ``"<request class>/<phase>"`` where the class is ``prefill`` or
-    #: ``decode`` — e.g. ``"decode/reduce"``.  Sums to ``busy_s`` when
-    #: the underlying engines report phases for every step.  Disaggregated
-    #: runs (:mod:`repro.engine.disagg`) add a top-level ``kv_transfer``
-    #: phase (sibling to the cluster's ``shard_transfer``) and guarantee
-    #: the partition exactly.
+    #: ``decode`` — e.g. ``"decode/reduce"``.  Sums to ``busy_s`` to float
+    #: precision: :class:`EngineCostModel` rescales every engine phase
+    #: report to its cost.  Disaggregated runs (:mod:`repro.engine.disagg`)
+    #: add a top-level ``kv_transfer`` phase (sibling to the cluster's
+    #: ``shard_transfer``).
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Placement policy name when produced by the disaggregated pool
     #: scheduler (:class:`~repro.engine.disagg.DisaggScheduler`);
@@ -230,98 +356,22 @@ class ScheduleResult:
         return self.busy_s / self.makespan_s if self.makespan_s > 0 else 0.0
 
     @property
-    def throughput_rps(self) -> float:
-        return self.completed / self.makespan_s if self.makespan_s > 0 else 0.0
-
-    @property
     def generated_tokens_per_s(self) -> float:
         if self.generated_tokens == 0:
             return 0.0
         return self.generated_tokens / self.makespan_s
 
-    @property
-    def goodput_rps(self) -> float:
-        """Completed requests meeting the policy's SLOs, per second.
-
-        Without SLOs in the policy this equals :attr:`throughput_rps`;
-        rejected requests never count.
-        """
-        if self.makespan_s <= 0:
-            return 0.0
-        return self.slo_attained / self.makespan_s
-
-    @property
-    def slo_attained(self) -> int:
-        """Completed requests that met both SLOs (all, if none set)."""
-        good = 0
-        for r in self.requests:
-            if r.rejected:
-                continue
-            if self.policy.slo_ttft_s is not None and r.ttft_s > self.policy.slo_ttft_s:
-                continue
-            if self.policy.slo_e2e_s is not None and r.e2e_s > self.policy.slo_e2e_s:
-                continue
-            good += 1
-        return good
-
     def sojourn_times(self) -> List[float]:
         """End-to-end latencies of completed requests, in request order."""
         return [r.e2e_s for r in self.requests if not r.rejected]
 
-    def phase_attribution(self, request_class: Optional[str] = None):
-        """Bottleneck attribution of the busy time, per request class.
-
-        ``request_class`` restricts to ``"prefill"`` or ``"decode"``
-        (phase names lose their prefix); ``None`` aggregates both classes
-        into plain phase names.  Returns a
-        :class:`~repro.obs.profiler.BottleneckReport`.
-        """
-        from ..obs.profiler import BottleneckReport
-
-        phases: Dict[str, float] = {}
-        for key, seconds in self.phase_seconds.items():
-            cls, _, phase = key.partition("/")
-            if request_class is not None:
-                if cls != request_class:
-                    continue
-            phase = phase or cls
-            phases[phase] = phases.get(phase, 0.0) + seconds
-        return BottleneckReport.from_phases(phases)
-
     def to_jsonable(self) -> dict:
         return {
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "steps": self.steps,
-            "makespan_s": self.makespan_s,
-            "busy_s": self.busy_s,
-            "utilization": self.utilization,
-            "prefill_tokens": self.prefill_tokens,
-            "generated_tokens": self.generated_tokens,
-            "throughput_rps": self.throughput_rps,
-            "goodput_rps": self.goodput_rps,
+            **self._summary_json(),
             "generated_tokens_per_s": self.generated_tokens_per_s,
-            "ttft_s": {"p50": self.ttft_p50_s, "p95": self.ttft_p95_s,
-                       "p99": self.ttft_p99_s},
-            "tpot_s": {"p50": self.tpot_p50_s, "p95": self.tpot_p95_s,
-                       "p99": self.tpot_p99_s},
-            "e2e_s": {"p50": self.e2e_p50_s, "p95": self.e2e_p95_s,
-                      "p99": self.e2e_p99_s, "mean": self.mean_e2e_s},
             "mean_batch_occupancy": self.mean_batch_occupancy,
             "peak_batch_occupancy": self.peak_batch_occupancy,
-            "phase_seconds": dict(self.phase_seconds),
-            "policy": {
-                "max_batch_size": self.policy.max_batch_size,
-                "max_context_tokens": self.policy.max_context_tokens,
-                "max_queue_len": self.policy.max_queue_len,
-                "chunked_prefill": self.policy.chunked_prefill,
-                "prefill_chunk": self.policy.prefill_chunk,
-                "slo_ttft_s": self.policy.slo_ttft_s,
-                "slo_e2e_s": self.policy.slo_e2e_s,
-            },
-            "degradation": (
-                self.degradation.to_jsonable() if self.degradation else None
-            ),
+            "policy": asdict(self.policy),
             "placement": self.placement,
             "disagg": (
                 {
@@ -336,13 +386,34 @@ class ScheduleResult:
         }
 
 
+def _normalized_phases(
+    phases: Dict[str, float], duration_s: float
+) -> Dict[str, float]:
+    """Scale an engine's phase report to partition ``duration_s`` exactly.
+
+    Engine reports may drift from their wall time (e.g. overlap-hidden
+    transfer seconds); the scheduler-level invariant — phase seconds sum
+    to busy seconds within 1e-9 — must hold regardless.  An engine with
+    no phase report charges everything to ``other``.
+    """
+    if duration_s <= 0.0:
+        return {}
+    total = sum(phases.values())
+    if not phases or total <= 0.0:
+        return {"other": duration_s}
+    scale = duration_s / total
+    return {phase: seconds * scale for phase, seconds in phases.items()}
+
+
 class EngineCostModel:
     """Memoized prefill/decode-step costing through a GenerationServer.
 
     Decode contexts are quantized up to ``context_bucket`` tokens so the
     number of distinct engine evaluations stays bounded while still
     tracking the growing KV cache step by step; prefill chunks are costed
-    exactly (the set of distinct chunk sizes is small).
+    exactly (the set of distinct chunk sizes is small).  Each memoized
+    phase report is rescaled once, on the miss, to partition its cost, so
+    the phases every scheduler accumulates partition its busy seconds.
     """
 
     def __init__(
@@ -368,8 +439,8 @@ class EngineCostModel:
             shaped = self.config.with_(seq_len=tokens, batch_size=batch)
             report = self.server.prefill_engine.run(shaped)
             self._prefill_cache[key] = report.total_s
-            self._prefill_phases[key] = dict(
-                getattr(report, "phase_seconds", {}) or {}
+            self._prefill_phases[key] = _normalized_phases(
+                getattr(report, "phase_seconds", None) or {}, report.total_s
             )
         return self._prefill_cache[key]
 
@@ -378,7 +449,7 @@ class EngineCostModel:
         key = (tokens, batch)
         if key not in self._prefill_phases:
             self.prefill_s(tokens, batch)
-        return self._prefill_phases.get(key, {})
+        return self._prefill_phases[key]
 
     def _decode_key(self, batch_seqs: int, context_len: float) -> Tuple[int, int]:
         bucket = int(np.ceil(max(context_len, 1.0) / self.context_bucket))
@@ -395,8 +466,9 @@ class EngineCostModel:
                 self.config, batch_size=key[0], context_len=key[1]
             )
             self._decode_cache[key] = report.token_latency_s
-            self._decode_phases[key] = dict(
-                getattr(report, "phase_seconds", {}) or {}
+            self._decode_phases[key] = _normalized_phases(
+                getattr(report, "phase_seconds", None) or {},
+                report.token_latency_s,
             )
         return self._decode_cache[key]
 
@@ -407,7 +479,7 @@ class EngineCostModel:
         key = self._decode_key(batch_seqs, context_len)
         if key not in self._decode_phases:
             self.decode_step_s(batch_seqs, context_len)
-        return self._decode_phases.get(key, {})
+        return self._decode_phases[key]
 
 
 @dataclass
@@ -439,6 +511,59 @@ class _InFlight:
         )
 
 
+class _Telemetry:
+    """One run's ``<ns>.*`` instruments, each name built once per run."""
+
+    def __init__(self, ns: str):
+        registry = obs.get_registry()
+        self.run = f"{ns}.run"
+        self.step = f"{ns}.step"
+        self.queued = registry.counter(f"{ns}.requests_queued")
+        self.admitted = registry.counter(f"{ns}.requests_admitted")
+        self.completed = registry.counter(f"{ns}.requests_completed")
+        self.rejected = registry.counter(f"{ns}.requests_rejected")
+        self.steps = registry.counter(f"{ns}.steps")
+        self.prefill_tokens = registry.counter(f"{ns}.prefill_tokens")
+        self.decode_tokens = registry.counter(f"{ns}.decode_tokens")
+        self.occupancy = registry.series(f"{ns}.batch_occupancy")
+        self.ttft = registry.histogram(f"{ns}.ttft_s")
+        self.tpot = registry.histogram(f"{ns}.tpot_s")
+        self.e2e = registry.histogram(f"{ns}.e2e_s")
+
+
+class _DegradationScope:
+    """A run's ledger request scope, open while the run executes.
+
+    A no-op unless the server has an active RecoveryManager; otherwise
+    the scope closes on exit, error or not, and ``summary`` holds the
+    run's degradation slice.
+    """
+
+    def __init__(self, server, owner: str):
+        manager = server.resilience
+        active = manager is not None and manager.active
+        self.ledger = manager.ledger if active else None
+        self.owner = owner
+        self.summary: Optional[DegradationSummary] = None
+
+    def __enter__(self) -> "_DegradationScope":
+        if self.ledger is not None:
+            self.scope = self.ledger.open_request_scope(self.owner)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.ledger is not None:
+            self.summary = self.ledger.close_request_scope(self.scope)
+
+
+def _add_phases(
+    totals: Dict[str, float], request_class: str, phases: Dict[str, float]
+) -> None:
+    for phase, seconds in phases.items():
+        key = f"{request_class}/{phase}"
+        totals[key] = totals.get(key, 0.0) + seconds
+
+
 class RequestScheduler:
     """Discrete-event continuous-batching scheduler over one server.
 
@@ -446,6 +571,9 @@ class RequestScheduler:
     engine cost caches (and the server's tuner memos) persist across runs,
     so sweeps amortize the Auto-Tuner searches.
     """
+
+    #: Namespace of the run's ``<ns>.*`` metrics and spans.
+    _ns = "scheduler"
 
     def __init__(
         self,
@@ -505,19 +633,23 @@ class RequestScheduler:
     # ------------------------------------------------------------------
     def run(self, requests: Sequence[Request]) -> ScheduleResult:
         """Simulate the stream and return per-request + aggregate stats."""
-        policy = self.policy
-        registry = obs.get_registry()
-        tracer = obs.get_tracer()
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+        return self._simulate(requests)
 
-        ledger = None
-        scope = None
-        if self.server.resilience is not None and self.server.resilience.active:
-            ledger = self.server.resilience.ledger
-            owner = (
-                f"scheduler.run[{self.name}]" if self.name else "scheduler.run"
-            )
-            scope = ledger.open_request_scope(owner)
+    def _prefill_pool(self, finish, phase_totals: Dict[str, float]):
+        """Per-run state of a separate prefill pool; this scheduler has none.
+
+        A two-pool subclass returns an object the loop calls into for
+        placement, migrated admissions and its share of the result (see
+        :class:`~repro.engine.disagg.DisaggScheduler`).
+        """
+        return None
+
+    def _simulate(self, requests: Sequence[Request]) -> ScheduleResult:
+        """The event loop every scheduler class runs (see :meth:`run`)."""
+        policy = self.policy
+        tracer = obs.get_tracer()
+        ordered = _ordered(requests)
+        tel = _Telemetry(self._ns)
 
         waiting: deque = deque()
         running: List[_InFlight] = []
@@ -530,24 +662,16 @@ class RequestScheduler:
         occupancy: List[Tuple[float, float]] = []
         occupancy_weighted = 0.0
         peak_occupancy = 0
+        last_finish = 0.0
         now = 0.0
         idx = 0
         phase_totals: Dict[str, float] = {}
 
-        def add_phases(request_class: str, phases: Dict[str, float]) -> None:
-            for phase, seconds in phases.items():
-                key = f"{request_class}/{phase}"
-                phase_totals[key] = phase_totals.get(key, 0.0) + seconds
-
         def finish(flight: _InFlight, when: float) -> None:
-            nonlocal generated_tokens
+            nonlocal last_finish
             r = flight.request
-            stats[r.request_id] = RequestStats(
-                request_id=r.request_id,
-                arrival_s=r.arrival_s,
-                prompt_len=r.prompt_len,
-                generate_len=r.generate_len,
-                batch=r.batch,
+            done = stats[r.request_id] = _stats(
+                r,
                 admitted_s=flight.admitted_s,
                 prefill_done_s=flight.prefill_done_s,
                 first_token_s=(
@@ -557,209 +681,199 @@ class RequestScheduler:
                 ),
                 finished_s=when,
             )
-            registry.counter("scheduler.requests_completed").inc()
-            registry.histogram("scheduler.ttft_s").observe(
-                stats[r.request_id].ttft_s
-            )
-            registry.histogram("scheduler.e2e_s").observe(
-                stats[r.request_id].e2e_s
-            )
+            last_finish = max(last_finish, when)
+            tel.completed.inc()
+            tel.ttft.observe(done.ttft_s)
+            tel.e2e.observe(done.e2e_s)
             if r.generate_len:
-                registry.histogram("scheduler.tpot_s").observe(
-                    stats[r.request_id].tpot_s
-                )
+                tel.tpot.observe(done.tpot_s)
 
         def reject(r: Request) -> None:
             nonlocal rejected
             rejected += 1
-            stats[r.request_id] = RequestStats(
-                request_id=r.request_id,
-                arrival_s=r.arrival_s,
-                prompt_len=r.prompt_len,
-                generate_len=r.generate_len,
-                batch=r.batch,
-                rejected=True,
-            )
-            registry.counter("scheduler.requests_rejected").inc()
+            stats[r.request_id] = _stats(r, rejected=True)
+            tel.rejected.inc()
 
-        try:
-            with tracer.span(
-                "scheduler.run",
-                model=self.config.name,
-                engine=self.server.name,
-                requests=len(ordered),
-                max_batch_size=policy.max_batch_size,
-                chunked_prefill=policy.chunked_prefill,
-            ) as run_span:
-                while idx < len(ordered) or waiting or running:
-                    # 1. Move arrivals into the bounded wait queue.
-                    while idx < len(ordered) and ordered[idx].arrival_s <= now:
-                        r = ordered[idx]
-                        idx += 1
-                        if not self._feasible(r):
-                            reject(r)
-                        elif len(waiting) >= policy.max_queue_len:
-                            reject(r)
-                        else:
-                            waiting.append(r)
-                            registry.counter("scheduler.requests_queued").inc()
+        def admit(flight: _InFlight) -> None:
+            running.append(flight)
+            tel.admitted.inc()
 
-                    # 2. Admit from the queue head while the batch has room.
-                    while waiting and self._fits(waiting[0], running):
-                        r = waiting.popleft()
-                        running.append(_InFlight(request=r, admitted_s=now))
-                        registry.counter("scheduler.requests_admitted").inc()
+        pool = self._prefill_pool(finish, phase_totals)
+        owner = f"{tel.run}[{self.name}]" if self.name else tel.run
+        with _DegradationScope(self.server, owner) as scope, tracer.span(
+            tel.run,
+            model=self.config.name,
+            engine=self.server.name,
+            requests=len(ordered),
+            max_batch_size=policy.max_batch_size,
+            chunked_prefill=policy.chunked_prefill,
+        ) as run_span:
+            while (
+                idx < len(ordered) or waiting or running
+                or (pool is not None and pool.pending)
+            ):
+                # 1. Move arrivals into the bounded wait queue.
+                while idx < len(ordered) and ordered[idx].arrival_s <= now:
+                    r = ordered[idx]
+                    idx += 1
+                    if (not self._feasible(r)
+                            or len(waiting) >= policy.max_queue_len):
+                        reject(r)
+                    else:
+                        waiting.append(r)
+                        tel.queued.inc()
 
-                    # 3. Idle: jump to the next arrival.
-                    if not running:
-                        if idx < len(ordered):
-                            now = max(now, ordered[idx].arrival_s)
-                            continue
+                # 2. Admit prefill-pool output whose KV cache has landed
+                #    first (its prefill is already paid), then the queue
+                #    head: onto the prefill pool when the placement sends
+                #    it there, else into the batch while it has room.
+                if pool is not None:
+                    landed = pool.landed(now)
+                    while landed and self._fits(landed[0].request, running):
+                        admit(landed.popleft())
+                while waiting:
+                    head = waiting[0]
+                    if pool is not None and pool.place(head, now, running):
+                        waiting.popleft()
+                    elif self._fits(head, running):
+                        waiting.popleft()
+                        admit(_InFlight(request=head, admitted_s=now))
+                        if pool is not None:
+                            pool.placed_colocated.inc()
+                    else:
+                        break  # head-of-line blocking
+
+                # 3. Idle: jump to the next arrival or KV-cache landing.
+                if not running:
+                    horizon = [ordered[idx].arrival_s] if idx < len(ordered) else []
+                    if pool is not None and pool.transfers:
+                        horizon.append(pool.transfers[0][0])
+                    if not horizon:
                         break  # waiting is necessarily empty here
+                    now = max(now, min(horizon))
+                    continue
 
-                    # 4. Execute one scheduler step (serialized on the one
-                    #    PIM system: prefill work, then a decode iteration).
-                    step_s = 0.0
-                    step_prefill = 0
-                    decoding = [f for f in running if f.decode_ready]
-                    budget = (
-                        policy.prefill_chunk
-                        if policy.chunked_prefill
-                        else float("inf")
-                    )
-                    prefilling: List[_InFlight] = []
-                    with tracer.span("scheduler.step") as sp:
-                        for f in running:
-                            if f.prefill_remaining <= 0 or budget <= 0:
-                                continue
-                            take = f.prefill_remaining
-                            if policy.chunked_prefill:
-                                take = min(take, int(budget))
-                            step_s += self.cost.prefill_s(take, f.request.batch)
-                            add_phases(
-                                "prefill",
-                                self.cost.prefill_phases(take, f.request.batch),
-                            )
-                            f.prefilled += take
-                            budget -= take
-                            step_prefill += take * f.request.batch
-                            prefilling.append(f)
+                # 4. Execute one scheduler step (serialized on the one
+                #    PIM system: prefill work, then a decode iteration).
+                step_s = 0.0
+                step_prefill = 0
+                decoding = [f for f in running if f.decode_ready]
+                budget = (
+                    policy.prefill_chunk
+                    if policy.chunked_prefill
+                    else float("inf")
+                )
+                prefilling: List[_InFlight] = []
+                with tracer.span(tel.step) as sp:
+                    for f in running:
+                        if f.prefill_remaining <= 0 or budget <= 0:
+                            continue
+                        take = f.prefill_remaining
+                        if policy.chunked_prefill:
+                            take = min(take, int(budget))
+                        step_s += self.cost.prefill_s(take, f.request.batch)
+                        _add_phases(
+                            phase_totals,
+                            "prefill",
+                            self.cost.prefill_phases(take, f.request.batch),
+                        )
+                        f.prefilled += take
+                        budget -= take
+                        step_prefill += take * f.request.batch
+                        prefilling.append(f)
 
-                        seqs = sum(f.request.batch for f in decoding)
-                        if seqs:
-                            total_ctx = sum(
-                                f.context_len * f.request.batch for f in decoding
-                            )
-                            step_s += self.cost.decode_step_s(
-                                seqs, total_ctx / seqs
-                            )
-                            add_phases(
-                                "decode",
-                                self.cost.decode_step_phases(seqs, total_ctx / seqs),
-                            )
-                        sp.set_attribute("batch_seqs", seqs)
-                        sp.set_attribute("prefill_tokens", step_prefill)
-                        sp.set_attribute("model_seconds", step_s)
+                    seqs = sum(f.request.batch for f in decoding)
+                    if seqs:
+                        total_ctx = sum(
+                            f.context_len * f.request.batch for f in decoding
+                        )
+                        step_s += self.cost.decode_step_s(seqs, total_ctx / seqs)
+                        _add_phases(
+                            phase_totals,
+                            "decode",
+                            self.cost.decode_step_phases(seqs, total_ctx / seqs),
+                        )
+                    sp.set_attribute("batch_seqs", seqs)
+                    sp.set_attribute("prefill_tokens", step_prefill)
+                    sp.set_attribute("model_seconds", step_s)
 
-                    if step_s <= 0.0:
-                        # Nothing runnable this step (all admitted requests
-                        # are freshly prefilled, none decode-ready yet).
-                        for f in running:
-                            f.decode_ready = f.prefilled >= f.request.prompt_len
-                        continue
+                if step_s <= 0.0:
+                    # Nothing runnable this step (all admitted requests
+                    # are freshly prefilled, none decode-ready yet).
+                    for f in running:
+                        f.decode_ready = f.prefilled >= f.request.prompt_len
+                    continue
 
-                    now += step_s
-                    busy_s += step_s
-                    steps += 1
-                    prefill_tokens += step_prefill
+                step_start = now
+                now += step_s
+                if pool is not None:
+                    # ``now`` itself: the timelines share one float per step.
+                    pool.record_step(step_start, now, seqs)
+                busy_s += step_s
+                steps += 1
+                prefill_tokens += step_prefill
+                generated_tokens += seqs
+                tel.steps.inc()
+                tel.prefill_tokens.inc(step_prefill)
+                tel.decode_tokens.inc(seqs)
 
-                    registry.counter("scheduler.steps").inc()
-                    registry.counter("scheduler.prefill_tokens").inc(step_prefill)
-                    registry.counter("scheduler.decode_tokens").inc(seqs)
-                    generated_tokens += seqs
-
-                    # 5. Post-step bookkeeping: prefill completions, token
-                    #    emissions, request completions.
-                    for f in prefilling:
-                        if f.prefill_remaining <= 0 and f.prefill_done_s is None:
+                # 5. Post-step bookkeeping: prefill completions, token
+                #    emissions, request completions.
+                for f in prefilling:
+                    if f.prefill_remaining <= 0 and f.prefill_done_s is None:
+                        f.prefill_done_s = now
+                        f.decode_ready = True
+                for f in decoding:
+                    f.generated += 1
+                    if f.first_token_s is None:
+                        f.first_token_s = now
+                for f in list(running):
+                    if f.done:
+                        if f.prefill_done_s is None:
                             f.prefill_done_s = now
-                            f.decode_ready = True
-                    for f in decoding:
-                        f.generated += 1
-                        if f.first_token_s is None:
-                            f.first_token_s = now
-                    for f in list(running):
-                        if f.done:
-                            if f.prefill_done_s is None:
-                                f.prefill_done_s = now
-                            finish(f, now)
-                            running.remove(f)
+                        finish(f, now)
+                        running.remove(f)
 
-                    occ = float(sum(f.request.batch for f in running))
-                    occupancy.append((now, occ))
-                    occupancy_weighted += occ * step_s
-                    peak_occupancy = max(peak_occupancy, int(occ))
-                    registry.series("scheduler.batch_occupancy").append(occ)
+                occ = float(sum(f.request.batch for f in running))
+                occupancy.append((now, occ))
+                occupancy_weighted += occ * step_s
+                peak_occupancy = max(peak_occupancy, int(occ))
+                tel.occupancy.append(occ)
 
-                run_span.set_attribute("completed", len(stats) - rejected)
-                run_span.set_attribute("rejected", rejected)
-                run_span.set_attribute("model_makespan_s", now)
-        except BaseException:
-            if scope is not None:
-                ledger.close_request_scope(scope)
-            raise
+            makespan_s = max(now, last_finish)
+            run_span.set_attribute("completed", len(stats) - rejected)
+            run_span.set_attribute("rejected", rejected)
+            run_span.set_attribute("model_makespan_s", makespan_s)
+            if pool is not None:
+                pool.annotate(run_span)
 
-        degradation = None
-        if scope is not None:
-            degradation = ledger.close_request_scope(scope)
-            if degradation.degraded:
-                registry.counter("scheduler.degraded_runs").inc()
+        degradation = scope.summary
+        if degradation is not None and degradation.degraded:
+            obs.get_registry().counter(f"{self._ns}.degraded_runs").inc()
 
         done = [s for s in stats.values() if not s.rejected]
-
-        def pct(values: List[float], q: float) -> float:
-            # Retaining every sample keeps the percentile exact (identical
-            # to the order-statistic interpolation np.percentile computes).
-            if not values:
-                return 0.0
-            hist = Histogram("scheduler.pct", sample_capacity=len(values))
-            for v in values:
-                hist.observe(v)
-            return hist.percentile(q)
-
-        ttfts = [s.ttft_s for s in done]
-        tpots = [s.tpot_s for s in done if s.generate_len]
-        e2es = [s.e2e_s for s in done]
-        ordered_stats = tuple(
-            stats[r.request_id] for r in ordered if r.request_id in stats
-        )
+        pool_fields = {"busy_s": busy_s}
+        if pool is not None:
+            pool_fields = pool.result_fields(busy_s)
+            prefill_tokens += pool.prefill_tokens
         return ScheduleResult(
             policy=policy,
             completed=len(done),
             rejected=rejected,
             steps=steps,
-            makespan_s=now,
-            busy_s=busy_s,
+            makespan_s=makespan_s,
             prefill_tokens=prefill_tokens,
             generated_tokens=generated_tokens,
-            ttft_p50_s=pct(ttfts, 50),
-            ttft_p95_s=pct(ttfts, 95),
-            ttft_p99_s=pct(ttfts, 99),
-            tpot_p50_s=pct(tpots, 50),
-            tpot_p95_s=pct(tpots, 95),
-            tpot_p99_s=pct(tpots, 99),
-            e2e_p50_s=pct(e2es, 50),
-            e2e_p95_s=pct(e2es, 95),
-            e2e_p99_s=pct(e2es, 99),
-            mean_e2e_s=float(np.mean(e2es)) if e2es else 0.0,
+            **_latency_fields(done),
             mean_batch_occupancy=(
                 occupancy_weighted / busy_s if busy_s > 0 else 0.0
             ),
             peak_batch_occupancy=peak_occupancy,
             occupancy_timeline=tuple(occupancy),
-            requests=ordered_stats,
+            requests=tuple(stats[r.request_id] for r in ordered),
             degradation=degradation,
             phase_seconds=phase_totals,
+            **pool_fields,
         )
 
 
@@ -815,6 +929,59 @@ def poisson_requests(
     ]
 
 
+def _load_streams(
+    scheduler,
+    utilizations: Sequence[float],
+    num_requests: int,
+    prompt_len: int,
+    generate_len: int,
+    batch: int,
+    arrivals: str,
+    seed: int,
+    sessions: Optional[int] = None,
+) -> List[Tuple[float, float, List[Request]]]:
+    """``(rho, arrival rate, stream)`` per load level of a sweep.
+
+    Load is normalized to ``scheduler``'s FIFO service time of one
+    request.  Every level is validated before anything is simulated, by
+    an explicit non-positive check (``0.0`` is an error, never "use a
+    default" — the ``serve-sim`` --rate/--utilization convention).
+    """
+    for rho in utilizations:
+        if rho <= 0.0:
+            raise ValueError(f"utilizations must be positive, got {rho}")
+    probe = Request(
+        request_id=-1,
+        arrival_s=0.0,
+        prompt_len=prompt_len,
+        generate_len=generate_len,
+        batch=batch,
+    )
+    service_s = scheduler.fifo_service_time(probe)
+    streams = []
+    for rho in utilizations:
+        rate = rho / service_s
+        stream = poisson_requests(
+            num_requests,
+            rate,
+            prompt_len=prompt_len,
+            generate_len=generate_len,
+            batch=batch,
+            arrivals=arrivals,
+            seed=seed,
+            sessions=sessions,
+        )
+        streams.append((rho, rate, stream))
+    return streams
+
+
+def _point_json(point) -> dict:
+    """A sweep point's fields as JSON, its result through ``to_jsonable``."""
+    out = {f.name: getattr(point, f.name) for f in fields(point)}
+    out["result"] = point.result.to_jsonable()
+    return out
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     """One utilization level of :func:`scheduler_load_sweep`."""
@@ -845,22 +1012,10 @@ def scheduler_load_sweep(
     capacity win.  With ``compare_fifo`` each point also runs the identical
     stream through the batch-1 policy.
     """
-    # Validate the whole sweep before simulating anything: a bad value in
-    # the middle of the list must not burn the earlier points first.  The
-    # check is an explicit non-positive comparison, never truthiness —
-    # ``0.0`` is an error here, not "use a default" (the same convention
-    # ``serve-sim`` applies to --rate/--utilization).
-    for rho in utilizations:
-        if rho <= 0.0:
-            raise ValueError(f"utilizations must be positive, got {rho}")
-    probe = Request(
-        request_id=-1,
-        arrival_s=0.0,
-        prompt_len=prompt_len,
-        generate_len=generate_len,
-        batch=batch,
+    streams = _load_streams(
+        scheduler, utilizations, num_requests, prompt_len, generate_len,
+        batch, arrivals, seed,
     )
-    service_s = scheduler.fifo_service_time(probe)
     fifo_sched = RequestScheduler(
         scheduler.server,
         scheduler.config,
@@ -868,26 +1023,12 @@ def scheduler_load_sweep(
         context_bucket=scheduler.cost.context_bucket,
     )
     fifo_sched.cost = scheduler.cost  # share the memoized engine costs
-    points = []
-    for rho in utilizations:
-        rate = rho / service_s
-        stream = poisson_requests(
-            num_requests,
-            rate,
-            prompt_len=prompt_len,
-            generate_len=generate_len,
-            batch=batch,
-            arrivals=arrivals,
-            seed=seed,
+    return [
+        SweepPoint(
+            target_utilization=float(rho),
+            arrival_rate_rps=rate,
+            batched=scheduler.run(stream),
+            fifo=fifo_sched.run(stream) if compare_fifo else None,
         )
-        batched = scheduler.run(stream)
-        fifo = fifo_sched.run(stream) if compare_fifo else None
-        points.append(
-            SweepPoint(
-                target_utilization=float(rho),
-                arrival_rate_rps=rate,
-                batched=batched,
-                fifo=fifo,
-            )
-        )
-    return points
+        for rho, rate, stream in streams
+    ]

@@ -37,6 +37,7 @@ from .metrics import (
     NULL_REGISTRY,
     NullRegistry,
     Series,
+    percentiles,
 )
 from .tracing import NULL_TRACER, NullTracer, Span, Tracer
 from .export import (
@@ -129,6 +130,7 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "DEFAULT_TIME_BUCKETS",
+    "percentiles",
     "Span",
     "Tracer",
     "NullTracer",

@@ -28,6 +28,35 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = tuple(
 )
 
 
+def _check_percentile(q: float) -> None:
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+
+
+def _interpolate(ordered: Sequence[float], q: float) -> float:
+    """Linear interpolation between order statistics (``numpy.percentile``)."""
+    pos = (len(ordered) - 1) * q / 100.0
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = pos - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
+    """The ``qs``-th percentiles (0..100) of ``values``, sorting once.
+
+    Identical to :meth:`Histogram.percentile` over a histogram that
+    retained every value, without building one per call; an empty
+    ``values`` gives 0.0 for every ``q``.
+    """
+    for q in qs:
+        _check_percentile(q)
+    if len(values) == 0:
+        return [0.0] * len(qs)
+    ordered = sorted(float(v) for v in values)
+    return [_interpolate(ordered, q) for q in qs]
+
+
 class Counter:
     """Monotonically increasing count."""
 
@@ -169,18 +198,12 @@ class Histogram:
         histogram returns 0.0 on every path — never NaN, so callers can
         render snapshots without NaN-propagation or numpy warnings.
         """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
+        _check_percentile(q)
         with self._lock:
             if self._count == 0:
                 return 0.0
             if self._samples is not None:
-                ordered = sorted(self._samples)
-                pos = (len(ordered) - 1) * q / 100.0
-                lo = int(pos)
-                hi = min(lo + 1, len(ordered) - 1)
-                frac = pos - lo
-                return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+                return _interpolate(sorted(self._samples), q)
             # Bucket interpolation: walk the cumulative distribution to the
             # target rank, then place the value proportionally inside the
             # bucket that crosses it.  The observed min/max tighten the

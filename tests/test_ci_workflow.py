@@ -62,6 +62,14 @@ class TestWorkflowFile:
         runs = " ".join(_run_commands(workflow["jobs"]["tests"]))
         assert "tests/test_scheduler.py" in runs
 
+    def test_tests_job_runs_serving_invariant_suite(self, workflow):
+        """The serving invariants over the scheduler x flag matrix run in
+        the scheduler step."""
+        job = workflow["jobs"]["tests"]
+        step = next(s for s in job["steps"]
+                    if s.get("name", "").startswith("Scheduler + serving-layer"))
+        assert "tests/test_serving_invariants.py" in step["run"]
+
     def test_tests_job_runs_cluster_suite(self, workflow):
         """The cluster serving module is an explicit tier-1 member."""
         runs = " ".join(_run_commands(workflow["jobs"]["tests"]))

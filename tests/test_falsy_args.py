@@ -68,6 +68,28 @@ class TestCLIZeroFlags:
         assert cli.main(argv) == 2
         assert flag in capsys.readouterr().err
 
+    def test_zero_shards_exits_2(self, capsys):
+        """A single ``serve-cluster`` run never simulates unsharded."""
+        argv = ["serve-cluster", "--layers", "1", "--requests", "4",
+                "--shards", "0", "--json"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "shards must be >= 1" in captured.err
+        assert captured.out == ""
+
+
+class TestClusterShards:
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_nonpositive_shards_rejected(self, bad):
+        from repro.baselines import wimpy_host
+        from repro.cluster import ClusterScheduler
+        from repro.engine import GenerationServer
+        from repro.workloads import opt_style
+
+        server = GenerationServer(get_platform("upmem"), wimpy_host())
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            ClusterScheduler(server, opt_style(256), shards=bad)
+
 
 class TestKernelDtypeBytes:
     """``dtype_bytes=0`` must raise, not silently fall back to the platform."""
