@@ -308,8 +308,8 @@ class LUTLinear(Module):
             self.freeze_lut()
         indices = self._search(flat.data)
         if self._qlut is not None:
-            # Fused INT8 path: gather the int8 table directly, accumulate
-            # in int32, dequantize once (paper §6.3 deployment numerics).
+            # Fused INT8 path: gather the int8 table directly and
+            # dequantize once per output (paper §6.3 deployment numerics).
             out = lut_gather_reduce_quantized(
                 indices, self._qlut, offsets=self._gather_offsets
             )

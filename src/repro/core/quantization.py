@@ -46,9 +46,11 @@ def quantize_lut(
 
     ``per_codebook=False`` uses one global scale for the whole table (the
     scales vector stays per-codebook shaped but holds one value).  That is
-    slightly lossier but lets the host gather-reduce kernel accumulate the
-    int8 entries *exactly* in int32 and dequantize with a single multiply
-    (:func:`repro.kernels.lut_gather_reduce_quantized`'s fast path).
+    slightly lossier.  Both layouts cost one reduction per row block in
+    :func:`repro.kernels.lut_gather_reduce_quantized`: a shared scale sums
+    the int8 entries *exactly* in int32 and dequantizes with a single
+    multiply, per-codebook scales contract the widened block with the
+    scale vector in float64.
     """
     lut = np.asarray(lut, dtype=np.float64)
     if lut.ndim != 3:

@@ -12,8 +12,9 @@ inference, next to the table lookups on PIM).  Three kernel families:
   batched BLAS matmul per row block.
 * :func:`lut_gather_reduce` / :func:`lut_gather_reduce_quantized` — the
   fused table-lookup-and-accumulate operator using flat indexing on a
-  ``(CB*CT, F)`` view of the table, with an int32-accumulate + single
-  dequant fast path for INT8 LUTs.
+  ``(CB*CT, F)`` view of the table; INT8 LUTs reduce each gathered row
+  block in one step (an int32 sum for a shared scale, one contraction
+  with the per-codebook scales otherwise).
 * :func:`lloyd_update` — a fully vectorized Lloyd's update (scatter means
   via ``np.bincount``, one-shot empty-cluster reseed) used by the k-means
   codebook builder.

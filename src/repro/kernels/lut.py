@@ -4,9 +4,9 @@ The reference :func:`repro.core.lut.lut_lookup` gathers with a 2-D fancy
 index and pays two full passes over the index matrix per call for bounds
 checking (``indices.min()`` plus ``indices.max()``).  The kernels here:
 
-* pick the gather strategy by working-set size: small row blocks use one
-  **flat gather** on a ``(CB*CT, F)`` view of the table (one index array,
-  one gather, one reduction); once the ``(nb, CB, F)`` gather intermediate
+* pick the float gather strategy by working-set size: small row blocks
+  use one **flat gather** on a ``(CB*CT, F)`` view of the table (one index
+  array, one gather, one reduction); once the ``(nb, CB, F)`` intermediate
   would spill out of cache the kernel switches to **per-codebook
   accumulation** — CB gathers of ``(nb, F)`` each, added straight into the
   output slice, so the accumulator stays cache-resident and the huge
@@ -19,13 +19,15 @@ checking (``indices.min()`` plus ``indices.max()``).  The kernels here:
   gather moves, so its cost is ~1/F of the kernel.  (A per-codebook wrap —
   index >= CT landing in the next codebook's rows — is invisible to
   numpy's own flat-gather bounds check, which is why the explicit check
-  stays.)  Corner case: an int8 index ``-1`` with CT=256 reinterprets to
-  the valid unsigned 255 — at CT=256 use uint8 or wider indices, as the
-  CCS kernel's int32 output always is.
-* keep the **INT8 path fused**: the int8 table is gathered directly and
-  accumulated in int32, with a single dequantization multiply at the end
-  when the quantization scale is shared — never materializing a float
-  copy of the LUT.
+  stays.)  Signed indices too narrow to hold CT (int8 at CT=256) are
+  widened before the reinterpretation, so a negative index can never
+  alias a valid row.
+* keep the **INT8 path fused**: each row block is one flat gather of the
+  int8 table, then one reduction over the codebook axis — an exact int32
+  sum and one dequantization multiply when the quantization scale is
+  shared, one BLAS contraction of the widened block with the ``(CB,)``
+  scale vector otherwise.  Neither reduction loops over codebooks in
+  Python, and the kernel never makes a float copy of the LUT.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ from .ccs import DEFAULT_BLOCK_ROWS
 #: Largest (nb, CB, F) gather intermediate the flat strategy may create;
 #: beyond this the per-codebook accumulation path wins on memory traffic.
 _GATHER_BUDGET_BYTES = 8 << 20
+
+#: Largest block intermediate the INT8 kernel creates per row block: the
+#: float64 widening of the (nb, CB, F) gather under per-codebook scales,
+#: the int8 gather itself under a shared scale.  L2-sized blocks beat one
+#: 8 MiB block at both 4-row (decode) and 128-row (prompt) calls.
+_INT8_BLOCK_BYTES = 256 << 10
 
 #: Valid gather strategies: ``auto`` picks by working-set size (the
 #: heuristic above); ``flat``/``per-codebook`` force one path — used by the
@@ -81,7 +89,11 @@ def _checked_indices(indices: np.ndarray, cb: int, ct: int) -> np.ndarray:
     if idx.shape[1] != cb:
         raise ValueError(f"indices CB={idx.shape[1]} != LUT CB={cb}")
     if idx.dtype.kind == "i":
-        if not idx.flags.c_contiguous:
+        if ct > np.iinfo(idx.dtype).max + 1:
+            # The unsigned view of a negative index would be a valid row
+            # (int8 -1 -> 255 at CT=256); widened, it lands past any CT.
+            idx = idx.astype(np.int64)
+        elif not idx.flags.c_contiguous:
             idx = np.ascontiguousarray(idx)
         idx = idx.view(np.dtype(f"uint{idx.dtype.itemsize * 8}"))
     elif idx.dtype.kind != "u":
@@ -154,18 +166,27 @@ def lut_gather_reduce_quantized(
     qlut,
     offsets: Optional[np.ndarray] = None,
     block_rows: Optional[int] = None,
-    strategy: str = "auto",
 ) -> np.ndarray:
     """Fused INT8 lookup + accumulate against a :class:`QuantizedLUT`.
 
     The int8 table is gathered directly (1 byte/element of traffic — the
-    whole point of INT8 deployment, paper §6.3).  When every codebook
-    shares one quantization scale the partial sums accumulate exactly in
-    int32 and a *single* dequantization multiply produces the output;
-    with per-codebook scales the gathered int8 values are widened once
-    and the scales are folded into the codebook reduction (a tensordot),
-    so dequantization still happens once per output rather than once per
-    table entry.
+    whole point of INT8 deployment, paper §6.3): one flat gather on the
+    ``(CB*CT, F)`` view per row block, then one reduction over the
+    codebook axis.  When every codebook shares one quantization scale the
+    block sums exactly in int32 and a *single* dequantization multiply
+    produces the output; with per-codebook scales the block is widened to
+    float64 and contracted with the ``(CB,)`` scale vector in one BLAS
+    matmul, so dequantization still happens once per output rather than
+    once per table entry.
+
+    Row blocks hold at most ``block_rows`` rows and are further capped so
+    the block intermediate (the widened float64 block, or the int8 gather
+    under a shared scale) stays within ``_INT8_BLOCK_BYTES``.
+
+    Raises
+    ------
+    IndexError
+        If any index falls outside ``[0, CT)``.
     """
     values = qlut.values
     scales = np.asarray(qlut.scales, dtype=np.float64)
@@ -178,35 +199,22 @@ def lut_gather_reduce_quantized(
     q2d = values.reshape(cb * ct, f)
     common = float(scales[0]) if cb and np.all(scales == scales[0]) else None
     n = unsigned.shape[0]
-    block = int(block_rows or DEFAULT_BLOCK_ROWS)
-    # The int8 gather intermediate is 1 byte/element, so the flat strategy
-    # holds much longer than in the float kernel.
-    flat_rows = _flat_row_budget(strategy, n, cb * f)
+    element_bytes = 1 if common is not None else 8
+    budget_rows = _INT8_BLOCK_BYTES // max(cb * f * element_bytes, 1)
+    block = max(1, min(int(block_rows or DEFAULT_BLOCK_ROWS), budget_rows))
     out = np.empty((n, f), dtype=np.float64)
     if cb == 0:
         out.fill(0)
         n = 0  # nothing to gather
     for start in range(0, n, block):
         stop = min(start + block, n)
-        sub = unsigned[start:stop]
+        gathered = q2d[unsigned[start:stop].astype(np.int64) + offsets]
         if common is not None:
-            if stop - start <= flat_rows:
-                gathered = q2d[sub.astype(np.int64) + offsets]
-                acc = gathered.sum(axis=1, dtype=np.int32)
-            else:
-                acc = values[0][sub[:, 0]].astype(np.int32)
-                for c in range(1, cb):
-                    acc += values[c][sub[:, c]]
             # Exact integer accumulation, one dequant multiply.
-            out[start:stop] = acc * common
+            np.multiply(gathered.sum(axis=1, dtype=np.int32), common,
+                        out=out[start:stop])
         else:
-            # Per-codebook scales: fold each codebook's dequant multiply
-            # into its accumulation step — still one multiply per gathered
-            # (nb, F) slice, never a float copy of the whole table.
-            seg = out[start:stop]
-            seg[:] = values[0][sub[:, 0]] * scales[0]
-            for c in range(1, cb):
-                seg += values[c][sub[:, c]] * scales[c]
+            np.matmul(scales, gathered.astype(np.float64), out=out[start:stop])
     registry = obs.get_registry()
     registry.counter("kernels.lut.int8_gathers").inc()
     registry.counter("kernels.lut.rows").inc(unsigned.shape[0])

@@ -91,6 +91,15 @@ class TestWorkflowFile:
         runs = " ".join(_run_commands(workflow["jobs"]["tests"]))
         assert "tests/test_moe.py" in runs
 
+    def test_tests_job_runs_kernels_and_benchmark_selftest(self, workflow):
+        """The host kernels and the benchmark self-test, which checks every
+        kernel call against the frozen references, are one explicit step."""
+        job = workflow["jobs"]["tests"]
+        step = next(s for s in job["steps"]
+                    if s.get("name", "").startswith("Host kernels + benchmark"))
+        assert "tests/test_kernels.py" in step["run"]
+        assert "perfbench/selftest.py" in step["run"]
+
     def test_coverage_floor_raised(self, workflow):
         """The suite has grown; the line-coverage floor moved 70 -> 75."""
         runs = " ".join(_run_commands(workflow["jobs"]["tests"]))

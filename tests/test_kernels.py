@@ -354,6 +354,101 @@ class TestQuantizedGatherReduce:
         with pytest.raises(IndexError):
             lut_gather_reduce_quantized(np.full((2, 3), 4), qlut)
 
+    @given(
+        n=st.integers(1, 16),
+        cb=st.integers(1, 5),
+        ct=st.one_of(st.integers(1, 9), st.just(256)),
+        f=st.integers(1, 6),
+        seed=st.integers(0, 2**31),
+        block=st.integers(1, 6),
+        per_codebook=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_parity(self, n, cb, ct, f, seed, block, per_codebook):
+        rng = np.random.default_rng(seed)
+        qlut = quantize_lut(rng.normal(size=(cb, ct, f)) * 3.0,
+                            per_codebook=per_codebook)
+        idx = rng.integers(0, ct, size=(n, cb)).astype(np.int32)
+        np.testing.assert_allclose(
+            lut_gather_reduce_quantized(idx, qlut, block_rows=block),
+            lut_lookup_reference(idx, qlut.dequantize()),
+            rtol=1e-9, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("per_codebook", [True, False])
+    def test_decode_shaped_parity(self, rng, per_codebook):
+        """A 4-row decode step through an FFN2-shaped table (CB=256, F=256)."""
+        qlut = quantize_lut(rng.normal(size=(256, 16, 256)),
+                            per_codebook=per_codebook)
+        idx = rng.integers(0, 16, size=(4, 256)).astype(np.int32)
+        np.testing.assert_allclose(
+            lut_gather_reduce_quantized(idx, qlut),
+            lut_lookup_reference(idx, qlut.dequantize()),
+            rtol=1e-9, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("per_codebook", [True, False])
+    @pytest.mark.parametrize("budget_rows", [0, 3])
+    def test_budget_blocks_match_one_block(self, rng, monkeypatch,
+                                           per_codebook, budget_rows):
+        """Shrink the block budget to force many (and ragged) row blocks;
+        the output and the call/row counters must not change."""
+        from repro.kernels import lut as lut_mod
+
+        cb, ct, f, n = 6, 8, 10, 40
+        qlut = quantize_lut(rng.normal(size=(cb, ct, f)),
+                            per_codebook=per_codebook)
+        idx = rng.integers(0, ct, size=(n, cb)).astype(np.int32)
+        whole = lut_gather_reduce_quantized(idx, qlut)
+        element_bytes = 8 if per_codebook else 1
+        monkeypatch.setattr(lut_mod, "_INT8_BLOCK_BYTES",
+                            budget_rows * cb * f * element_bytes)
+        registry = obs.get_registry()
+        calls = registry.counter("kernels.lut.int8_gathers")
+        rows = registry.counter("kernels.lut.rows")
+        calls_before, rows_before = calls.value, rows.value
+        blocked = lut_gather_reduce_quantized(idx, qlut)
+        assert (calls.value, rows.value) == (calls_before + 1, rows_before + n)
+        np.testing.assert_allclose(blocked, whole, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(
+            blocked, lut_lookup_reference(idx, qlut.dequantize()),
+            rtol=1e-9, atol=1e-12,
+        )
+
+
+class TestNarrowSignedIndices:
+    """A negative index in a signed dtype too narrow for CT must raise, not
+    alias a valid row through the unsigned view (int8 -1 -> 255 at CT=256)."""
+
+    @pytest.mark.parametrize("dtype,ct", [(np.int8, 256), (np.int8, 200),
+                                          (np.int16, 40000)])
+    def test_negative_index_raises_everywhere(self, rng, dtype, ct):
+        lut = rng.normal(size=(2, ct, 3))
+        idx = np.zeros((3, 2), dtype=dtype)
+        # The negative value whose unsigned view is the last valid row.
+        idx[1, 1] = ct - 1 - 2 ** (8 * np.dtype(dtype).itemsize)
+        with pytest.raises(IndexError):
+            lut_lookup_reference(idx, lut)
+        with pytest.raises(IndexError):
+            lut_gather_reduce(idx, lut)
+        with pytest.raises(IndexError):
+            lut_gather_reduce_quantized(idx, quantize_lut(lut))
+        with pytest.raises(IndexError):
+            lut_lookup(idx, lut)
+
+    def test_valid_narrow_indices_still_gather(self, rng):
+        lut = rng.normal(size=(2, 256, 3))
+        idx = rng.integers(0, 128, size=(5, 2)).astype(np.int8)
+        expected = lut_lookup_reference(idx, lut)
+        np.testing.assert_allclose(lut_gather_reduce(idx, lut), expected,
+                                   atol=1e-12)
+        qlut = quantize_lut(lut)
+        np.testing.assert_allclose(
+            lut_gather_reduce_quantized(idx, qlut),
+            lut_lookup_reference(idx, qlut.dequantize()),
+            rtol=1e-9, atol=1e-12,
+        )
+
 
 # ---------------------------------------------------------------------------
 # Vectorized Lloyd update
