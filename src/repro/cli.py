@@ -32,22 +32,46 @@ Subcommands mirror the offline workflow of paper Fig. 5:
   (dead ranks, stragglers, transfer timeouts, LUT bit flips — from flags
   or a ``--scenario`` JSON file) and report how the retry → remap → host
   fallback ladder degraded each request, plus a functional parity check of
-  the recovered kernel against the trusted host kernel.
+  the recovered kernel against the trusted host kernel;
+* ``serve-cluster`` — N replica schedulers behind a router
+  (:mod:`repro.cluster`), optionally layer-sharded, with replica failover
+  (``--fail R@T``, ``--fail-ranks``); ``--sweep`` crosses replicas x
+  shards x routers x load on identical streams;
+* ``serve-disagg`` — disaggregated prefill/decode pools joined by a
+  KV-transfer cost (:mod:`repro.engine.disagg`); ``--sweep`` crosses
+  placement policy x load;
+* ``moe`` — MoE experts as LUTs: experts x top-k x routing skew x expert
+  placement, priced as the max-over-ranks LUT makespan;
 * ``bench`` — run the modeled/measured benchmark suites against the
   persistent baseline store (``run`` appends, ``compare`` gates with
   median+MAD regression detection and optional ``--json`` BENCH output,
   ``list`` shows recorded histories).
 
-Observability flags: ``platforms``/``flops``/``compare`` take ``--json``
-for machine-readable output; ``tune``/``simulate``/``compare`` take
-``--emit-trace PATH`` (Chrome-trace export of the run's spans, engine
-timelines, and micro-kernel events) and ``--metrics-json PATH`` (snapshot
-of the default :class:`~repro.obs.MetricsRegistry`); ``tune --progress N``
-prints search progress every N candidates.  ``simulate --profile [TRACE]``
-prints the per-phase :class:`~repro.obs.BottleneckReport` and optionally
-writes a per-rank Chrome trace; ``compare --attribution`` and
-``serve-sim --attribution`` print phase attribution per engine / per
-request class.
+Flags are declared once, in groups the subcommands share:
+
+* shape — ``--n --h --f --v --ct`` (``tune``, ``simulate``, ``flops``,
+  ``kernels``, ``trace-export``);
+* model — ``--model --platform --v --ct``, plus ``--layers`` everywhere
+  except ``compare``;
+* serving — the stream, load (``--rate``/``--utilization``),
+  batching-policy and SLO flags of the three ``serve-*`` commands;
+* output — ``--json`` (machine-readable stdout), ``--attribution`` where a
+  command has a phase breakdown, ``--emit-trace PATH`` (Chrome trace of the
+  run's spans, engine timelines and micro-kernel events) and
+  ``--metrics-json PATH`` (snapshot of the default
+  :class:`~repro.obs.MetricsRegistry`); ``tune --progress N`` and
+  ``simulate --profile [TRACE]`` (per-phase
+  :class:`~repro.obs.BottleneckReport`) are command-specific;
+* host kernel — ``--dtype --block-rows`` (``compare``, ``kernels``);
+* mapping source — ``--store --cache`` (``simulate``, ``trace-export``).
+
+A command whose default differs from its group's sets it with
+``set_defaults`` (e.g. ``serve-disagg --generate-len 64``).
+
+Usage errors: a bad flag raises :class:`UsageError`; :func:`main` catches
+it in one place, prints ``error: ...`` to stderr and returns exit code 2.
+Every flag is validated before a server is built or anything is tuned, so
+a bad flag costs no search time.
 
 Run ``python -m repro <subcommand> --help`` for the options.
 """
@@ -55,24 +79,162 @@ Run ``python -m repro <subcommand> --help`` for the options.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from . import obs
 from .analysis import format_table
 from .core import LUTShape, flop_reduction, gemm_ops, lutnn_ops
+from .kernels.profile import _best_seconds
 from .mapping import AutoTuner, Mapping, MappingCache, MappingStore, estimate_latency
 from .pim import PIMSimulator, PLATFORMS, get_platform, trace_kernel
 from .workloads import EVAL_MODELS
+
+
+class UsageError(ValueError):
+    """A bad command-line flag: :func:`main` prints it and exits 2."""
+
+
+#: Flags that must be positive when given.  Checked on presence
+#: (``is None``), not truthiness: ``--layers 0`` is an error, never "use the
+#: default".
+_POSITIVE_FLAGS = (
+    "--layers", "--rate", "--slo-ttft-ms", "--slo-e2e-ms", "--block-rows",
+    "--prompt-len", "--batch", "--sessions", "--max-batch",
+    "--max-context-tokens", "--queue-cap", "--prefill-chunk",
+)
+
+
+def _require_positive(flag: str, value) -> None:
+    if value is not None and value <= 0:
+        raise UsageError(f"{flag} must be positive, got {value}")
+
+
+@contextlib.contextmanager
+def _as_usage_error(prefix: str = "", errors=(ValueError,)):
+    """Re-raise a library's rejection of a flag value as a :class:`UsageError`."""
+    try:
+        yield
+    except errors as exc:
+        raise UsageError(f"{prefix}{exc}") from exc
+
+
+def _csv_numbers(text: str, flag: str, kind=int, positive: bool = False) -> list:
+    """A comma list of ``kind`` values (``--replicas 1,2,4``)."""
+    try:
+        values = [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise UsageError(
+            f"{flag} expects comma-separated {noun}, got {text!r}") from None
+    if not values:
+        raise UsageError(f"{flag} must name at least one value")
+    if positive:
+        for value in values:
+            _require_positive(flag, value)
+    return values
+
+
+def _csv_names(text: str, flag: str, known: Sequence[str]) -> List[str]:
+    """A comma list of distinct names, each one of ``known``."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    unknown = [n for n in names if n not in known]
+    if unknown or not names:
+        raise UsageError(f"unknown {flag} value {unknown or text!r} "
+                         f"(known: {', '.join(sorted(known))})")
+    if len(set(names)) < len(names):
+        raise UsageError(f"{flag} names a value twice: {text!r}")
+    return names
+
+
+def _add_lut_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--v", type=int, default=4, help="sub-vector length V")
+    parser.add_argument("--ct", type=int, default=16, help="centroids per codebook")
 
 
 def _add_shape_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True, help="index rows (batch x seq)")
     parser.add_argument("--h", type=int, required=True, help="inner dimension H")
     parser.add_argument("--f", type=int, required=True, help="output features F")
-    parser.add_argument("--v", type=int, default=4, help="sub-vector length V")
-    parser.add_argument("--ct", type=int, default=16, help="centroids per codebook")
+    _add_lut_arguments(parser)
+
+
+def _add_platform_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--platform", default="upmem", choices=sorted(PLATFORMS),
+                        help="modeled DRAM-PIM platform (default: upmem)")
+
+
+def _add_model_arguments(parser: argparse.ArgumentParser, layers: bool = True) -> None:
+    parser.add_argument("--model", default="bert-base", choices=sorted(EVAL_MODELS))
+    _add_platform_argument(parser)
+    _add_lut_arguments(parser)
+    if layers:
+        parser.add_argument("--layers", type=int, default=None, metavar="N",
+                            help="override the model's layer count (quick runs)")
+
+
+def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
+    """Stream, load, batching-policy and SLO flags of the serve commands."""
+    parser.add_argument("--native", action="store_true",
+                        help="serve on the native GEMM/GEMV engines instead "
+                             "of LUT-NN")
+    parser.add_argument("--requests", type=int, default=64, metavar="N")
+    parser.add_argument("--prompt-len", type=int, default=128, metavar="N")
+    parser.add_argument("--generate-len", type=int, default=32, metavar="N")
+    parser.add_argument("--batch", type=int, default=1, metavar="N",
+                        help="sequences bundled per request (batch hint)")
+    parser.add_argument("--arrivals", choices=["poisson", "uniform"],
+                        default="poisson")
+    parser.add_argument("--seed", type=int, default=0, help="arrival stream seed")
+    parser.add_argument("--rate", type=float, default=None, metavar="RPS",
+                        help="offered arrival rate (single run only; default "
+                             "derives from --utilization)")
+    parser.add_argument("--utilization", default="0.8", metavar="RHO[,RHO...]",
+                        help="offered load as a fraction of the unloaded "
+                             "FIFO service rate (>1 overloads it); one value, "
+                             "or a comma list under --sweep")
+    parser.add_argument("--max-batch", type=int, default=8, metavar="N",
+                        help="sequences decoding concurrently")
+    parser.add_argument("--max-context-tokens", type=int, default=1 << 20,
+                        metavar="N", help="KV-token cap across the batch")
+    parser.add_argument("--queue-cap", type=int, default=1024, metavar="N",
+                        help="bounded wait queue (per replica); overflow rejects")
+    parser.add_argument("--chunked-prefill", action="store_true",
+                        help="interleave prompt prefill in chunks with decode "
+                             "steps")
+    parser.add_argument("--prefill-chunk", type=int, default=128, metavar="N",
+                        help="tokens prefilled per step under --chunked-prefill")
+    parser.add_argument("--slo-ttft-ms", type=float, default=None, metavar="MS",
+                        help="TTFT SLO (default: 2.5x unloaded prefill)")
+    parser.add_argument("--slo-e2e-ms", type=float, default=None, metavar="MS",
+                        help="end-to-end SLO (default: 2.5x unloaded request)")
+
+
+def _add_output_arguments(
+    parser: argparse.ArgumentParser, attribution: Optional[str] = None
+) -> None:
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    if attribution:
+        parser.add_argument("--attribution", action="store_true", help=attribution)
+    _add_telemetry_arguments(parser)
+
+
+def _add_host_kernel_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--dtype", choices=["auto", "float32", "float64"],
+                        default="float32",
+                        help="host kernel compute dtype (auto keeps the input's)")
+    parser.add_argument("--block-rows", type=int, default=None, metavar="N",
+                        help="host kernel rows per block")
+
+
+def _add_mapping_source_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--store", help="JSON mapping store to read")
+    parser.add_argument("--cache", metavar="DIR",
+                        help="persistent mapping cache directory to read "
+                             "(a fresh tune writes back)")
 
 
 def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
@@ -135,11 +297,8 @@ def _apply_layers_override(config, layers: Optional[int]):
     ``--layers 0`` must error, not silently keep the model's default depth
     (the falsy-arg trap: ``if args.layers`` treats 0 like "not given").
     """
-    if layers is None:
-        return config
-    if layers <= 0:
-        raise ValueError(f"--layers must be positive, got {layers}")
-    return config.with_(num_layers=layers)
+    _require_positive("--layers", layers)
+    return config if layers is None else config.with_(num_layers=layers)
 
 
 def _resolve_slo_s(value_ms: Optional[float], default_s: float, flag: str) -> float:
@@ -148,20 +307,17 @@ def _resolve_slo_s(value_ms: Optional[float], default_s: float, flag: str) -> fl
     Resolves on *presence* (``is None``), not truthiness: ``--slo-ttft-ms 0``
     must error rather than silently fall back to the default SLO.
     """
-    if value_ms is None:
-        return default_s
-    if value_ms <= 0:
-        raise ValueError(f"{flag} must be positive, got {value_ms}")
-    return value_ms / 1e3
+    _require_positive(flag, value_ms)
+    return default_s if value_ms is None else value_ms / 1e3
 
 
-def _maybe_trace_kernel(shape: LUTShape, mapping: Mapping, platform):
-    """Trace the micro-kernel when it is within the explicit-walk bound."""
+def _kernel_traces(shape: LUTShape, mapping: Mapping, platform) -> list:
+    """The micro-kernel trace, or none beyond the explicit-walk bound."""
     try:
-        return trace_kernel(shape, mapping, platform)
+        return [trace_kernel(shape, mapping, platform)]
     except ValueError as exc:
         print(f"micro-kernel trace skipped: {exc}", file=sys.stderr)
-        return None
+        return []
 
 
 def cmd_platforms(args) -> int:
@@ -268,28 +424,27 @@ def cmd_tune(args) -> int:
     return _finish_telemetry(args)
 
 
-def _mapping_from_store_or_cache(args, platform, shape) -> Optional[Mapping]:
-    """Shared ``--store`` / ``--cache`` lookup for simulate/trace-export."""
-    if getattr(args, "store", None):
+def _resolve_mapping(args, platform, shape) -> Mapping:
+    """The ``--store`` mapping, else the ``--cache`` one, else a fresh tune
+    (written back to ``--cache``): simulate and trace-export."""
+    if args.store:
         stored = MappingStore(args.store).get(args.platform, shape)
         if stored is not None:
             print(f"using stored mapping from {args.store}")
             return stored.mapping
-    if getattr(args, "cache", None):
-        cached = MappingCache(args.cache).get(platform, shape)
+    cache = MappingCache(args.cache) if args.cache else None
+    if cache is not None:
+        cached = cache.get(platform, shape)
         if cached is not None:
             print(f"using cached mapping from {args.cache}")
             return cached.mapping
-    return None
+    return AutoTuner(platform, cache=cache).tune(shape).mapping
 
 
 def cmd_simulate(args) -> int:
     platform = get_platform(args.platform)
     shape = _shape_from_args(args)
-    mapping = _mapping_from_store_or_cache(args, platform, shape)
-    if mapping is None:
-        cache = MappingCache(args.cache) if args.cache else None
-        mapping = AutoTuner(platform, cache=cache).tune(shape).mapping
+    mapping = _resolve_mapping(args, platform, shape)
     report = PIMSimulator(platform).run(shape, mapping, overlap=args.overlap)
     estimate = estimate_latency(shape, mapping, platform, overlap=args.overlap)
     error = abs(estimate.total - report.total_s) / report.total_s
@@ -327,11 +482,7 @@ def cmd_simulate(args) -> int:
                 f"({len(document['traceEvents'])} events)",
                 file=sys.stderr,
             )
-    kernel_traces = []
-    if args.emit_trace:
-        trace = _maybe_trace_kernel(shape, mapping, platform)
-        if trace is not None:
-            kernel_traces.append(trace)
+    kernel_traces = _kernel_traces(shape, mapping, platform) if args.emit_trace else []
     profiles = [report.profile] if report.profile is not None else []
     return _finish_telemetry(args, kernel_traces=kernel_traces, profiles=profiles)
 
@@ -420,8 +571,6 @@ def _kernels_search(args) -> int:
 
 def cmd_kernels(args) -> int:
     """Benchmark + parity-check the host kernels against the references."""
-    import time
-
     import numpy as np
 
     from .core import quantize_lut
@@ -433,12 +582,7 @@ def cmd_kernels(args) -> int:
     from .kernels.reference import ccs_reference, lut_lookup_reference
 
     if args.h % args.v:
-        print(f"error: H={args.h} not divisible by V={args.v}", file=sys.stderr)
-        return 2
-    if args.block_rows is not None and args.block_rows <= 0:
-        print(f"error: --block-rows must be positive, got {args.block_rows}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"--h {args.h} is not divisible by --v {args.v}")
     if args.search:
         return _kernels_search(args)
     rng = np.random.default_rng(args.seed)
@@ -447,70 +591,51 @@ def cmd_kernels(args) -> int:
     centroids = rng.normal(size=(args.h // args.v, args.ct, args.v))
     lut = rng.normal(size=(args.h // args.v, args.ct, args.f))
 
-    def best(fn) -> float:
-        b = float("inf")
-        for _ in range(max(1, args.repeats)):
-            start = time.perf_counter()
-            fn()
-            b = min(b, time.perf_counter() - start)
-        return b
-
     kernel = CCSKernel(dtype=dtype, block_rows=args.block_rows)
     kernel.prepare(centroids, version=0)  # constants cached, as in serving
-    ref_idx = ccs_reference(x, centroids)
-    new_idx = kernel.search(x, centroids, version=0)
-    ccs_ref_s = best(lambda: ccs_reference(x, centroids))
-    ccs_new_s = best(lambda: kernel.search(x, centroids, version=0))
-
-    ref_out = lut_lookup_reference(new_idx, lut)
-    new_out = lut_gather_reduce(new_idx, lut, block_rows=args.block_rows)
-    lut_ref_s = best(lambda: lut_lookup_reference(new_idx, lut))
-    lut_new_s = best(lambda: lut_gather_reduce(new_idx, lut,
-                                               block_rows=args.block_rows))
-
-    index_match = float(np.mean(ref_idx == new_idx))
-    out_scale = float(np.max(np.abs(ref_out))) or 1.0
-    out_err = float(np.max(np.abs(ref_out - new_out))) / out_scale
-    rows = [
-        ["ccs", f"{ccs_ref_s * 1e3:.3f}", f"{ccs_new_s * 1e3:.3f}",
-         f"{ccs_ref_s / max(ccs_new_s, 1e-12):.2f}x",
-         f"index match {index_match:.2%}"],
-        ["lut lookup", f"{lut_ref_s * 1e3:.3f}", f"{lut_new_s * 1e3:.3f}",
-         f"{lut_ref_s / max(lut_new_s, 1e-12):.2f}x",
-         f"rel err {out_err:.1e}"],
-    ]
+    rows = []
     payload = {
         "shape": {"n": args.n, "h": args.h, "f": args.f,
                   "v": args.v, "ct": args.ct},
         "dtype": args.dtype,
         "block_rows": kernel.block_rows,
-        "ccs": {"reference_s": ccs_ref_s, "kernel_s": ccs_new_s,
-                "speedup": ccs_ref_s / max(ccs_new_s, 1e-12),
-                "index_match": index_match},
-        "lut": {"reference_s": lut_ref_s, "kernel_s": lut_new_s,
-                "speedup": lut_ref_s / max(lut_new_s, 1e-12),
-                "relative_error": out_err},
     }
+
+    def timed(key, label, reference, candidate, parity: str, **checks) -> None:
+        """Best-of-N for both paths: one table row and one JSON entry."""
+        ref_s = _best_seconds(reference, args.repeats, warmup=0)
+        new_s = _best_seconds(candidate, args.repeats, warmup=0)
+        speedup = ref_s / max(new_s, 1e-12)
+        rows.append([label, f"{ref_s * 1e3:.3f}", f"{new_s * 1e3:.3f}",
+                     f"{speedup:.2f}x", parity])
+        payload[key] = {"reference_s": ref_s, "kernel_s": new_s,
+                        "speedup": speedup, **checks}
+
+    ref_idx = ccs_reference(x, centroids)
+    new_idx = kernel.search(x, centroids, version=0)
+    index_match = float(np.mean(ref_idx == new_idx))
+    timed("ccs", "ccs", lambda: ccs_reference(x, centroids),
+          lambda: kernel.search(x, centroids, version=0),
+          f"index match {index_match:.2%}", index_match=index_match)
+
+    ref_out = lut_lookup_reference(new_idx, lut)
+    new_out = lut_gather_reduce(new_idx, lut, block_rows=args.block_rows)
+    out_scale = float(np.max(np.abs(ref_out))) or 1.0
+    out_err = float(np.max(np.abs(ref_out - new_out))) / out_scale
+    timed("lut", "lut lookup", lambda: lut_lookup_reference(new_idx, lut),
+          lambda: lut_gather_reduce(new_idx, lut, block_rows=args.block_rows),
+          f"rel err {out_err:.1e}", relative_error=out_err)
     if args.int8:
         qlut = quantize_lut(lut)
         deq = qlut.dequantize()
-        int8_ref_s = best(lambda: lut_lookup_reference(new_idx, deq))
-        int8_new_s = best(lambda: lut_gather_reduce_quantized(
-            new_idx, qlut, block_rows=args.block_rows))
         q_out = lut_gather_reduce_quantized(new_idx, qlut,
                                             block_rows=args.block_rows)
         q_err = float(np.max(np.abs(lut_lookup_reference(new_idx, deq) - q_out)))
-        rows.append([
-            "lut lookup int8", f"{int8_ref_s * 1e3:.3f}",
-            f"{int8_new_s * 1e3:.3f}",
-            f"{int8_ref_s / max(int8_new_s, 1e-12):.2f}x",
-            f"abs err {q_err:.1e}",
-        ])
-        payload["lut_int8"] = {
-            "reference_s": int8_ref_s, "kernel_s": int8_new_s,
-            "speedup": int8_ref_s / max(int8_new_s, 1e-12),
-            "absolute_error": q_err,
-        }
+        timed("lut_int8", "lut lookup int8",
+              lambda: lut_lookup_reference(new_idx, deq),
+              lambda: lut_gather_reduce_quantized(
+                  new_idx, qlut, block_rows=args.block_rows),
+              f"abs err {q_err:.1e}", absolute_error=q_err)
     if args.json:
         _print_json(payload)
     else:
@@ -527,19 +652,9 @@ def cmd_compare(args) -> int:
     from .baselines import cpu_server_fp32, cpu_server_int8, wimpy_host
     from .engine import GEMMPIMEngine, HostEngine, LINEAR, PIMDLEngine, model_graph
 
-    if args.model not in EVAL_MODELS:
-        print(f"unknown model {args.model!r}; choose from {sorted(EVAL_MODELS)}",
-              file=sys.stderr)
-        return 2
     config = EVAL_MODELS[args.model]
     platform = get_platform(args.platform)
     host = wimpy_host()
-    # Validate before any kernel construction so a bad flag is a clean
-    # usage error (exit 2), not a CCSKernel traceback.
-    if args.block_rows is not None and args.block_rows <= 0:
-        print(f"error: --block-rows must be positive, got {args.block_rows}",
-              file=sys.stderr)
-        return 2
     profile = None
     if args.measure_host:
         from .kernels import measure_host_kernels
@@ -550,7 +665,7 @@ def cmd_compare(args) -> int:
             f=config.hidden_dim,
             v=args.v,
             ct=args.ct,
-            dtype=args.dtype if args.dtype != "auto" else "float32",
+            dtype=_resolve_cli_dtype(args.dtype) or "float32",
             block_rows=args.block_rows,
         )
         print(
@@ -608,9 +723,7 @@ def cmd_compare(args) -> int:
         if first_linear is not None:
             shape = pimdl.lut_shape(config.tokens, first_linear.h, first_linear.f)
             tuned = pimdl.tuner.tune(shape)
-            trace = _maybe_trace_kernel(shape, tuned.mapping, platform)
-            if trace is not None:
-                kernel_traces.append(trace)
+            kernel_traces = _kernel_traces(shape, tuned.mapping, platform)
     return _finish_telemetry(args, reports=list(reports.values()),
                              kernel_traces=kernel_traces)
 
@@ -620,12 +733,10 @@ def _fault_plan_from_args(args) -> "FaultPlan":
 
     if args.scenario:
         return FaultPlan.from_json(args.scenario)
-    ranks = tuple(
-        int(r) for r in args.fail_ranks.split(",") if r.strip()
-    ) if args.fail_ranks else ()
+    ranks = _csv_numbers(args.fail_ranks, "--fail-ranks") if args.fail_ranks else ()
     return FaultPlan(
         seed=args.seed,
-        failed_ranks=ranks,
+        failed_ranks=tuple(ranks),
         failed_pes=args.fail_pes,
         straggler_factor=args.straggler,
         transfer_timeouts=args.timeouts,
@@ -673,20 +784,13 @@ def cmd_faults(args) -> int:
     from .engine.serving import GenerationServer
     from .resilience import FaultInjector, RecoveryManager, RetryPolicy
 
-    try:
+    with _as_usage_error("bad fault scenario: ",
+                         (OSError, ValueError, KeyError, TypeError)):
         plan = _fault_plan_from_args(args)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: bad fault scenario: {exc}", file=sys.stderr)
-        return 2
     if plan.is_empty:
         print("note: empty fault plan — serving runs fault-free", file=sys.stderr)
 
-    config = EVAL_MODELS[args.model]
-    try:
-        config = _apply_layers_override(config, args.layers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _apply_layers_override(EVAL_MODELS[args.model], args.layers)
     policy = RetryPolicy(max_retries=args.max_retries)
     manager = RecoveryManager(FaultInjector(plan), policy=policy)
     server = GenerationServer(
@@ -772,6 +876,11 @@ def cmd_faults(args) -> int:
     return _finish_telemetry(args)
 
 
+#: Columns after the label column of a per-``ScheduleResult`` table row.
+_SCHEDULE_COLUMNS = ["done", "rej", "ttft ms p50/95/99", "tpot ms p50/95/99",
+                     "e2e ms p50/95/99", "req/s", "goodput", "occupancy"]
+
+
 def _scheduler_row(label: str, result) -> list:
     return [
         label,
@@ -789,39 +898,89 @@ def _scheduler_row(label: str, result) -> list:
     ]
 
 
-def cmd_serve_sim(args) -> int:
-    """Continuous-batching serving simulation under an arrival stream."""
+def _print_schedule_notes(args, result, request_classes) -> None:
+    """Batch-level degradation and, with ``--attribution``, each request
+    class's phase attribution."""
+    if result.degradation is not None and result.degradation.degraded:
+        print(f"degradation (batch-level): {result.degradation.to_jsonable()}")
+    if args.attribution:
+        for request_class in request_classes:
+            attribution = result.phase_attribution(request_class)
+            if attribution.phase_seconds:
+                print(f"[{request_class}] {attribution.render()}")
+
+
+@dataclass
+class _ServingSetup:
+    """What :func:`_serving_setup` builds for one serve command."""
+
+    config: object
+    server: object
+    prescheduler: object
+    policy: object
+    service_s: float
+    #: The single run's arrival rate and seeded stream (``None`` under
+    #: ``--sweep``, where the sweep derives one per utilization).
+    rate: Optional[float]
+    stream: Optional[list]
+    #: Keyword arguments every ``*_load_sweep`` takes: loads, stream, policy.
+    sweep_args: dict
+    #: The JSON fields every serve command's payload starts with.
+    header: dict
+
+
+def _serving_setup(
+    args,
+    single_values: Sequence[Tuple[str, list]] = (),
+    scheduler=None,
+) -> _ServingSetup:
+    """The shared front end of ``serve-sim`` / ``serve-cluster`` / ``serve-disagg``.
+
+    Validates the serving flags first: ``--utilization`` values, the
+    ``--sweep``/``--rate`` conflict, and that each of the command's own
+    comma lists in ``single_values`` (``(flag, values)`` pairs) names one
+    value without ``--sweep``.  Only then does it build the config, the
+    server and the unloaded probe pre-scheduler — ``scheduler(server,
+    config)``, a :class:`~repro.engine.RequestScheduler` by default — whose
+    tuned costs give the FIFO service time the SLO defaults and ``rho``
+    normalize to.
+    """
     from .baselines import wimpy_host
     from .engine import (GenerationServer, Request, RequestScheduler,
                          SchedulerPolicy, poisson_requests)
 
-    config = EVAL_MODELS[args.model]
-    try:
-        config = _apply_layers_override(config, args.layers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    utilizations = _csv_numbers(args.utilization, "--utilization", float,
+                                positive=True)
+    sweep = getattr(args, "sweep", None)  # None: the command has no sweep
+    if sweep and args.rate is not None:
+        raise UsageError("--sweep derives rates from --utilization; "
+                         "--rate is single-run only")
+    if not sweep:
+        if args.rate is None:
+            single_values = (*single_values, ("--utilization", utilizations))
+        for flag, values in single_values:
+            if len(values) > 1:
+                hint = "are not supported" if sweep is None else "need --sweep"
+                raise UsageError(f"multiple {flag} values {hint}")
+    config = _apply_layers_override(EVAL_MODELS[args.model], args.layers)
+
     server = GenerationServer(
         get_platform(args.platform), wimpy_host(), v=args.v, ct=args.ct,
         lut_nn=not args.native,
     )
+    prescheduler = (scheduler or RequestScheduler)(server, config)
     probe = Request(
         request_id=-1, arrival_s=0.0, prompt_len=args.prompt_len,
         generate_len=args.generate_len, batch=args.batch,
     )
     # SLOs default to headroom over the *unloaded* request: 2.5x the bare
-    # prefill for TTFT, 2.5x the bare service time end to end.
-    prescheduler = RequestScheduler(server, config)
+    # prefill for TTFT, 2.5x the bare service time end to end — the same
+    # rule for all three commands, so their goodput is comparable.
     service_s = prescheduler.fifo_service_time(probe)
     unloaded_ttft_s = prescheduler.cost.prefill_s(args.prompt_len, args.batch)
-    try:
-        slo_ttft_s = _resolve_slo_s(
-            args.slo_ttft_ms, 2.5 * unloaded_ttft_s, "--slo-ttft-ms")
-        slo_e2e_s = _resolve_slo_s(args.slo_e2e_ms, 2.5 * service_s, "--slo-e2e-ms")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    slo_ttft_s = _resolve_slo_s(
+        args.slo_ttft_ms, 2.5 * unloaded_ttft_s, "--slo-ttft-ms")
+    slo_e2e_s = _resolve_slo_s(args.slo_e2e_ms, 2.5 * service_s, "--slo-e2e-ms")
     policy = SchedulerPolicy(
         max_batch_size=args.max_batch,
         max_context_tokens=args.max_context_tokens,
@@ -831,48 +990,53 @@ def cmd_serve_sim(args) -> int:
         slo_ttft_s=slo_ttft_s,
         slo_e2e_s=slo_e2e_s,
     )
-    scheduler = RequestScheduler(server, config, policy=policy)
-    scheduler.cost = prescheduler.cost  # reuse the probe's tuned costs
 
-    # --rate 0 must not silently fall back to --utilization (falsy-arg
-    # trap); resolve on presence, then validate both paths explicitly.
-    if args.rate is not None:
-        if args.rate <= 0:
-            print(f"error: --rate must be positive, got {args.rate}",
-                  file=sys.stderr)
-            return 2
-        rate = args.rate
-    else:
-        if args.utilization <= 0:
-            print(
-                f"error: --utilization must be positive, got "
-                f"{args.utilization}",
-                file=sys.stderr,
-            )
-            return 2
-        rate = args.utilization / service_s
-    stream = poisson_requests(
-        args.requests, rate,
+    stream_spec = dict(
         prompt_len=args.prompt_len, generate_len=args.generate_len,
         batch=args.batch, arrivals=args.arrivals, seed=args.seed,
     )
-    result = scheduler.run(stream)
+    rate = stream = None
+    if not sweep:
+        # Resolved on presence: main() already rejected --rate <= 0.
+        rate = args.rate if args.rate is not None else utilizations[0] / service_s
+        stream = poisson_requests(args.requests, rate,
+                                  sessions=getattr(args, "sessions", None),
+                                  **stream_spec)
+    header = {
+        "model": config.name,
+        "platform": args.platform,
+        "fifo_service_time_s": service_s,
+        "slo": {"ttft_s": slo_ttft_s, "e2e_s": slo_e2e_s},
+    }
+    if rate is not None:
+        header["arrival_rate_rps"] = rate
+    return _ServingSetup(
+        config=config, server=server, prescheduler=prescheduler,
+        policy=policy, service_s=service_s, rate=rate, stream=stream,
+        sweep_args=dict(utilizations=utilizations, num_requests=args.requests,
+                        policy=policy, **stream_spec),
+        header=header,
+    )
+
+
+def cmd_serve_sim(args) -> int:
+    """Continuous-batching serving simulation under an arrival stream."""
+    from .engine import RequestScheduler
+
+    run = _serving_setup(args)
+    config, policy, rate = run.config, run.policy, run.rate
+    scheduler = RequestScheduler(run.server, config, policy=policy)
+    scheduler.cost = run.prescheduler.cost  # reuse the probe's tuned costs
+    result = scheduler.run(run.stream)
 
     fifo_result = None
     if args.compare_fifo:
-        fifo = RequestScheduler(server, config, policy=policy.fifo())
+        fifo = RequestScheduler(run.server, config, policy=policy.fifo())
         fifo.cost = scheduler.cost
-        fifo_result = fifo.run(stream)
+        fifo_result = fifo.run(run.stream)
 
     if args.json:
-        payload = {
-            "model": config.name,
-            "platform": args.platform,
-            "arrival_rate_rps": rate,
-            "fifo_service_time_s": service_s,
-            "slo": {"ttft_s": slo_ttft_s, "e2e_s": slo_e2e_s},
-            "continuous_batching": result.to_jsonable(),
-        }
+        payload = {**run.header, "continuous_batching": result.to_jsonable()}
         if fifo_result is not None:
             payload["fifo"] = fifo_result.to_jsonable()
         _print_json(payload)
@@ -889,24 +1053,13 @@ def cmd_serve_sim(args) -> int:
         f"policy: max batch {policy.max_batch_size} seqs, "
         f"max context {policy.max_context_tokens} tokens, queue cap "
         f"{policy.max_queue_len}, {mode}; SLO ttft "
-        f"{slo_ttft_s * 1e3:.1f} ms, e2e {slo_e2e_s * 1e3:.1f} ms"
+        f"{policy.slo_ttft_s * 1e3:.1f} ms, e2e {policy.slo_e2e_s * 1e3:.1f} ms"
     )
     rows = [_scheduler_row("continuous batching", result)]
     if fifo_result is not None:
         rows.append(_scheduler_row("fifo (batch 1)", fifo_result))
-    print(format_table(
-        ["discipline", "done", "rej",
-         "ttft ms p50/95/99", "tpot ms p50/95/99", "e2e ms p50/95/99",
-         "req/s", "goodput", "occupancy"],
-        rows,
-    ))
-    if result.degradation is not None and result.degradation.degraded:
-        print(f"degradation (batch-level): {result.degradation.to_jsonable()}")
-    if args.attribution:
-        for request_class in ("prefill", "decode"):
-            attribution = result.phase_attribution(request_class)
-            if attribution.phase_seconds:
-                print(f"[{request_class}] {attribution.render()}")
+    print(format_table(["discipline", *_SCHEDULE_COLUMNS], rows))
+    _print_schedule_notes(args, result, ("prefill", "decode"))
     if fifo_result is not None:
         better_p95 = result.e2e_p95_s <= fifo_result.e2e_p95_s
         better_goodput = result.goodput_rps > fifo_result.goodput_rps
@@ -921,127 +1074,67 @@ def cmd_serve_sim(args) -> int:
     return _finish_telemetry(args)
 
 
-def _csv_ints(text: str, flag: str) -> List[int]:
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
-    if not values:
-        raise ValueError(f"{flag} must name at least one value")
-    return values
+def _replica_failures(args) -> list:
+    """``--fail R@T`` kills plus the replicas ``--fail-ranks`` hit at ``--fail-at``."""
+    from .cluster import ReplicaFailure, failures_from_fault_plan
+    from .resilience import FaultPlan
 
-
-def _csv_floats(text: str, flag: str) -> List[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}")
-    if not values:
-        raise ValueError(f"{flag} must name at least one value")
-    return values
+    failures = []
+    for spec in args.fail or ():
+        rep_text, _, at_text = spec.partition("@")
+        try:
+            failures.append(ReplicaFailure(int(rep_text), float(at_text)))
+        except ValueError:
+            raise UsageError(
+                f"--fail expects REPLICA@SECONDS, got {spec!r}") from None
+    if args.fail_ranks:
+        if args.fail_at is None:
+            raise UsageError("--fail-ranks needs --fail-at")
+        ranks = _csv_numbers(args.fail_ranks, "--fail-ranks")
+        with _as_usage_error("--fail-ranks/--fail-at: "):
+            plan = FaultPlan(seed=args.seed, failed_ranks=tuple(ranks))
+            failures.extend(failures_from_fault_plan(
+                plan, args.fail_at, get_platform(args.platform).ranks))
+    return failures
 
 
 def cmd_serve_cluster(args) -> int:
     """Cluster-scale serving: replicated/sharded scheduling with routing."""
-    from .baselines import wimpy_host
-    from .cluster import (ROUTER_POLICIES, ClusterScheduler, ReplicaFailure,
-                          cluster_load_sweep, failures_from_fault_plan)
-    from .engine import (GenerationServer, Request, RequestScheduler,
-                         SchedulerPolicy, poisson_requests)
-    from .resilience import FaultPlan
+    from .cluster import ROUTER_POLICIES, ClusterScheduler, cluster_load_sweep
 
-    config = EVAL_MODELS[args.model]
-    try:
-        config = _apply_layers_override(config, args.layers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    platform = get_platform(args.platform)
-    server = GenerationServer(
-        platform, wimpy_host(), v=args.v, ct=args.ct, lut_nn=not args.native,
-    )
-
-    try:
-        replica_counts = _csv_ints(args.replicas, "--replicas")
-        shard_counts = _csv_ints(args.shards, "--shards")
-        utilizations = _csv_floats(args.utilization, "--utilization")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    routers = [r.strip() for r in args.routers.split(",") if r.strip()]
-    unknown = [r for r in routers if r not in ROUTER_POLICIES]
-    if unknown or not routers:
-        known = ", ".join(sorted(ROUTER_POLICIES))
-        print(f"error: unknown routing policy {unknown or args.routers!r} "
-              f"(known: {known})", file=sys.stderr)
-        return 2
-
-    probe = Request(
-        request_id=-1, arrival_s=0.0, prompt_len=args.prompt_len,
-        generate_len=args.generate_len, batch=args.batch,
-    )
-    # SLO defaults mirror serve-sim: 2.5x the unloaded single-replica
-    # request, so goodput is comparable between the two commands.
-    prescheduler = RequestScheduler(server, config)
-    service_s = prescheduler.fifo_service_time(probe)
-    unloaded_ttft_s = prescheduler.cost.prefill_s(args.prompt_len, args.batch)
-    try:
-        slo_ttft_s = _resolve_slo_s(
-            args.slo_ttft_ms, 2.5 * unloaded_ttft_s, "--slo-ttft-ms")
-        slo_e2e_s = _resolve_slo_s(args.slo_e2e_ms, 2.5 * service_s, "--slo-e2e-ms")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    policy = SchedulerPolicy(
-        max_batch_size=args.max_batch,
-        max_context_tokens=args.max_context_tokens,
-        max_queue_len=args.queue_cap,
-        chunked_prefill=args.chunked_prefill,
-        prefill_chunk=args.prefill_chunk,
-        slo_ttft_s=slo_ttft_s,
-        slo_e2e_s=slo_e2e_s,
-    )
+    replica_counts = _csv_numbers(args.replicas, "--replicas", positive=True)
+    shard_counts = _csv_numbers(args.shards, "--shards")
+    layers = _apply_layers_override(EVAL_MODELS[args.model], args.layers).num_layers
+    if not all(1 <= s <= layers for s in shard_counts):
+        raise UsageError(f"--shards must be >= 1 and at most the model's layer "
+                         f"count ({layers}), got {args.shards!r}")
+    routers = _csv_names(args.routers, "--routers", ROUTER_POLICIES)
+    failures = _replica_failures(args)
+    run = _serving_setup(args, single_values=(
+        ("--replicas", replica_counts), ("--shards", shard_counts),
+        ("--routers", routers),
+    ))
+    config = run.config
 
     if args.sweep:
-        if args.rate is not None:
-            print("error: --sweep derives rates from --utilization; "
-                  "--rate is single-run only", file=sys.stderr)
-            return 2
-        try:
-            points = cluster_load_sweep(
-                server, config,
-                replica_counts=replica_counts,
-                shard_counts=shard_counts,
-                routers=routers,
-                utilizations=utilizations,
-                num_requests=args.requests,
-                prompt_len=args.prompt_len,
-                generate_len=args.generate_len,
-                batch=args.batch,
-                policy=policy,
-                arrivals=args.arrivals,
-                seed=args.seed,
-                sessions=args.sessions,
-            )
-        except ValueError as exc:
-            # e.g. a non-positive --utilization cell: the sweep validates
-            # every value upfront before simulating anything.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        points = cluster_load_sweep(
+            run.server, config,
+            replica_counts=replica_counts,
+            shard_counts=shard_counts,
+            routers=routers,
+            sessions=args.sessions,
+            **run.sweep_args,
+        )
+        clusters = [p.result for p in points]
         if args.json:
-            _print_json({
-                "model": config.name,
-                "platform": args.platform,
-                "fifo_service_time_s": service_s,
-                "slo": {"ttft_s": slo_ttft_s, "e2e_s": slo_e2e_s},
-                "points": [p.to_jsonable() for p in points],
-            })
-            return _finish_telemetry(args, clusters=[p.result for p in points])
+            _print_json({**run.header,
+                         "points": [p.to_jsonable() for p in points]})
+            return _finish_telemetry(args, clusters=clusters)
         print(
             f"{config.name} on {args.platform}: {args.requests} requests per "
             f"cell ({args.arrivals} arrivals), prompt {args.prompt_len}, "
             f"generate {args.generate_len}; rho normalized to one unsharded "
-            f"replica's FIFO rate ({1.0 / service_s:.2f} req/s)"
+            f"replica's FIFO rate ({1.0 / run.service_s:.2f} req/s)"
         )
         rows = []
         for p in points:
@@ -1057,83 +1150,25 @@ def cmd_serve_cluster(args) -> int:
              "failover", "e2e ms p50/95", "req/s", "goodput"],
             rows,
         ))
-        return _finish_telemetry(args, clusters=[p.result for p in points])
+        return _finish_telemetry(args, clusters=clusters)
 
     # Single-run mode: one cell, optionally with replica failures.
-    if len(replica_counts) > 1 or len(shard_counts) > 1 or len(routers) > 1 \
-            or len(utilizations) > 1:
-        print("error: multiple --replicas/--shards/--routers/--utilization "
-              "values need --sweep", file=sys.stderr)
-        return 2
     replicas, shards, router = replica_counts[0], shard_counts[0], routers[0]
-
-    failures = []
-    for spec in args.fail or ():
-        try:
-            rep_text, _, at_text = spec.partition("@")
-            failures.append(ReplicaFailure(int(rep_text), float(at_text)))
-        except ValueError:
-            print(f"error: --fail expects REPLICA@SECONDS, got {spec!r}",
-                  file=sys.stderr)
-            return 2
-    if args.fail_ranks:
-        if args.fail_at is None:
-            print("error: --fail-ranks needs --fail-at", file=sys.stderr)
-            return 2
-        try:
-            ranks = _csv_ints(args.fail_ranks, "--fail-ranks")
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        plan = FaultPlan(seed=args.seed, failed_ranks=tuple(ranks))
-        failures.extend(
-            failures_from_fault_plan(plan, args.fail_at, platform.ranks)
-        )
-
-    if args.rate is not None:
-        if args.rate <= 0:
-            print(f"error: --rate must be positive, got {args.rate}",
-                  file=sys.stderr)
-            return 2
-        rate = args.rate
-    else:
-        if utilizations[0] <= 0:
-            print(f"error: --utilization must be positive, got "
-                  f"{utilizations[0]}", file=sys.stderr)
-            return 2
-        rate = utilizations[0] / service_s
-
-    stream = poisson_requests(
-        args.requests, rate,
-        prompt_len=args.prompt_len, generate_len=args.generate_len,
-        batch=args.batch, arrivals=args.arrivals, seed=args.seed,
-        sessions=args.sessions,
-    )
-    try:
+    with _as_usage_error():  # e.g. a --fail replica beyond --replicas
         cluster = ClusterScheduler(
-            server, config, replicas=replicas, shards=shards, policy=policy,
-            router=router, failures=failures, seed=args.seed,
+            run.server, config, replicas=replicas, shards=shards,
+            policy=run.policy, router=router, failures=failures, seed=args.seed,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = cluster.run(stream)
+    result = cluster.run(run.stream)
 
     if args.json:
-        _print_json({
-            "model": config.name,
-            "platform": args.platform,
-            "arrival_rate_rps": rate,
-            "fifo_service_time_s": service_s,
-            "slo": {"ttft_s": slo_ttft_s, "e2e_s": slo_e2e_s},
-            "cluster": result.to_jsonable(),
-        })
+        _print_json({**run.header, "cluster": result.to_jsonable()})
         return _finish_telemetry(args, clusters=[result])
 
     print(
         f"{config.name} on {args.platform}: {replicas}x replicas, "
         f"{shards}x shards, {router} routing; {args.requests} requests "
-        f"({args.arrivals} arrivals, {rate:.2f} req/s)"
+        f"({args.arrivals} arrivals, {run.rate:.2f} req/s)"
     )
     print(
         f"cluster: {result.completed} done, {result.rejected} rejected, "
@@ -1172,113 +1207,42 @@ def cmd_serve_cluster(args) -> int:
 
 def cmd_serve_disagg(args) -> int:
     """Disaggregated prefill/decode serving: placement-policy comparison."""
-    from .baselines import prefill_host, wimpy_host
-    from .engine import (PLACEMENT_POLICIES, DisaggScheduler, GenerationServer,
-                         HostPrefillPool, Request, SchedulerPolicy,
-                         disagg_load_sweep, poisson_requests)
+    from functools import partial
 
-    config = EVAL_MODELS[args.model]
-    try:
-        config = _apply_layers_override(config, args.layers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    server = GenerationServer(
-        get_platform(args.platform), wimpy_host(), v=args.v, ct=args.ct,
-        lut_nn=not args.native,
-    )
-    prefill_server = None
-    if args.prefill_device == "host":
-        prefill_server = HostPrefillPool(prefill_host())
+    from .baselines import prefill_host
+    from .engine import (PLACEMENT_POLICIES, DisaggScheduler, HostPrefillPool,
+                         disagg_load_sweep)
 
-    try:
-        placements = [
-            p.strip() for p in args.placement.split(",") if p.strip()
-        ]
-    except AttributeError:
-        placements = []
-    unknown = [p for p in placements if p not in PLACEMENT_POLICIES]
-    if unknown or not placements:
-        known = ", ".join(sorted(PLACEMENT_POLICIES))
-        print(f"error: unknown placement policy {unknown or args.placement!r} "
-              f"(known: {known})", file=sys.stderr)
-        return 2
-
-    probe = Request(
-        request_id=-1, arrival_s=0.0, prompt_len=args.prompt_len,
-        generate_len=args.generate_len, batch=args.batch,
+    placements = _csv_names(args.placement, "--placement", PLACEMENT_POLICIES)
+    prefill_server = (
+        HostPrefillPool(prefill_host()) if args.prefill_device == "host" else None
     )
-    # SLO defaults mirror serve-sim (2.5x the unloaded colocated request),
-    # so goodput is comparable across the three commands.
-    prescheduler = DisaggScheduler(
-        server, config, placement="colocated", prefill_server=prefill_server,
+    # The colocated placement is the probe: SLOs and rho are relative to it.
+    run = _serving_setup(
+        args, single_values=(("--placement", placements),),
+        scheduler=partial(DisaggScheduler, placement="colocated",
+                          prefill_server=prefill_server),
     )
-    service_s = prescheduler.fifo_service_time(probe)
-    unloaded_ttft_s = prescheduler.cost.prefill_s(args.prompt_len, args.batch)
-    try:
-        slo_ttft_s = _resolve_slo_s(
-            args.slo_ttft_ms, 2.5 * unloaded_ttft_s, "--slo-ttft-ms")
-        slo_e2e_s = _resolve_slo_s(args.slo_e2e_ms, 2.5 * service_s, "--slo-e2e-ms")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    policy = SchedulerPolicy(
-        max_batch_size=args.max_batch,
-        max_context_tokens=args.max_context_tokens,
-        max_queue_len=args.queue_cap,
-        chunked_prefill=args.chunked_prefill,
-        prefill_chunk=args.prefill_chunk,
-        slo_ttft_s=slo_ttft_s,
-        slo_e2e_s=slo_e2e_s,
-    )
+    config = run.config
+    header = {**run.header, "prefill_device": args.prefill_device}
 
     if args.sweep:
-        if args.rate is not None:
-            print("error: --sweep derives rates from --utilization; "
-                  "--rate is single-run only", file=sys.stderr)
-            return 2
-        try:
-            utilizations = _csv_floats(args.utilization, "--utilization")
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            points = disagg_load_sweep(
-                server, config,
-                placements=placements,
-                utilizations=utilizations,
-                num_requests=args.requests,
-                prompt_len=args.prompt_len,
-                generate_len=args.generate_len,
-                batch=args.batch,
-                policy=policy,
-                prefill_server=prefill_server,
-                arrivals=args.arrivals,
-                seed=args.seed,
-            )
-        except ValueError as exc:
-            # e.g. a non-positive --utilization cell: the sweep validates
-            # every value upfront before simulating anything.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        points = disagg_load_sweep(
+            run.server, config,
+            placements=placements,
+            prefill_server=prefill_server,
+            **run.sweep_args,
+        )
+        schedules = [p.result for p in points]
         if args.json:
-            _print_json({
-                "model": config.name,
-                "platform": args.platform,
-                "prefill_device": args.prefill_device,
-                "fifo_service_time_s": service_s,
-                "slo": {"ttft_s": slo_ttft_s, "e2e_s": slo_e2e_s},
-                "points": [p.to_jsonable() for p in points],
-            })
-            return _finish_telemetry(
-                args, schedules=[p.result for p in points]
-            )
+            _print_json({**header, "points": [p.to_jsonable() for p in points]})
+            return _finish_telemetry(args, schedules=schedules)
         print(
             f"{config.name} on {args.platform}: {args.requests} requests per "
             f"cell ({args.arrivals} arrivals), prompt {args.prompt_len}, "
             f"generate {args.generate_len}, prefill pool on "
             f"{args.prefill_device}; rho normalized to the colocated FIFO "
-            f"rate ({1.0 / service_s:.2f} req/s)"
+            f"rate ({1.0 / run.service_s:.2f} req/s)"
         )
         rows = []
         for p in points:
@@ -1295,89 +1259,43 @@ def cmd_serve_disagg(args) -> int:
              "ttft ms p50/95", "e2e ms p50/95", "req/s", "goodput"],
             rows,
         ))
-        return _finish_telemetry(args, schedules=[p.result for p in points])
+        return _finish_telemetry(args, schedules=schedules)
 
     # Single-run mode: one placement policy at one load level.
-    if len(placements) > 1:
-        print("error: multiple --placement values need --sweep",
-              file=sys.stderr)
-        return 2
-    if args.rate is not None:
-        if args.rate <= 0:
-            print(f"error: --rate must be positive, got {args.rate}",
-                  file=sys.stderr)
-            return 2
-        rate = args.rate
-    else:
-        try:
-            utilizations = _csv_floats(args.utilization, "--utilization")
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if len(utilizations) > 1:
-            print("error: multiple --utilization values need --sweep",
-                  file=sys.stderr)
-            return 2
-        if utilizations[0] <= 0:
-            print(f"error: --utilization must be positive, got "
-                  f"{utilizations[0]}", file=sys.stderr)
-            return 2
-        rate = utilizations[0] / service_s
-
+    placement = placements[0]
     scheduler = DisaggScheduler(
-        server, config, policy=policy, placement=placements[0],
+        run.server, config, policy=run.policy, placement=placement,
         prefill_server=prefill_server,
     )
-    scheduler.cost = prescheduler.cost  # reuse the probe's tuned costs
-    if prefill_server is None:
-        scheduler.prefill_cost = prescheduler.cost
-    else:
-        scheduler.prefill_cost = prescheduler.prefill_cost
-    stream = poisson_requests(
-        args.requests, rate,
-        prompt_len=args.prompt_len, generate_len=args.generate_len,
-        batch=args.batch, arrivals=args.arrivals, seed=args.seed,
-    )
-    result = scheduler.run(stream)
+    # Reuse the probe's tuned costs (its prefill cost is its decode cost
+    # when the prefill pool is PIM).
+    scheduler.cost = run.prescheduler.cost
+    scheduler.prefill_cost = run.prescheduler.prefill_cost
+    result = scheduler.run(run.stream)
 
     if args.json:
         _print_json({
-            "model": config.name,
-            "platform": args.platform,
-            "prefill_device": args.prefill_device,
-            "arrival_rate_rps": rate,
-            "fifo_service_time_s": service_s,
-            "slo": {"ttft_s": slo_ttft_s, "e2e_s": slo_e2e_s},
+            **header,
             "kv_transfer": scheduler.kv.to_jsonable(),
             "schedule": result.to_jsonable(),
         })
         return _finish_telemetry(args, schedules=[result])
 
     print(
-        f"{config.name} on {args.platform}: {placements[0]} placement, "
+        f"{config.name} on {args.platform}: {placement} placement, "
         f"prefill pool on {args.prefill_device}; {args.requests} requests "
-        f"({args.arrivals} arrivals, {rate:.2f} req/s), prompt "
+        f"({args.arrivals} arrivals, {run.rate:.2f} req/s), prompt "
         f"{args.prompt_len}, generate {args.generate_len}"
     )
-    print(format_table(
-        ["placement", "done", "rej",
-         "ttft ms p50/95/99", "tpot ms p50/95/99", "e2e ms p50/95/99",
-         "req/s", "goodput", "occupancy"],
-        [_scheduler_row(placements[0], result)],
-    ))
+    print(format_table(["placement", *_SCHEDULE_COLUMNS],
+                       [_scheduler_row(placement, result)]))
     print(
         f"pools: prefill busy {result.prefill_pool_busy_s * 1e3:.1f} ms, "
         f"decode busy {result.decode_pool_busy_s * 1e3:.1f} ms, "
         f"{result.kv_transfers} KV migrations "
         f"({result.kv_transfer_s * 1e3:.2f} ms)"
     )
-    if result.degradation is not None and result.degradation.degraded:
-        print(f"degradation (batch-level): {result.degradation.to_jsonable()}")
-    if args.attribution:
-        for request_class in ("prefill", "decode", "kv_transfer"):
-            attribution = result.phase_attribution(request_class)
-            if attribution.phase_seconds:
-                print(f"[{request_class}] {attribution.render()}")
+    _print_schedule_notes(args, result, ("prefill", "decode", "kv_transfer"))
     return _finish_telemetry(args, schedules=[result])
 
 
@@ -1389,30 +1307,11 @@ def cmd_moe(args) -> int:
     from .pim import EXPERT_PLACERS
     from .workloads import MoEConfig, ROUTING_KINDS
 
-    config = EVAL_MODELS[args.model]
-    try:
-        config = _apply_layers_override(config, args.layers)
-        experts_list = _csv_ints(args.experts, "--experts")
-        topk_list = _csv_ints(args.top_k, "--top-k")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if any(e <= 0 for e in experts_list) or any(k <= 0 for k in topk_list):
-        print("error: --experts and --top-k values must be positive",
-              file=sys.stderr)
-        return 2
-    routings = [r.strip() for r in args.routing.split(",") if r.strip()]
-    unknown = [r for r in routings if r not in ROUTING_KINDS]
-    if unknown or not routings:
-        print(f"error: unknown routing {unknown or args.routing!r} "
-              f"(known: {', '.join(ROUTING_KINDS)})", file=sys.stderr)
-        return 2
-    placers = [p.strip() for p in args.placers.split(",") if p.strip()]
-    unknown = [p for p in placers if p not in EXPERT_PLACERS]
-    if unknown or not placers:
-        print(f"error: unknown placer {unknown or args.placers!r} "
-              f"(known: {', '.join(EXPERT_PLACERS)})", file=sys.stderr)
-        return 2
+    config = _apply_layers_override(EVAL_MODELS[args.model], args.layers)
+    experts_list = _csv_numbers(args.experts, "--experts", positive=True)
+    topk_list = _csv_numbers(args.top_k, "--top-k", positive=True)
+    routings = _csv_names(args.routing, "--routing", ROUTING_KINDS)
+    placers = _csv_names(args.placers, "--placers", EXPERT_PLACERS)
 
     platform = get_platform(args.platform)
     engine = PIMDLEngine(platform, wimpy_host(), v=args.v, ct=args.ct)
@@ -1599,17 +1498,6 @@ def _bench_schedule_search(platform_name: str):
     }
 
 
-def _measure_best(fn, repeats: int = 5) -> float:
-    import time
-
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _bench_host_ccs(platform_name: str):
     """Measured: this machine's host CCS kernel (seconds, best-of-N)."""
     import numpy as np
@@ -1621,7 +1509,8 @@ def _bench_host_ccs(platform_name: str):
     centroids = rng.normal(size=(64, 16, 4))
     kernel = CCSKernel(dtype="float32")
     kernel.prepare(centroids, version=0)
-    value = _measure_best(lambda: kernel.search(x, centroids, version=0))
+    value = _best_seconds(lambda: kernel.search(x, centroids, version=0),
+                          5, warmup=0)
     return value, {"shape": "n512-h256-v4-ct16"}
 
 
@@ -1634,7 +1523,7 @@ def _bench_host_lut(platform_name: str):
     rng = np.random.default_rng(0)
     indices = rng.integers(0, 16, size=(512, 64)).astype(np.int32)
     lut = rng.normal(size=(64, 16, 256))
-    value = _measure_best(lambda: lut_gather_reduce(indices, lut))
+    value = _best_seconds(lambda: lut_gather_reduce(indices, lut), 5, warmup=0)
     return value, {"shape": "n512-cb64-f256-ct16"}
 
 
@@ -1697,8 +1586,7 @@ def cmd_bench(args) -> int:
 
     specs = _bench_specs(args.suite)
     if not specs:
-        print(f"error: no benchmarks in suite {args.suite!r}", file=sys.stderr)
-        return 2
+        raise UsageError(f"no benchmarks in suite {args.suite!r}")
 
     results = []
     for bench_id, kind, fn in specs:
@@ -1766,19 +1654,12 @@ def cmd_trace_export(args) -> int:
     """Tune + simulate one shape and export the full telemetry picture."""
     platform = get_platform(args.platform)
     shape = _shape_from_args(args)
-    mapping = _mapping_from_store_or_cache(args, platform, shape)
-    if mapping is None:
-        cache = MappingCache(args.cache) if args.cache else None
-        mapping = AutoTuner(platform, cache=cache).tune(shape).mapping
+    mapping = _resolve_mapping(args, platform, shape)
     PIMSimulator(platform).run(shape, mapping)
-    kernel_traces = []
-    trace = _maybe_trace_kernel(shape, mapping, platform)
-    if trace is not None:
-        kernel_traces.append(trace)
     document = obs.write_chrome_trace(
         args.out,
         spans=obs.get_tracer().finished_spans(),
-        kernel_traces=kernel_traces,
+        kernel_traces=_kernel_traces(shape, mapping, platform),
         metrics=obs.get_registry().snapshot(),
     )
     print(f"chrome trace written to {args.out} "
@@ -1798,7 +1679,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="machine-readable output")
 
     tune = sub.add_parser("tune", help="auto-tune a LUT workload (Algorithm 1)")
-    tune.add_argument("--platform", default="upmem", choices=sorted(PLATFORMS))
+    _add_platform_argument(tune)
     _add_shape_arguments(tune)
     tune.add_argument("--amortize-lut", action="store_true",
                       help="treat LUTs as resident in PIM memory")
@@ -1814,11 +1695,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_arguments(tune)
 
     simulate = sub.add_parser("simulate", help="run the event-level simulator")
-    simulate.add_argument("--platform", default="upmem", choices=sorted(PLATFORMS))
+    _add_platform_argument(simulate)
     _add_shape_arguments(simulate)
-    simulate.add_argument("--store", help="JSON mapping store to read")
-    simulate.add_argument("--cache", metavar="DIR",
-                          help="persistent mapping cache directory to read")
+    _add_mapping_source_arguments(simulate)
     simulate.add_argument(
         "--overlap", action="store_true",
         help="double-buffer the micro-kernel loop: tile i+1's transfer "
@@ -1837,39 +1716,24 @@ def build_parser() -> argparse.ArgumentParser:
     flops.add_argument("--json", action="store_true", help="machine-readable output")
 
     compare = sub.add_parser("compare", help="end-to-end engine comparison")
-    compare.add_argument("--model", default="bert-base",
-                         choices=sorted(EVAL_MODELS))
-    compare.add_argument("--platform", default="upmem", choices=sorted(PLATFORMS))
-    compare.add_argument("--v", type=int, default=4)
-    compare.add_argument("--ct", type=int, default=16)
+    _add_model_arguments(compare, layers=False)
     compare.add_argument("--measure-host", action="store_true",
-                         help="measure this machine's host CCS kernel and "
-                              "use it instead of the roofline estimate")
-    compare.add_argument("--dtype", choices=["auto", "float32", "float64"],
-                         default="float32",
-                         help="host kernel compute dtype for --measure-host")
-    compare.add_argument("--block-rows", type=int, default=None, metavar="N",
-                         help="host kernel row-block size for --measure-host")
+                         help="measure this machine's host CCS kernel (with "
+                              "--dtype/--block-rows) and use it instead of "
+                              "the roofline estimate")
+    _add_host_kernel_arguments(compare)
     compare.add_argument("--overlap", action="store_true",
                          help="run the PIM-DL engine with the double-"
                               "buffered host<->PIM overlap pipeline")
-    compare.add_argument("--json", action="store_true",
-                         help="machine-readable output")
-    compare.add_argument("--attribution", action="store_true",
-                         help="print per-phase bottleneck attribution for "
-                              "each engine")
-    _add_telemetry_arguments(compare)
+    _add_output_arguments(compare, attribution="print per-phase bottleneck "
+                                               "attribution for each engine")
 
     kernels = sub.add_parser(
         "kernels",
         help="benchmark + parity-check the host kernels vs the references",
     )
     _add_shape_arguments(kernels)
-    kernels.add_argument("--dtype", choices=["auto", "float32", "float64"],
-                         default="float32",
-                         help="CCS compute dtype (auto preserves the input's)")
-    kernels.add_argument("--block-rows", type=int, default=None, metavar="N",
-                         help="rows per kernel block")
+    _add_host_kernel_arguments(kernels)
     kernels.add_argument("--int8", action="store_true",
                          help="also benchmark the fused INT8 lookup path")
     kernels.add_argument("--repeats", type=int, default=3,
@@ -1882,22 +1746,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="persistent kernel-schedule cache directory "
                               "for --search (hit skips all measurements)")
     kernels.add_argument("--seed", type=int, default=0)
-    kernels.add_argument("--json", action="store_true",
-                         help="machine-readable output")
-    _add_telemetry_arguments(kernels)
+    _add_output_arguments(kernels)
 
     faults = sub.add_parser(
         "faults",
         help="serve requests under an injected fault scenario (retry/remap/"
              "fallback ladder)",
     )
-    faults.add_argument("--model", default="bert-base",
-                        choices=sorted(EVAL_MODELS))
-    faults.add_argument("--platform", default="upmem", choices=sorted(PLATFORMS))
-    faults.add_argument("--v", type=int, default=4)
-    faults.add_argument("--ct", type=int, default=16)
-    faults.add_argument("--layers", type=int, default=None, metavar="N",
-                        help="override the model's layer count (quick runs)")
+    _add_model_arguments(faults)
     faults.add_argument("--prompt-len", type=int, default=None, metavar="N")
     faults.add_argument("--generate-len", type=int, default=16, metavar="N")
     faults.add_argument("--batch", type=int, default=None, metavar="N")
@@ -1922,87 +1778,30 @@ def build_parser() -> argparse.ArgumentParser:
                         help="transient-fault retry budget")
     faults.add_argument("--no-functional", action="store_true",
                         help="skip the functional kernel parity check")
-    faults.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    _add_telemetry_arguments(faults)
+    _add_output_arguments(faults)
 
     serve_sim = sub.add_parser(
         "serve-sim",
         help="continuous-batching serving simulation under a request "
              "arrival stream (TTFT/TPOT percentiles, SLO goodput)",
     )
-    serve_sim.add_argument("--model", default="bert-base",
-                           choices=sorted(EVAL_MODELS))
-    serve_sim.add_argument("--platform", default="upmem",
-                           choices=sorted(PLATFORMS))
-    serve_sim.add_argument("--v", type=int, default=4)
-    serve_sim.add_argument("--ct", type=int, default=16)
-    serve_sim.add_argument("--layers", type=int, default=None, metavar="N",
-                           help="override the model's layer count (quick runs)")
-    serve_sim.add_argument("--native", action="store_true",
-                           help="serve on the native GEMM/GEMV engines "
-                                "instead of LUT-NN")
-    serve_sim.add_argument("--requests", type=int, default=64, metavar="N")
-    serve_sim.add_argument("--prompt-len", type=int, default=128, metavar="N")
-    serve_sim.add_argument("--generate-len", type=int, default=32, metavar="N")
-    serve_sim.add_argument("--batch", type=int, default=1, metavar="N",
-                           help="sequences bundled per request (batch hint)")
-    serve_sim.add_argument("--arrivals", choices=["poisson", "uniform"],
-                           default="poisson")
-    serve_sim.add_argument("--seed", type=int, default=0)
-    serve_sim.add_argument("--rate", type=float, default=None, metavar="RPS",
-                           help="offered arrival rate; default derives from "
-                                "--utilization")
-    serve_sim.add_argument("--utilization", type=float, default=0.8,
-                           metavar="RHO",
-                           help="offered load as a fraction of the FIFO "
-                                "service rate (may exceed 1 to overload "
-                                "the FIFO baseline)")
-    serve_sim.add_argument("--max-batch", type=int, default=8, metavar="N",
-                           help="sequences decoding concurrently")
-    serve_sim.add_argument("--max-context-tokens", type=int, default=1 << 20,
-                           metavar="N", help="KV-token cap across the batch")
-    serve_sim.add_argument("--queue-cap", type=int, default=1024, metavar="N",
-                           help="bounded wait queue; overflow rejects")
-    serve_sim.add_argument("--chunked-prefill", action="store_true",
-                           help="interleave prompt prefill in chunks with "
-                                "decode steps")
-    serve_sim.add_argument("--prefill-chunk", type=int, default=128,
-                           metavar="N", help="tokens prefilled per step "
-                                             "under --chunked-prefill")
-    serve_sim.add_argument("--slo-ttft-ms", type=float, default=None,
-                           metavar="MS",
-                           help="TTFT SLO (default: 2.5x unloaded prefill)")
-    serve_sim.add_argument("--slo-e2e-ms", type=float, default=None,
-                           metavar="MS",
-                           help="end-to-end SLO (default: 2.5x unloaded "
-                                "request)")
+    _add_model_arguments(serve_sim)
+    _add_serving_arguments(serve_sim)
     serve_sim.add_argument("--compare-fifo", action="store_true",
                            help="also run the identical stream through the "
                                 "single-server FIFO (batch-1) discipline")
-    serve_sim.add_argument("--json", action="store_true",
-                           help="machine-readable output")
-    serve_sim.add_argument("--attribution", action="store_true",
-                           help="print per-phase bottleneck attribution per "
-                                "request class (prefill / decode)")
-    _add_telemetry_arguments(serve_sim)
+    _add_output_arguments(serve_sim, attribution="print per-phase bottleneck "
+                                                 "attribution per request "
+                                                 "class (prefill / decode)")
 
     serve_cluster = sub.add_parser(
         "serve-cluster",
         help="cluster-scale serving simulation: replicated/sharded "
              "scheduling with pluggable routing and replica failover",
     )
-    serve_cluster.add_argument("--model", default="bert-base",
-                               choices=sorted(EVAL_MODELS))
-    serve_cluster.add_argument("--platform", default="upmem",
-                               choices=sorted(PLATFORMS))
-    serve_cluster.add_argument("--v", type=int, default=4)
-    serve_cluster.add_argument("--ct", type=int, default=16)
-    serve_cluster.add_argument("--layers", type=int, default=None, metavar="N",
-                               help="override the model's layer count")
-    serve_cluster.add_argument("--native", action="store_true",
-                               help="serve on the native GEMM/GEMV engines "
-                                    "instead of LUT-NN")
+    _add_model_arguments(serve_cluster)
+    _add_serving_arguments(serve_cluster)
+    serve_cluster.set_defaults(requests=128)
     serve_cluster.add_argument("--replicas", default="2", metavar="N[,N...]",
                                help="replica count (comma list with --sweep)")
     serve_cluster.add_argument("--shards", default="1", metavar="N[,N...]",
@@ -2013,51 +1812,14 @@ def build_parser() -> argparse.ArgumentParser:
                                help="routing policy: round-robin, "
                                     "least-loaded, p2c, session-affinity "
                                     "(comma list with --sweep)")
-    serve_cluster.add_argument("--requests", type=int, default=128,
-                               metavar="N")
-    serve_cluster.add_argument("--prompt-len", type=int, default=128,
-                               metavar="N")
-    serve_cluster.add_argument("--generate-len", type=int, default=32,
-                               metavar="N")
-    serve_cluster.add_argument("--batch", type=int, default=1, metavar="N",
-                               help="sequences bundled per request")
     serve_cluster.add_argument("--sessions", type=int, default=None,
                                metavar="N",
                                help="tag requests with N client sessions "
                                     "(for session-affinity routing)")
-    serve_cluster.add_argument("--arrivals", choices=["poisson", "uniform"],
-                               default="poisson")
-    serve_cluster.add_argument("--seed", type=int, default=0)
-    serve_cluster.add_argument("--rate", type=float, default=None,
-                               metavar="RPS",
-                               help="offered arrival rate (single run only; "
-                                    "default derives from --utilization)")
-    serve_cluster.add_argument("--utilization", default="0.8",
-                               metavar="RHO[,RHO...]",
-                               help="offered load vs ONE unsharded replica's "
-                                    "FIFO rate; >1 overloads a single "
-                                    "replica (comma list with --sweep)")
     serve_cluster.add_argument("--sweep", action="store_true",
                                help="sweep replicas x shards x routers x "
-                                    "utilization on identical streams")
-    serve_cluster.add_argument("--max-batch", type=int, default=8,
-                               metavar="N")
-    serve_cluster.add_argument("--max-context-tokens", type=int,
-                               default=1 << 20, metavar="N")
-    serve_cluster.add_argument("--queue-cap", type=int, default=1024,
-                               metavar="N",
-                               help="per-replica wait queue; overflow rejects")
-    serve_cluster.add_argument("--chunked-prefill", action="store_true")
-    serve_cluster.add_argument("--prefill-chunk", type=int, default=128,
-                               metavar="N")
-    serve_cluster.add_argument("--slo-ttft-ms", type=float, default=None,
-                               metavar="MS",
-                               help="TTFT SLO (default: 2.5x unloaded "
-                                    "prefill)")
-    serve_cluster.add_argument("--slo-e2e-ms", type=float, default=None,
-                               metavar="MS",
-                               help="end-to-end SLO (default: 2.5x unloaded "
-                                    "request)")
+                                    "utilization on identical streams; rho "
+                                    "is relative to ONE unsharded replica")
     serve_cluster.add_argument("--fail", action="append", metavar="R@T",
                                help="kill replica R at T seconds "
                                     "(repeatable)")
@@ -2069,12 +1831,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cluster.add_argument("--fail-at", type=float, default=None,
                                metavar="S",
                                help="failure instant for --fail-ranks")
-    serve_cluster.add_argument("--json", action="store_true",
-                               help="machine-readable output")
-    serve_cluster.add_argument("--attribution", action="store_true",
-                               help="print cluster-level bottleneck "
-                                    "attribution")
-    _add_telemetry_arguments(serve_cluster)
+    _add_output_arguments(serve_cluster, attribution="print cluster-level "
+                                                     "bottleneck attribution")
 
     serve_disagg = sub.add_parser(
         "serve-disagg",
@@ -2082,17 +1840,11 @@ def build_parser() -> argparse.ArgumentParser:
              "decode pools joined by a KV-transfer cost, with pluggable "
              "placement policies",
     )
-    serve_disagg.add_argument("--model", default="bert-base",
-                              choices=sorted(EVAL_MODELS))
-    serve_disagg.add_argument("--platform", default="upmem",
-                              choices=sorted(PLATFORMS))
-    serve_disagg.add_argument("--v", type=int, default=4)
-    serve_disagg.add_argument("--ct", type=int, default=16)
-    serve_disagg.add_argument("--layers", type=int, default=None, metavar="N",
-                              help="override the model's layer count")
-    serve_disagg.add_argument("--native", action="store_true",
-                              help="serve on the native GEMM/GEMV engines "
-                                   "instead of LUT-NN")
+    _add_model_arguments(serve_disagg)
+    _add_serving_arguments(serve_disagg)
+    # Decode-heavy defaults: goodput under overload is decode-bound.
+    serve_disagg.set_defaults(requests=96, generate_len=64,
+                              utilization="0.8,1.2,1.6")
     serve_disagg.add_argument("--placement",
                               default="colocated,disaggregated,hybrid",
                               metavar="POLICY[,POLICY...]",
@@ -2104,68 +1856,22 @@ def build_parser() -> argparse.ArgumentParser:
                               help="prefill pool hardware: a second PIM "
                                    "engine or the compute-configured host "
                                    "roofline")
-    serve_disagg.add_argument("--requests", type=int, default=96, metavar="N")
-    serve_disagg.add_argument("--prompt-len", type=int, default=128,
-                              metavar="N")
-    serve_disagg.add_argument("--generate-len", type=int, default=64,
-                              metavar="N",
-                              help="decode-heavy default: goodput under "
-                                   "overload is decode-bound")
-    serve_disagg.add_argument("--batch", type=int, default=1, metavar="N",
-                              help="sequences bundled per request")
-    serve_disagg.add_argument("--arrivals", choices=["poisson", "uniform"],
-                              default="poisson")
-    serve_disagg.add_argument("--seed", type=int, default=0)
-    serve_disagg.add_argument("--rate", type=float, default=None,
-                              metavar="RPS",
-                              help="offered arrival rate (single run only; "
-                                   "default derives from --utilization)")
-    serve_disagg.add_argument("--utilization", default="0.8,1.2,1.6",
-                              metavar="RHO[,RHO...]",
-                              help="offered load vs the colocated FIFO "
-                                   "rate; >1 overloads the colocated "
-                                   "engine (comma list with --sweep)")
     serve_disagg.add_argument("--sweep", action="store_true",
                               help="sweep placement x utilization on "
-                                   "identical seeded streams and SLOs")
-    serve_disagg.add_argument("--max-batch", type=int, default=8,
-                              metavar="N")
-    serve_disagg.add_argument("--max-context-tokens", type=int,
-                              default=1 << 20, metavar="N")
-    serve_disagg.add_argument("--queue-cap", type=int, default=1024,
-                              metavar="N",
-                              help="bounded wait queue; overflow rejects")
-    serve_disagg.add_argument("--chunked-prefill", action="store_true")
-    serve_disagg.add_argument("--prefill-chunk", type=int, default=128,
-                              metavar="N")
-    serve_disagg.add_argument("--slo-ttft-ms", type=float, default=None,
-                              metavar="MS",
-                              help="TTFT SLO (default: 2.5x unloaded "
-                                   "prefill)")
-    serve_disagg.add_argument("--slo-e2e-ms", type=float, default=None,
-                              metavar="MS",
-                              help="end-to-end SLO (default: 2.5x unloaded "
-                                   "request)")
-    serve_disagg.add_argument("--json", action="store_true",
-                              help="machine-readable output")
-    serve_disagg.add_argument("--attribution", action="store_true",
-                              help="print per-phase bottleneck attribution "
-                                   "per request class (prefill / decode / "
-                                   "kv_transfer)")
-    _add_telemetry_arguments(serve_disagg)
+                                   "identical seeded streams and SLOs; rho "
+                                   "is relative to the colocated engine")
+    _add_output_arguments(serve_disagg, attribution="print per-phase "
+                                                    "bottleneck attribution "
+                                                    "per request class "
+                                                    "(prefill / decode / "
+                                                    "kv_transfer)")
 
     moe = sub.add_parser(
         "moe",
         help="MoE expert-as-LUT serving sweep: experts x top-k x routing "
              "skew x expert placement, priced as max-over-ranks makespan",
     )
-    moe.add_argument("--model", default="bert-base",
-                     choices=sorted(EVAL_MODELS))
-    moe.add_argument("--platform", default="upmem", choices=sorted(PLATFORMS))
-    moe.add_argument("--v", type=int, default=4)
-    moe.add_argument("--ct", type=int, default=16)
-    moe.add_argument("--layers", type=int, default=None, metavar="N",
-                     help="override the model's layer count")
+    _add_model_arguments(moe)
     moe.add_argument("--experts", default="32", metavar="E[,E...]",
                      help="expert counts to sweep")
     moe.add_argument("--top-k", default="2", metavar="K[,K...]",
@@ -2180,23 +1886,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="expert placement: round-robin, balanced")
     moe.add_argument("--seed", type=int, default=0,
                      help="routing trace seed")
-    moe.add_argument("--json", action="store_true",
-                     help="machine-readable output")
-    moe.add_argument("--attribution", action="store_true",
-                     help="print per-phase bottleneck attribution with the "
-                          "rank-imbalance index and most-loaded ranks")
-    _add_telemetry_arguments(moe)
+    _add_output_arguments(moe, attribution="print per-phase bottleneck "
+                                           "attribution with the "
+                                           "rank-imbalance index and "
+                                           "most-loaded ranks")
 
     trace_export = sub.add_parser(
         "trace-export",
         help="tune + simulate one shape and write a Chrome-trace file",
     )
-    trace_export.add_argument("--platform", default="upmem",
-                              choices=sorted(PLATFORMS))
+    _add_platform_argument(trace_export)
     _add_shape_arguments(trace_export)
-    trace_export.add_argument("--store", help="JSON mapping store to read")
-    trace_export.add_argument("--cache", metavar="DIR",
-                              help="persistent mapping cache directory to read")
+    _add_mapping_source_arguments(trace_export)
     trace_export.add_argument("--out", required=True, metavar="PATH",
                               help="output Chrome-trace JSON file")
 
@@ -2222,9 +1923,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--suite", default="modeled",
                        choices=["modeled", "measured", "all"],
                        help="which benchmarks to run (default: modeled)")
-        p.add_argument("--platform", default="upmem",
-                       choices=sorted(PLATFORMS),
-                       help="modeled PIM platform (default: upmem)")
+        _add_platform_argument(p)
     bench_compare.add_argument(
         "--threshold", type=float, default=None, metavar="REL",
         help="relative regression threshold override (default: 0.02 for "
@@ -2257,7 +1956,13 @@ COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        for flag in _POSITIVE_FLAGS:
+            _require_positive(flag, getattr(args, flag[2:].replace("-", "_"), None))
+        return COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

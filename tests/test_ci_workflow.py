@@ -100,6 +100,17 @@ class TestWorkflowFile:
         assert "tests/test_kernels.py" in step["run"]
         assert "perfbench/selftest.py" in step["run"]
 
+    def test_tests_job_runs_cli_suite(self, workflow):
+        """The CLI's parity, usage-error and parser-surface tests are one
+        explicit step."""
+        job = workflow["jobs"]["tests"]
+        step = next(s for s in job["steps"]
+                    if s.get("name", "").startswith("CLI suite"))
+        for path in ("tests/test_obs_cli.py", "tests/test_store_trace_cli.py",
+                     "tests/test_falsy_args.py", "tests/test_bench_baseline.py",
+                     "tests/test_cli_usage.py", "tests/test_cli_surface.py"):
+            assert path in step["run"]
+
     def test_coverage_floor_raised(self, workflow):
         """The suite has grown; the line-coverage floor moved 70 -> 75."""
         runs = " ".join(_run_commands(workflow["jobs"]["tests"]))
