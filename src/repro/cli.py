@@ -5,8 +5,9 @@ Subcommands mirror the offline workflow of paper Fig. 5:
 * ``platforms`` — list the modeled DRAM-PIM platforms and their constants;
 * ``tune`` — run the Auto-Tuner (Algorithm 1) for one LUT workload shape,
   optionally persisting the mapping to a JSON store (``--store``) and/or a
-  cross-run cache directory (``--cache DIR``); ``--jobs N`` shards the
-  search across worker processes with bit-identical results;
+  cross-run cache directory (``--cache DIR``); the search skips tilings
+  whose cost lower bound cannot beat the best found, and reports how many
+  it searched (``--jobs`` is accepted but no longer changes the search);
 * ``simulate`` — run the event-level simulator for a shape (tuned or with
   explicit mapping parameters) and print the latency breakdown;
   ``--overlap`` double-buffers the micro-kernel loop so tile transfers
@@ -390,15 +391,17 @@ def cmd_tune(args) -> int:
             jobs=args.jobs,
             cache=cache,
         )
-        before = obs.get_registry().counter("tuner.candidates_evaluated").value
+        registry = obs.get_registry()
+        considered = registry.counter("tuner.candidates_evaluated")
+        skipped = registry.counter("tuner.tilings_bound_pruned")
+        before = (considered.value, skipped.value)
         result = tuner.tune(shape)
-        searched = obs.get_registry().counter("tuner.candidates_evaluated").value
-        if searched == before:
+        tilings = int(considered.value - before[0])
+        if tilings == 0:
             source = f"cache {args.cache} (search skipped)"
-        elif args.jobs != 1:
-            source = f"parallel search (jobs={tuner.jobs})"
         else:
-            source = "serial search"
+            searched = tilings - int(skipped.value - before[1])
+            source = f"search ({searched} of {tilings} tilings searched)"
     m = result.mapping
     print(format_table(
         ["parameter", "value"],
@@ -1685,8 +1688,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="treat LUTs as resident in PIM memory")
     tune.add_argument("--store", help="JSON mapping store to update")
     tune.add_argument("--jobs", type=int, metavar="N", default=1,
-                      help="parallel search workers (0 = one per CPU; "
-                           "results are identical to --jobs 1)")
+                      help="accepted for compatibility; the bound-pruned "
+                           "serial search ignores it (results are the same "
+                           "for every N)")
     tune.add_argument("--cache", metavar="DIR",
                       help="persistent mapping cache directory "
                            "(warm-start lookup + write-back)")

@@ -113,8 +113,9 @@ class GenerationServer:
         Algorithm 1; searches it does perform are persisted for the next
         process.
     tune_jobs:
-        Worker processes for any tuning the server still has to do
-        (cold cache).  ``0`` means one per CPU.
+        Passed to both tuners as ``AutoTuner(jobs=...)``: validated
+        (negative raises, ``0`` means one per CPU) but it no longer changes
+        the bound-pruned serial search a cold cache still runs.
     host_kernel_profile:
         Measured host CCS throughput (:func:`repro.kernels.measure_host_kernels`);
         forwarded to both the prefill and decode engines so their latency
@@ -216,7 +217,7 @@ class GenerationServer:
 
         With a populated ``mapping_cache`` this loads mappings instead of
         searching (zero candidates evaluated); on a cold cache it runs the
-        searches once — with ``tune_jobs`` workers — and persists them.
+        searches once and persists them.
 
         When a ``schedule_cache`` is configured, the warmup also searches
         the host-kernel schedule for the first prefill shape (persisted

@@ -17,7 +17,7 @@ re-measures against our simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .space import (
     TRAVERSALS,
     Mapping,
     is_legal,
-    num_pes_used,
 )
 from .space import _pow2_divisors
 
@@ -129,6 +128,84 @@ def with_overlap(
     return replace(breakdown, overlap_hidden=hidden)
 
 
+class TilingFixedTerms(NamedTuple):
+    """Cost terms fixed by a sub-LUT tiling ``(n_s, f_s)`` alone (seconds).
+
+    ``reduce_base`` is Eq. 10's adds plus one table lookup per (row,
+    codebook) pair, without the fine-grain scheme's per-chunk extra.
+    """
+
+    sub_index: float
+    sub_lut: float
+    sub_output: float
+    reduce_base: float
+
+
+def tiling_fixed_terms(
+    shape: LUTShape,
+    n_s_tile: int,
+    f_s_tile: int,
+    platform: PIMPlatform,
+    amortize_lut_distribution: bool = False,
+) -> TilingFixedTerms:
+    """The sub-LUT partition (Eqs. 3–5) and base reduce terms of a tiling.
+
+    The one source of these terms for :func:`estimate_latency`,
+    :func:`search_micro_kernels` and :func:`tiling_lower_bound`.
+    """
+    groups = shape.n // n_s_tile
+    pes_per_group = shape.f // f_s_tile
+    n_pes = groups * pes_per_group
+
+    # Following Eq. 4, replicated tiles count their full per-PE traffic
+    # against the (faster) broadcast bandwidth; unique tiles go at
+    # scatter/gather bandwidth.
+    stile_index = n_s_tile * shape.cb * INDEX_BYTES
+    stile_lut = shape.cb * shape.ct * f_s_tile * LUT_BYTES
+    stile_output = n_s_tile * f_s_tile * OUTPUT_BYTES
+
+    index_pattern = platform.broadcast if pes_per_group > 1 else platform.scatter
+    lut_pattern = platform.broadcast if groups > 1 else platform.scatter
+
+    t_sub_index = index_pattern.latency(stile_index * n_pes, tile_bytes=stile_index)
+    t_sub_lut = (
+        0.0
+        if amortize_lut_distribution
+        else lut_pattern.latency(stile_lut * n_pes, tile_bytes=stile_lut)
+    )
+    t_sub_output = platform.gather.latency(stile_output * n_pes, tile_bytes=stile_output)
+
+    # Reduce: f_s additions per (row, codebook) pair plus one table-address
+    # computation per lookup (Eq. 10, with t_single-reduce from the PE).
+    reduce_count = n_s_tile * shape.cb * f_s_tile
+    lookup_count = n_s_tile * shape.cb
+    reduce_base = platform.compute.add_time(reduce_count)
+    reduce_base += platform.compute.lookup_time(lookup_count)
+    return TilingFixedTerms(t_sub_index, t_sub_lut, t_sub_output, reduce_base)
+
+
+def tiling_lower_bound(
+    shape: LUTShape,
+    n_s_tile: int,
+    f_s_tile: int,
+    platform: PIMPlatform,
+    amortize_lut_distribution: bool = False,
+) -> float:
+    """A lower bound on :func:`estimate_latency` over a tiling's mappings.
+
+    The fixed terms plus the launch time: the micro-kernel transfer terms
+    and the fine-grain reduce extra are never negative.  The sum runs in
+    ``LatencyBreakdown.total``'s order and float addition is monotonic, so
+    for the sequential model without a fault injector (the tuner's) the
+    bound holds bit-for-bit, not just in exact arithmetic.
+    """
+    fixed = tiling_fixed_terms(
+        shape, n_s_tile, f_s_tile, platform, amortize_lut_distribution
+    )
+    partition = fixed.sub_index + fixed.sub_lut + fixed.sub_output
+    return partition + fixed.reduce_base + platform.kernel_launch_s
+
+
 def estimate_latency(
     shape: LUTShape,
     mapping: Mapping,
@@ -166,29 +243,15 @@ def estimate_latency(
     if not is_legal(shape, mapping, platform):
         raise ValueError(f"illegal mapping {mapping} for shape {shape}")
 
-    n_pes = num_pes_used(shape, mapping)
-    groups = shape.n // mapping.n_s_tile
-    pes_per_group = shape.f // mapping.f_s_tile
-
-    # ------------------------------------------------------------------
-    # Step-1: sub-LUT partition (Eqs. 3–5).  Following Eq. 4, replicated
-    # tiles count their full per-PE traffic against the (faster) broadcast
-    # bandwidth; unique tiles go at scatter/gather bandwidth.
-    # ------------------------------------------------------------------
-    stile_index = mapping.n_s_tile * shape.cb * INDEX_BYTES
-    stile_lut = shape.cb * shape.ct * mapping.f_s_tile * LUT_BYTES
-    stile_output = mapping.n_s_tile * mapping.f_s_tile * OUTPUT_BYTES
-
-    index_pattern = platform.broadcast if pes_per_group > 1 else platform.scatter
-    lut_pattern = platform.broadcast if groups > 1 else platform.scatter
-
-    t_sub_index = index_pattern.latency(stile_index * n_pes, tile_bytes=stile_index)
-    t_sub_lut = (
-        0.0
-        if amortize_lut_distribution
-        else lut_pattern.latency(stile_lut * n_pes, tile_bytes=stile_lut)
+    # Step-1, the sub-LUT partition (Eqs. 3–5), and Step-2's base reduce
+    # depend on the tiling alone.
+    fixed = tiling_fixed_terms(
+        shape,
+        mapping.n_s_tile,
+        mapping.f_s_tile,
+        platform,
+        amortize_lut_distribution=amortize_lut_distribution,
     )
-    t_sub_output = platform.gather.latency(stile_output * n_pes, tile_bytes=stile_output)
 
     # ------------------------------------------------------------------
     # Step-2: micro kernel (Eqs. 6–10), per PE.
@@ -226,21 +289,17 @@ def estimate_latency(
 
     t_transfer = t_ld_index + t_ld_lut + t_ld_output + t_st_output
 
-    # Reduce: f_s additions per (row, codebook) pair plus one table-address
-    # computation per lookup (Eq. 10, with t_single-reduce from the PE).
-    reduce_count = mapping.n_s_tile * shape.cb * mapping.f_s_tile
-    lookup_count = mapping.n_s_tile * shape.cb
-    t_reduce = platform.compute.add_time(reduce_count)
-    t_reduce += platform.compute.lookup_time(lookup_count)
+    t_reduce = fixed.reduce_base
     if mapping.load_scheme == "fine":
         # Fine-grain adds per-chunk address arithmetic on the PE.
+        lookup_count = mapping.n_s_tile * shape.cb
         chunks_per_lookup = max(mapping.f_s_tile // mapping.f_load_tile, 1)
         t_reduce += platform.compute.lookup_time(lookup_count * (chunks_per_lookup - 1))
 
     breakdown = LatencyBreakdown(
-        sub_index=t_sub_index,
-        sub_lut=t_sub_lut,
-        sub_output=t_sub_output,
+        sub_index=fixed.sub_index,
+        sub_lut=fixed.sub_lut,
+        sub_output=fixed.sub_output,
         kernel_transfer=t_transfer * straggler,
         kernel_reduce=t_reduce * straggler,
         launch=platform.kernel_launch_s,
@@ -288,9 +347,8 @@ def search_micro_kernels(
     bw = local.peak_bytes_per_s
 
     # Reduce time: constant across the grid except for fine-grain chunking.
-    reduce_count = n_s_tile * cb * f_s_tile
     lookup_count = n_s_tile * cb
-    t_reduce_base = compute.add_time(reduce_count) + compute.lookup_time(lookup_count)
+    t_reduce_base = tiling_fixed_terms(shape, n_s_tile, f_s_tile, platform).reduce_base
 
     def load_count(traversal, deps):
         """Vectorized version of :func:`_load_count` over the tile grid.

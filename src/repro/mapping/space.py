@@ -137,40 +137,6 @@ def enumerate_sub_lut_tilings(
                 yield (n_s, f_s)
 
 
-def mapping_sort_key(mapping: Mapping) -> Tuple:
-    """Total order over mappings, independent of enumeration order.
-
-    The parallel tuner merges per-shard winners with this key as the final
-    tie-break, so equal-cost candidates resolve identically regardless of
-    how the search space was sharded.
-    """
-    return (
-        mapping.n_s_tile,
-        mapping.f_s_tile,
-        mapping.n_m_tile,
-        mapping.f_m_tile,
-        mapping.cb_m_tile,
-        mapping.traversal,
-        mapping.load_scheme,
-        mapping.cb_load_tile,
-        mapping.f_load_tile,
-    )
-
-
-def shard_tilings(indexed_tilings: List, jobs: int) -> List[List]:
-    """Split ``[(index, tiling), ...]`` into at most ``jobs`` strided shards.
-
-    Strided (round-robin) assignment balances load: early tilings tend to
-    have small sub-LUT spaces (heavy pruning) while late ones carry the
-    bulk of the micro-kernel search.  Empty shards are dropped, so the
-    result length is ``min(jobs, len(indexed_tilings))``.
-    """
-    if jobs <= 0:
-        raise ValueError("jobs must be positive")
-    shards = [indexed_tilings[i::jobs] for i in range(jobs)]
-    return [shard for shard in shards if shard]
-
-
 def enumerate_micro_kernels(
     shape: LUTShape,
     n_s_tile: int,

@@ -1,51 +1,56 @@
 """PIM-DL Auto-Tuner (paper Algorithm 1).
 
-Given a LUT workload shape and a target platform, the tuner exhaustively
-walks the legal sub-LUT tiling factors; for each it searches the micro-kernel
+Given a LUT workload shape and a target platform, the tuner considers every
+legal sub-LUT tiling factor pair; for each it searches the micro-kernel
 mapping space (tile sizes x traversal orders x load schemes) with the
 analytical model, and returns the globally cheapest mapping.
+
+Exact bound pruning: the sub-LUT partition terms (Eqs. 3–5), the base
+reduce + lookup time (Eq. 10) and the launch time are fixed once a tiling
+is chosen, and every micro-kernel transfer term is non-negative, so their
+sum (:func:`~repro.mapping.analytical.tiling_lower_bound`) bounds the
+tiling's cost from below.  Tilings are visited in ascending ``(bound,
+enumeration index)``; once a bound exceeds the best cost found, no later
+tiling can win, and the rest are skipped without a micro-kernel search.
+The winner is the minimum over ``(cost, enumeration index)``: exactly the
+mapping a full scan in enumeration order keeps, with a bit-identical cost.
 
 Tuning is offline and fast (the paper reports ~1 s per model on a CPU): the
 cost of a candidate is a closed-form evaluation, and per-layer results are
 memoised by workload shape.
 
 Telemetry: every search records into ``repro.obs`` — counters
-``tuner.candidates_evaluated`` / ``tuner.tilings_pruned`` (sub-LUT tilings
-with no legal micro-kernel), gauge ``tuner.best_cost_s``, and per-candidate
-spans under a ``tuner.tune`` root span.  An optional ``progress_callback``
-surfaces the same stream synchronously (the CLI uses it for ``--progress``).
-
-Parallel tuning (``AutoTuner(jobs=N)``) shards the sub-LUT tiling space
-across a process pool and merges per-shard winners deterministically: the
-global best is the minimum of ``(cost, tiling index, mapping key)``, which
-is exactly the candidate the serial scan would have kept, so ``jobs=4``
-results are bit-identical to ``jobs=1``.  Shard counters and per-shard
-spans are aggregated back into the parent process's ``repro.obs``.
+``tuner.candidates_evaluated`` (tilings considered, skipped ones included),
+``tuner.tilings_pruned`` (searched tilings with no legal micro-kernel) and
+``tuner.tilings_bound_pruned`` (tilings skipped by the bound), gauge
+``tuner.best_cost_s``, and one ``tuner.tiling`` span per tiling under a
+``tuner.tune`` root span.  An optional ``progress_callback`` surfaces the
+same stream synchronously (the CLI uses it for ``--progress``).
 """
 
 from __future__ import annotations
 
 import os
-import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..core.codebook import LUTShape
 from ..pim.platforms import PIMPlatform
-from .analytical import LatencyBreakdown, estimate_latency, search_micro_kernels
-from .space import (
-    Mapping,
-    enumerate_micro_kernels,
-    enumerate_sub_lut_tilings,
-    mapping_sort_key,
-    shard_tilings,
+from .analytical import (
+    LatencyBreakdown,
+    estimate_latency,
+    search_micro_kernels,
+    tiling_lower_bound,
 )
+from .space import Mapping, enumerate_micro_kernels, enumerate_sub_lut_tilings
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (store imports TuningResult)
     from .store import MappingCache
+
+#: Relative guard on the bound comparison: a tiling is skipped only when its
+#: bound clears the best cost by more than float rounding could explain.
+BOUND_GUARD = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,57 +79,8 @@ class TuneProgress:
 ProgressCallback = Callable[[TuneProgress], None]
 
 
-@dataclass(frozen=True)
-class _ShardResult:
-    """What one worker reports back for its slice of the tiling space."""
-
-    shard: int
-    tilings: int
-    evaluated: int
-    pruned: int
-    #: (cost, global tiling index, mapping, breakdown) of the shard winner,
-    #: or None when every tiling in the shard was pruned.
-    best: Optional[Tuple[float, int, Mapping, LatencyBreakdown]]
-    worker_seconds: float
-
-
-def _tune_tiling_shard(payload) -> _ShardResult:
-    """Worker body: run KernelSearch over one shard of sub-LUT tilings.
-
-    Runs in a child process — records nothing into ``repro.obs`` (the
-    parent aggregates the returned counters) and keeps the same
-    first-strictly-smaller update rule as the serial scan so the merged
-    minimum over ``(cost, index)`` reproduces the serial winner exactly.
-    """
-    shard_id, shape, platform, amortize, indexed_tilings = payload
-    start = time.perf_counter()
-    evaluated = 0
-    pruned = 0
-    best: Optional[Tuple[float, int, Mapping, LatencyBreakdown]] = None
-    for index, (n_s, f_s) in indexed_tilings:
-        found = search_micro_kernels(shape, n_s, f_s, platform)
-        evaluated += 1
-        if found is None:
-            pruned += 1
-            continue
-        mapping, _ = found
-        breakdown = estimate_latency(
-            shape, mapping, platform, amortize_lut_distribution=amortize
-        )
-        if best is None or breakdown.total < best[0]:
-            best = (breakdown.total, index, mapping, breakdown)
-    return _ShardResult(
-        shard=shard_id,
-        tilings=len(indexed_tilings),
-        evaluated=evaluated,
-        pruned=pruned,
-        best=best,
-        worker_seconds=time.perf_counter() - start,
-    )
-
-
 class AutoTuner:
-    """Exhaustive mapping search over the PIM-DL design space.
+    """Bound-pruned mapping search over the PIM-DL design space.
 
     Parameters
     ----------
@@ -134,18 +90,19 @@ class AutoTuner:
         Treat LUTs as resident in PIM memory across invocations (steady-state
         serving).  Defaults to False, matching the paper's per-kernel model.
     max_micro_kernels:
-        Optional cap on micro-kernel candidates per sub-LUT tiling, for
-        fast approximate tuning.
+        Optional cap on the micro-kernel candidates :meth:`tune_exhaustive`
+        scores per sub-LUT tiling.  :meth:`tune` ignores it: it always
+        searches the full micro-kernel space.
     progress_callback:
         Invoked with a :class:`TuneProgress` after every candidate
-        evaluation (per sub-LUT tiling in :meth:`tune`, per mapping in
-        :meth:`tune_exhaustive`; per completed shard when ``jobs > 1``).
-        The search is silent without it.
+        evaluation (per sub-LUT tiling in :meth:`tune`, skipped tilings
+        included; per mapping in :meth:`tune_exhaustive`).  The search is
+        silent without it.
     jobs:
-        Worker processes for the sub-LUT tiling search.  ``1`` (default)
-        searches serially in-process; ``N > 1`` shards the tiling space
-        across a process pool.  ``0`` means "one per CPU".  Results are
-        bit-identical across job counts.
+        Accepted for compatibility and validated (negative raises, ``0``
+        means one per CPU), but the value no longer changes the search:
+        the bound-pruned serial search outruns a process pool, so results
+        and timings are the same for every value.
     cache:
         Optional persistent :class:`~repro.mapping.store.MappingCache`.
         Checked before any search (warm start: a hit evaluates zero
@@ -178,22 +135,17 @@ class AutoTuner:
         self.schedule_cache = schedule_cache
         self._cache: Dict[Tuple, TuningResult] = {}
 
-    def _progress(self, evaluated: int, pruned: int, best) -> None:
+    def _progress(self, evaluated: int, pruned: int, best_cost) -> None:
         if self.progress_callback is not None:
             self.progress_callback(
-                TuneProgress(
-                    evaluated=evaluated,
-                    pruned=pruned,
-                    best_cost=best.latency.total if best is not None else None,
-                )
+                TuneProgress(evaluated=evaluated, pruned=pruned, best_cost=best_cost)
             )
 
     def tune(self, shape: LUTShape) -> TuningResult:
         """Run Algorithm 1 for ``shape`` and return the optimal mapping.
 
         Lookup order: in-process memo, then the persistent ``cache`` (both
-        evaluate zero candidates), then the search — serial or sharded
-        across a process pool depending on ``jobs``.
+        evaluate zero candidates), then the bound-pruned search.
         """
         registry = obs.get_registry()
         registry.counter("tuner.tune_calls").inc()
@@ -211,10 +163,7 @@ class AutoTuner:
                 return stored
             registry.counter("tuner.store_misses").inc()
 
-        if self.jobs > 1:
-            best = self._search_parallel(shape)
-        else:
-            best = self._search_serial(shape)
+        best = self._search(shape)
         self._cache[key] = best
         if self.cache is not None:
             self.cache.put(
@@ -246,166 +195,74 @@ class AutoTuner:
             cache=self.schedule_cache,
         )
 
-    def _search_serial(self, shape: LUTShape) -> TuningResult:
-        """The serial scan of Algorithm 1 (reference semantics)."""
+    def _search(self, shape: LUTShape) -> TuningResult:
+        """Algorithm 1 with exact bound pruning (see the module docstring)."""
         registry = obs.get_registry()
         candidates = registry.counter("tuner.candidates_evaluated")
         pruned_counter = registry.counter("tuner.tilings_pruned")
+        bound_counter = registry.counter("tuner.tilings_bound_pruned")
         best_gauge = registry.gauge("tuner.best_cost_s")
         tracer = obs.get_tracer()
 
-        best: Optional[TuningResult] = None
+        tilings = list(enumerate_sub_lut_tilings(shape, self.platform))
+        bounds = [
+            tiling_lower_bound(
+                shape, n_s, f_s, self.platform, self.amortize_lut_distribution
+            )
+            for n_s, f_s in tilings
+        ]
+        # (cost, enumeration index, mapping, breakdown) of the best so far.
+        best: Optional[Tuple[float, int, Mapping, LatencyBreakdown]] = None
         evaluated = 0
         pruned = 0
+        bound_pruned = 0
         with tracer.span(
             "tuner.tune",
             platform=self.platform.name,
             shape=f"N={shape.n} CB={shape.cb} CT={shape.ct} F={shape.f}",
         ) as root:
-            for n_s, f_s in enumerate_sub_lut_tilings(shape, self.platform):
+            for index in sorted(range(len(tilings)), key=lambda i: (bounds[i], i)):
+                n_s, f_s = tilings[index]
                 with tracer.span("tuner.tiling", n_s=n_s, f_s=f_s) as tile_span:
-                    found = search_micro_kernels(shape, n_s, f_s, self.platform)
                     evaluated += 1
                     candidates.inc()
-                    if found is None:
+                    # Once a bound clears the best cost, every later tiling's
+                    # bound does too: none of them can beat (or tie) it.
+                    skip = best is not None and bounds[index] * BOUND_GUARD > best[0]
+                    found = None if skip else search_micro_kernels(
+                        shape, n_s, f_s, self.platform
+                    )
+                    if skip:
+                        bound_pruned += 1
+                        bound_counter.inc()
+                        tile_span.set_attribute("bound_pruned", True)
+                    elif found is None:
                         pruned += 1
                         pruned_counter.inc()
                         tile_span.set_attribute("pruned", True)
-                        self._progress(evaluated, pruned, best)
-                        continue
-                    mapping, _ = found
-                    # Re-score the winner with the full model (adds the sub-LUT
-                    # partition terms of Eq. 3, which are constant per tiling pair).
-                    breakdown = estimate_latency(
-                        shape,
-                        mapping,
-                        self.platform,
-                        amortize_lut_distribution=self.amortize_lut_distribution,
-                    )
-                    tile_span.set_attribute("cost_s", breakdown.total)
-                    if best is None or breakdown.total < best.latency.total:
-                        best = TuningResult(
-                            shape=shape,
-                            mapping=mapping,
-                            latency=breakdown,
-                            candidates_evaluated=evaluated,
+                    else:
+                        # Re-score the winner with the full model (adds the
+                        # sub-LUT partition terms of Eq. 3, which are constant
+                        # per tiling pair).
+                        breakdown = estimate_latency(
+                            shape,
+                            found[0],
+                            self.platform,
+                            amortize_lut_distribution=self.amortize_lut_distribution,
                         )
-                        best_gauge.set(breakdown.total)
-                self._progress(evaluated, pruned, best)
+                        tile_span.set_attribute("cost_s", breakdown.total)
+                        if best is None or (breakdown.total, index) < best[:2]:
+                            best = (breakdown.total, index, found[0], breakdown)
+                            best_gauge.set(breakdown.total)
+                self._progress(evaluated, pruned, best[0] if best else None)
             root.set_attribute("candidates", evaluated)
             root.set_attribute("pruned", pruned)
-            if best is not None:
-                root.set_attribute("best_cost_s", best.latency.total)
-        if best is None:
-            raise RuntimeError(f"no legal mapping found for shape {shape}")
-        return TuningResult(best.shape, best.mapping, best.latency, evaluated)
-
-    def _search_parallel(self, shape: LUTShape) -> TuningResult:
-        """Shard the sub-LUT tiling space across a process pool and merge.
-
-        Falls back to the serial scan (with a warning) when the pool
-        cannot be started — e.g. in sandboxes that forbid fork.
-        """
-        indexed = list(enumerate(enumerate_sub_lut_tilings(shape, self.platform)))
-        if not indexed:
-            raise RuntimeError(f"no legal mapping found for shape {shape}")
-        jobs = min(self.jobs, len(indexed))
-        shards = shard_tilings(indexed, jobs)
-        payloads = [
-            (i, shape, self.platform, self.amortize_lut_distribution, shard)
-            for i, shard in enumerate(shards)
-        ]
-        registry = obs.get_registry()
-        tracer = obs.get_tracer()
-        with tracer.span(
-            "tuner.tune_parallel",
-            platform=self.platform.name,
-            shape=f"N={shape.n} CB={shape.cb} CT={shape.ct} F={shape.f}",
-            jobs=jobs,
-            tilings=len(indexed),
-        ) as root:
-            try:
-                results = self._run_shards(payloads, jobs, tracer)
-            except (OSError, PermissionError, RuntimeError) as exc:
-                warnings.warn(
-                    f"parallel tuning unavailable ({exc}); falling back to "
-                    "the serial search",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                root.set_attribute("fallback", "serial")
-                return self._search_serial(shape)
-
-            evaluated = sum(r.evaluated for r in results)
-            pruned = sum(r.pruned for r in results)
-            registry.counter("tuner.candidates_evaluated").inc(evaluated)
-            registry.counter("tuner.tilings_pruned").inc(pruned)
-            registry.counter("tuner.shards_completed").inc(len(results))
-            best = self._merge_shard_bests(results)
-            root.set_attribute("candidates", evaluated)
-            root.set_attribute("pruned", pruned)
+            root.set_attribute("bound_pruned", bound_pruned)
             if best is not None:
                 root.set_attribute("best_cost_s", best[0])
-                registry.gauge("tuner.best_cost_s").set(best[0])
         if best is None:
             raise RuntimeError(f"no legal mapping found for shape {shape}")
-        _, _, mapping, breakdown = best
-        return TuningResult(
-            shape=shape,
-            mapping=mapping,
-            latency=breakdown,
-            candidates_evaluated=evaluated,
-        )
-
-    def _run_shards(
-        self, payloads: List[Tuple], jobs: int, tracer
-    ) -> List[_ShardResult]:
-        """Execute shard payloads on a pool; record one span per shard."""
-        results: List[_ShardResult] = []
-        evaluated = 0
-        pruned = 0
-        running_best: Optional[Tuple[float, int, Mapping, LatencyBreakdown]] = None
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(_tune_tiling_shard, payloads):
-                results.append(result)
-                evaluated += result.evaluated
-                pruned += result.pruned
-                with tracer.span("tuner.shard", shard=result.shard) as span:
-                    span.set_attribute("tilings", result.tilings)
-                    span.set_attribute("evaluated", result.evaluated)
-                    span.set_attribute("pruned", result.pruned)
-                    span.set_attribute("worker_seconds", result.worker_seconds)
-                    if result.best is not None:
-                        span.set_attribute("best_cost_s", result.best[0])
-                running_best = self._merge_shard_bests(results)
-                if self.progress_callback is not None:
-                    self.progress_callback(
-                        TuneProgress(
-                            evaluated=evaluated,
-                            pruned=pruned,
-                            best_cost=(
-                                running_best[0] if running_best is not None else None
-                            ),
-                        )
-                    )
-        return results
-
-    @staticmethod
-    def _merge_shard_bests(
-        results: Iterable[_ShardResult],
-    ) -> Optional[Tuple[float, int, Mapping, LatencyBreakdown]]:
-        """Deterministic merge: min over (cost, tiling index, mapping key).
-
-        The serial scan keeps the first strictly-cheaper candidate while
-        walking tilings in enumeration order, i.e. the minimum of
-        ``(cost, index)``; the mapping key is a stable final tie-break.
-        """
-        candidates = [r.best for r in results if r.best is not None]
-        if not candidates:
-            return None
-        return min(
-            candidates, key=lambda b: (b[0], b[1], mapping_sort_key(b[2]))
-        )
+        return TuningResult(shape, best[2], best[3], evaluated)
 
     def tune_many(self, shapes: Iterable[LUTShape]) -> Dict[LUTShape, TuningResult]:
         """Tune every distinct shape, preserving first-seen order."""
@@ -453,7 +310,7 @@ class AutoTuner:
                     if best is None or breakdown.total < best.latency.total:
                         best = TuningResult(shape, mapping, breakdown, evaluated)
                         best_gauge.set(breakdown.total)
-                    self._progress(evaluated, pruned, best)
+                    self._progress(evaluated, pruned, best.latency.total)
                 if not tiling_had_legal:
                     pruned += 1
                     pruned_counter.inc()
@@ -496,12 +353,13 @@ def tune_model_parallel(
     cache: Optional["MappingCache"] = None,
     amortize_lut_distribution: bool = False,
 ) -> Dict[LUTShape, TuningResult]:
-    """Tune every LUT shape of a model, sharding each search over ``jobs``.
+    """Tune every LUT shape of a model.
 
     The offline entry point of the paper's workflow ("each model need to
     be tuned only once", §5.3): results land in ``cache`` when given, so
     serving processes warm-start instead of re-running Algorithm 1.
-    ``jobs=0`` uses one worker per CPU.
+    ``jobs`` is validated as in :class:`AutoTuner` but no longer changes
+    the search: each shape runs the bound-pruned serial search.
     """
     tuner = AutoTuner(
         platform,

@@ -111,6 +111,19 @@ class TestWorkflowFile:
                      "tests/test_cli_usage.py", "tests/test_cli_surface.py"):
             assert path in step["run"]
 
+    def test_tests_job_runs_tuner_suite(self, workflow):
+        """The Auto-Tuner's bound, parity, golden-mapping and telemetry
+        tests are one explicit step."""
+        job = workflow["jobs"]["tests"]
+        step = next(s for s in job["steps"]
+                    if s.get("name", "").startswith("Auto-Tuner suite"))
+        for path in ("tests/test_tuner.py", "tests/test_tuner_bound.py",
+                     "tests/test_tuner_parallel.py",
+                     "tests/test_golden_mappings.py",
+                     "tests/test_obs_instrumentation.py",
+                     "tests/test_obs_overhead.py"):
+            assert path in step["run"]
+
     def test_coverage_floor_raised(self, workflow):
         """The suite has grown; the line-coverage floor moved 70 -> 75."""
         runs = " ".join(_run_commands(workflow["jobs"]["tests"]))

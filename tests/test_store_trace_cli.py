@@ -181,7 +181,7 @@ class TestCLI:
             ]
 
         assert mapping_rows(serial_out) == mapping_rows(parallel_out)
-        assert "parallel search (jobs=2)" in parallel_out
+        assert "search (" in parallel_out and " tilings searched)" in parallel_out
 
     def test_tune_cache_warm_start(self, capsys, tmp_path):
         from repro import obs
