@@ -23,7 +23,7 @@ from .. import obs
 from ..baselines.roofline import RooflineDevice
 from ..core.codebook import LUTShape
 from ..kernels import HostKernelProfile
-from ..kernels.schedule import KernelScheduleCache
+from ..kernels.schedule import KernelScheduleCache, search_kernel_schedule
 from ..mapping.store import MappingCache
 from ..mapping.tuner import AutoTuner, TuningResult, model_lut_shapes
 from ..pim.platforms import PIMPlatform
@@ -179,7 +179,6 @@ class GenerationServer:
                     amortize_lut_distribution=prefill_amortize,
                     jobs=tune_jobs,
                     cache=mapping_cache,
-                    schedule_cache=self.schedule_cache,
                 ),
                 host_kernel_profile=host_kernel_profile,
                 resilience=self.resilience,
@@ -192,7 +191,6 @@ class GenerationServer:
                     amortize_lut_distribution=True,
                     jobs=tune_jobs,
                     cache=mapping_cache,
-                    schedule_cache=self.schedule_cache,
                 ),
                 host_kernel_profile=host_kernel_profile,
                 resilience=self.resilience,
@@ -244,7 +242,11 @@ class GenerationServer:
             tuned.update(self._decode.tuner.tune_many(decode_shapes))
             span.set_attribute("shapes", len(tuned))
             if self.schedule_cache is not None and prefill_shapes:
-                schedule = self._prefill.tuner.warm_host_schedule(prefill_shapes[0])
+                shape = prefill_shapes[0]
+                schedule = search_kernel_schedule(
+                    n=shape.n, h=shape.h, f=shape.f, v=shape.v, ct=shape.ct,
+                    cache=self.schedule_cache,
+                )
                 span.set_attribute(
                     "schedule_speedup", schedule.speedup_vs_default
                 )

@@ -15,23 +15,18 @@ CT) search:
   as ``baseline_seconds``, so the winner is *structurally* never slower
   than the default under the same measurement.
 * :class:`KernelScheduleCache` persists schedules content-addressed by
-  (shape, dtype, host fingerprint, format version) — the same
-  atomic-write / lenient-read machinery as
-  :class:`repro.mapping.store.MappingCache`, self-contained here because
-  ``repro.kernels`` depends only on numpy and :mod:`repro.obs`.  A cache
-  hit returns the stored schedule with zero candidates re-measured.
+  (shape, dtype, host fingerprint, format version) — an adapter over
+  :class:`repro.obs.entries.EntryDirectory`, the same primitive behind
+  :class:`repro.mapping.store.MappingCache`.  A cache hit returns the
+  stored schedule with zero candidates re-measured.
 
-:class:`~repro.mapping.tuner.AutoTuner` and
-``GenerationServer.warmup()`` warm-start from the cache so serving pays
-the search once per machine.
+``GenerationServer.warmup()`` and ``repro kernels --search
+--schedule-cache DIR`` search through the cache, so serving pays the
+search once per machine.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -39,6 +34,7 @@ import numpy as np
 
 from .. import obs
 from ..obs.baseline import host_fingerprint
+from ..obs.entries import EntryDirectory
 from .ccs import CCSKernel, DEFAULT_BLOCK_ROWS
 from .lut import lut_gather_reduce
 from .profile import HostKernelProfile, _best_seconds
@@ -129,25 +125,8 @@ class KernelSchedule:
         )
 
 
-def _atomic_write_json(path: str, payload: dict) -> None:
-    """Write-then-rename so readers never observe a torn entry."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _shape_key(n: int, h: int, f: int, v: int, ct: int) -> str:
-    return f"n{n}_h{h}_f{f}_v{v}_ct{ct}"
+def _entry_key(n: int, h: int, f: int, v: int, ct: int, dtype: str) -> str:
+    return f"n{n}_h{h}_f{f}_v{v}_ct{ct}-{dtype}"
 
 
 class KernelScheduleCache:
@@ -157,9 +136,8 @@ class KernelScheduleCache:
     ``v{FORMAT_VERSION}-{host_fp}-{shape_key}-{dtype}.json``.  Measured
     timings are only meaningful on the machine that produced them, so the
     key is the *host* fingerprint (:func:`repro.obs.baseline.host_fingerprint`),
-    not a platform model fingerprint.  Reads are lenient: a corrupt, stale,
-    or foreign entry is rejected with a :class:`RuntimeWarning` and treated
-    as a miss, never an error.
+    not a platform model fingerprint.  A corrupt, stale, or foreign entry
+    is a warned miss (:class:`repro.obs.entries.EntryDirectory`).
     """
 
     def __init__(self, root: str, fingerprint: Optional[str] = None):
@@ -167,66 +145,33 @@ class KernelScheduleCache:
         self.fingerprint = fingerprint or host_fingerprint(
             {"kind": "kernel-schedule"}
         )
+        self._entries = EntryDirectory(
+            root, "kernel_schedule_cache", FORMAT_VERSION, "format_version",
+            "schedule",
+        )
 
     def entry_path(self, n: int, h: int, f: int, v: int, ct: int, dtype: str) -> str:
-        name = (
-            f"v{FORMAT_VERSION}-{self.fingerprint}-"
-            f"{_shape_key(n, h, f, v, ct)}-{dtype}.json"
-        )
-        return os.path.join(self.root, name)
-
-    @staticmethod
-    def _reject(path: str, reason: str) -> None:
-        warnings.warn(
-            f"ignoring kernel-schedule cache entry {path}: {reason}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        obs.get_registry().counter("kernel_schedule_cache.rejected").inc()
+        return self._entries.path(self.fingerprint, _entry_key(n, h, f, v, ct, dtype))
 
     def get(
         self, n: int, h: int, f: int, v: int, ct: int, dtype: str
     ) -> Optional[KernelSchedule]:
-        path = self.entry_path(n, h, f, v, ct, dtype)
-        registry = obs.get_registry()
-        try:
-            with open(path) as fh:
-                entry = json.load(fh)
-        except FileNotFoundError:
-            registry.counter("kernel_schedule_cache.misses").inc()
-            return None
-        except (OSError, json.JSONDecodeError) as exc:
-            self._reject(path, f"unreadable ({exc})")
-            registry.counter("kernel_schedule_cache.misses").inc()
-            return None
-        try:
-            if entry.get("format_version") != FORMAT_VERSION:
-                raise ValueError("format version mismatch")
-            if entry.get("fingerprint") != self.fingerprint:
-                raise ValueError("host fingerprint mismatch")
-            schedule = KernelSchedule.from_dict(entry["schedule"])
+        def decode(body) -> KernelSchedule:
+            schedule = KernelSchedule.from_dict(body)
             if schedule.shape != (n, h, f, v, ct) or schedule.dtype != dtype:
                 raise ValueError("shape/dtype mismatch")
-        except (KeyError, TypeError, ValueError) as exc:
-            self._reject(path, str(exc))
-            registry.counter("kernel_schedule_cache.misses").inc()
-            return None
-        registry.counter("kernel_schedule_cache.hits").inc()
-        return schedule
+            return schedule
+
+        return self._entries.get(
+            self.fingerprint, _entry_key(n, h, f, v, ct, dtype), decode
+        )
 
     def put(self, schedule: KernelSchedule) -> str:
-        n, h, f, v, ct = schedule.shape
-        path = self.entry_path(n, h, f, v, ct, schedule.dtype)
-        _atomic_write_json(
-            path,
-            {
-                "format_version": FORMAT_VERSION,
-                "fingerprint": self.fingerprint,
-                "schedule": schedule.to_jsonable(),
-            },
+        return self._entries.put(
+            self.fingerprint,
+            _entry_key(*schedule.shape, schedule.dtype),
+            schedule.to_jsonable(),
         )
-        obs.get_registry().counter("kernel_schedule_cache.writes").inc()
-        return path
 
 
 def search_kernel_schedule(

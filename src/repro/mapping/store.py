@@ -6,15 +6,11 @@ model.  Two persistence layers implement that workflow:
 
 * :class:`MappingStore` — a single-file JSON registry of tuning results,
   the artifact a model ships with (``repro tune --store FILE``);
-* :class:`MappingCache` — a cross-run, content-addressed cache directory:
-  one file per ``(LUT shape, platform fingerprint, FORMAT_VERSION)``
-  entry, written atomically so concurrent tuners never corrupt each
-  other, and read leniently — corrupt or stale files are skipped with a
-  warning, never a crash.  :class:`~repro.mapping.tuner.AutoTuner`
-  consults it before any search (warm start) and fills it after.
-
-Cache hit/miss/write/rejection counts land in ``repro.obs`` under
-``mapping_cache.*``.
+* :class:`MappingCache` — a cross-run cache directory, one entry file per
+  LUT shape and platform fingerprint, on the shared
+  :class:`repro.obs.entries.EntryDirectory` (``mapping_cache.*``
+  counters).  :class:`~repro.mapping.tuner.AutoTuner` consults it before
+  any search (warm start) and fills it after.
 """
 
 from __future__ import annotations
@@ -23,12 +19,11 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import warnings
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from .. import obs
 from ..core.codebook import LUTShape
+from ..obs.entries import EntryDirectory, atomic_write_json, read_json_object
 from ..pim.platforms import PIMPlatform
 from .analytical import LatencyBreakdown
 from .space import Mapping
@@ -88,7 +83,7 @@ def _shape_to_dict(shape: LUTShape) -> dict:
 
 
 def _shape_from_dict(data: dict) -> LUTShape:
-    return LUTShape(**{k: int(v) for k, v in data.items()})
+    return LUTShape(**{k: int(data[k]) for k in ("n", "h", "f", "v", "ct")})
 
 
 def _result_to_entry(platform_name: str, result: TuningResult) -> dict:
@@ -110,66 +105,43 @@ def _result_to_entry(platform_name: str, result: TuningResult) -> dict:
 
 
 def _result_from_entry(entry: dict) -> TuningResult:
+    breakdown = entry["breakdown"]
     return TuningResult(
         shape=_shape_from_dict(entry["shape"]),
         mapping=mapping_from_dict(entry["mapping"]),
-        latency=LatencyBreakdown(**entry["breakdown"]),
+        latency=LatencyBreakdown(**{k: float(breakdown[k]) for k in breakdown}),
         candidates_evaluated=int(entry["candidates_evaluated"]),
     )
-
-
-def _atomic_write_json(path: str, payload: dict) -> None:
-    """Write JSON via a unique temp file + ``os.replace``.
-
-    Concurrent writers each stage their own temp file in the target
-    directory; the last rename wins and readers only ever observe a
-    complete file.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".tmp-"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 class MappingStore:
     """A JSON-backed registry of tuned mappings, keyed by platform + shape.
 
-    Constructing with a path auto-loads it *leniently*: an unreadable or
-    wrong-version file starts an empty store with a warning, so a damaged
-    artifact degrades to re-tuning rather than crashing the process.  The
-    explicit :meth:`load` stays strict and raises.
+    Entries are validated once, at load.  Constructing with a path loads it
+    *leniently*, so a damaged artifact degrades to re-tuning: an unusable
+    file starts an empty store and a malformed entry is dropped, each with
+    a ``RuntimeWarning``.  The explicit :meth:`load` raises ``ValueError``.
     """
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
-        self._entries: Dict[str, dict] = {}
+        self._entries: Dict[Tuple[str, LUTShape], TuningResult] = {}
         if path and os.path.exists(path):
             try:
-                self.load(path)
+                self._load(path, strict=False)
             except (ValueError, OSError) as exc:
                 warnings.warn(
                     f"ignoring unusable mapping store {path!r}: {exc}",
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                self._entries = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key) -> bool:
         platform_name, shape = key
-        return self._key(platform_name, shape) in self._entries
+        return (platform_name, shape) in self._entries
 
     @staticmethod
     def _key(platform_name: str, shape: LUTShape) -> str:
@@ -177,57 +149,72 @@ class MappingStore:
 
     def put(self, platform_name: str, result: TuningResult) -> None:
         """Record a tuning result."""
-        self._entries[self._key(platform_name, result.shape)] = _result_to_entry(
-            platform_name, result
-        )
+        self._entries[(platform_name, result.shape)] = result
 
     def get(self, platform_name: str, shape: LUTShape) -> Optional[TuningResult]:
         """Load a previously tuned mapping, or None when absent."""
-        entry = self._entries.get(self._key(platform_name, shape))
-        if entry is None:
-            return None
-        return _result_from_entry(entry)
+        return self._entries.get((platform_name, shape))
 
     def save(self, path: Optional[str] = None) -> str:
         """Atomically write the registry to JSON; returns the path written."""
         path = path or self.path
         if not path:
             raise ValueError("no path given to save the mapping store")
-        payload = {"version": FORMAT_VERSION, "entries": self._entries}
-        _atomic_write_json(path, payload)
+        entries = {
+            self._key(platform_name, shape): _result_to_entry(platform_name, result)
+            for (platform_name, shape), result in self._entries.items()
+        }
+        atomic_write_json(path, {"version": FORMAT_VERSION, "entries": entries})
         self.path = path
         return path
 
     def load(self, path: str) -> None:
-        """Strictly load ``path``; raises ValueError on version/format drift."""
-        with open(path) as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"corrupt mapping store: {exc}") from exc
+        """Strictly load ``path``; raises ValueError on any unusable content."""
+        self._load(path, strict=True)
+
+    def _load(self, path: str, strict: bool) -> None:
+        try:
+            payload = read_json_object(path)
+        except ValueError as exc:
+            raise ValueError(f"corrupt mapping store: {exc}") from exc
         version = payload.get("version")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported mapping store version {version!r}")
         entries = payload.get("entries")
         if not isinstance(entries, dict):
             raise ValueError("corrupt mapping store: no entries object")
-        self._entries = entries
+        loaded: Dict[Tuple[str, LUTShape], TuningResult] = {}
+        for key, entry in entries.items():
+            try:
+                platform_name, result = entry["platform"], _result_from_entry(entry)
+                if key != self._key(platform_name, result.shape):
+                    raise ValueError("key does not match the entry's platform/shape")
+            except (KeyError, TypeError, ValueError) as exc:
+                reason = f"malformed entry {key!r} in mapping store {path!r}: {exc}"
+                if strict:
+                    raise ValueError(reason) from exc
+                warnings.warn(f"dropping {reason}", RuntimeWarning, stacklevel=3)
+                continue
+            loaded[(platform_name, result.shape)] = result
+        self._entries = loaded
         self.path = path
 
 
-class MappingCache:
-    """Persistent cross-run tuning cache: one JSON file per entry.
+def _entry_key(shape: LUTShape, amortize: bool) -> str:
+    return f"{_shape_key(shape)}-{'amortized' if amortize else 'full'}"
 
-    Entries are content-addressed by ``(platform fingerprint, LUT shape,
-    amortization mode, FORMAT_VERSION)``, all encoded in the filename, so
-    a lookup is a single ``open()`` with no index to maintain and no lock
-    to take.  Writes go through a unique temp file + atomic rename;
-    unreadable, stale, or mismatched files are treated as misses (with a
-    ``RuntimeWarning``), never as errors.
-    """
+
+class MappingCache:
+    """Persistent cross-run tuning cache: one JSON file per ``(platform
+    fingerprint, LUT shape, amortization mode, FORMAT_VERSION)``, with the
+    atomic writes and lenient reads of
+    :class:`repro.obs.entries.EntryDirectory`."""
 
     def __init__(self, directory: str):
         self.directory = os.path.expanduser(directory)
+        self._entries = EntryDirectory(
+            self.directory, "mapping_cache", FORMAT_VERSION, "version", "entry"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MappingCache({self.directory!r})"
@@ -235,75 +222,36 @@ class MappingCache:
     def entry_path(
         self, platform: PIMPlatform, shape: LUTShape, amortize: bool = False
     ) -> str:
-        mode = "amortized" if amortize else "full"
-        name = (
-            f"v{FORMAT_VERSION}-{platform_fingerprint(platform)}"
-            f"-{_shape_key(shape)}-{mode}.json"
+        return self._entries.path(
+            platform_fingerprint(platform), _entry_key(shape, amortize)
         )
-        return os.path.join(self.directory, name)
 
     def __len__(self) -> int:
         """Number of entry files for the current FORMAT_VERSION."""
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return 0
-        prefix = f"v{FORMAT_VERSION}-"
-        return sum(1 for n in names if n.startswith(prefix) and n.endswith(".json"))
+        return len(self._entries)
 
     def get(
         self, platform: PIMPlatform, shape: LUTShape, amortize: bool = False
     ) -> Optional[TuningResult]:
         """Warm-start lookup; None on miss or any unusable entry file."""
-        registry = obs.get_registry()
-        path = self.entry_path(platform, shape, amortize)
-        if not os.path.exists(path):
-            registry.counter("mapping_cache.misses").inc()
-            return None
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self._reject(path, f"unreadable entry: {exc}")
-            return None
-        if payload.get("version") != FORMAT_VERSION:
-            self._reject(path, f"format version {payload.get('version')!r}")
-            return None
-        if payload.get("fingerprint") != platform_fingerprint(platform):
-            self._reject(path, "platform fingerprint mismatch")
-            return None
-        try:
-            result = _result_from_entry(payload["entry"])
-        except (KeyError, TypeError, ValueError) as exc:
-            self._reject(path, f"malformed entry: {exc}")
-            return None
-        if result.shape != shape:
-            self._reject(path, "shape mismatch")
-            return None
-        registry.counter("mapping_cache.hits").inc()
-        return result
+
+        def decode(entry) -> TuningResult:
+            result = _result_from_entry(entry)
+            if result.shape != shape:
+                raise ValueError("shape mismatch")
+            return result
+
+        return self._entries.get(
+            platform_fingerprint(platform), _entry_key(shape, amortize), decode
+        )
 
     def put(
         self, platform: PIMPlatform, result: TuningResult, amortize: bool = False
     ) -> str:
         """Atomically persist one tuning result; returns the entry path."""
-        os.makedirs(self.directory, exist_ok=True)
-        path = self.entry_path(platform, result.shape, amortize)
-        payload = {
-            "version": FORMAT_VERSION,
-            "fingerprint": platform_fingerprint(platform),
-            "amortize_lut_distribution": amortize,
-            "entry": _result_to_entry(platform.name, result),
-        }
-        _atomic_write_json(path, payload)
-        obs.get_registry().counter("mapping_cache.writes").inc()
-        return path
-
-    @staticmethod
-    def _reject(path: str, reason: str) -> None:
-        obs.get_registry().counter("mapping_cache.rejected").inc()
-        warnings.warn(
-            f"skipping mapping cache file {path!r}: {reason}",
-            RuntimeWarning,
-            stacklevel=3,
+        return self._entries.put(
+            platform_fingerprint(platform),
+            _entry_key(result.shape, amortize),
+            _result_to_entry(platform.name, result),
+            amortize_lut_distribution=amortize,
         )

@@ -107,11 +107,6 @@ class AutoTuner:
         Optional persistent :class:`~repro.mapping.store.MappingCache`.
         Checked before any search (warm start: a hit evaluates zero
         candidates) and updated after every completed search.
-    schedule_cache:
-        Optional :class:`~repro.kernels.schedule.KernelScheduleCache`.
-        When set, :meth:`warm_host_schedule` persists the measured host
-        kernel-schedule search alongside the mapping search, so warming a
-        shape pays the candidate measurements once per machine.
     """
 
     def __init__(
@@ -122,7 +117,6 @@ class AutoTuner:
         progress_callback: Optional[ProgressCallback] = None,
         jobs: int = 1,
         cache: Optional["MappingCache"] = None,
-        schedule_cache=None,
     ):
         if jobs < 0:
             raise ValueError("jobs must be >= 0 (0 means one per CPU)")
@@ -132,7 +126,6 @@ class AutoTuner:
         self.progress_callback = progress_callback
         self.jobs = jobs or (os.cpu_count() or 1)
         self.cache = cache
-        self.schedule_cache = schedule_cache
         self._cache: Dict[Tuple, TuningResult] = {}
 
     def _progress(self, evaluated: int, pruned: int, best_cost) -> None:
@@ -170,30 +163,6 @@ class AutoTuner:
                 self.platform, best, amortize=self.amortize_lut_distribution
             )
         return best
-
-    def warm_host_schedule(
-        self, shape: LUTShape, dtype: str = "float32", repeats: int = 3
-    ):
-        """Measured host kernel-schedule warm start for ``shape``.
-
-        Runs :func:`repro.kernels.schedule.search_kernel_schedule` through
-        this tuner's ``schedule_cache`` (zero candidates re-measured on a
-        hit) and returns the :class:`~repro.kernels.schedule.KernelSchedule`
-        winner.  The PIM mapping search is unaffected — this warms the
-        *host* side of the same shape.
-        """
-        from ..kernels.schedule import search_kernel_schedule
-
-        return search_kernel_schedule(
-            n=shape.n,
-            h=shape.h,
-            f=shape.f,
-            v=shape.v,
-            ct=shape.ct,
-            dtype=dtype,
-            repeats=repeats,
-            cache=self.schedule_cache,
-        )
 
     def _search(self, shape: LUTShape) -> TuningResult:
         """Algorithm 1 with exact bound pruning (see the module docstring)."""

@@ -124,6 +124,16 @@ class TestWorkflowFile:
                      "tests/test_obs_overhead.py"):
             assert path in step["run"]
 
+    def test_tests_job_runs_persistent_cache_suite(self, workflow):
+        """The mapping and kernel-schedule caches' shared entry primitive
+        is checked in one explicit step."""
+        job = workflow["jobs"]["tests"]
+        step = next(s for s in job["steps"]
+                    if s.get("name", "").startswith("Persistent caches"))
+        for path in ("tests/test_mapping_cache.py",
+                     "tests/test_persistent_caches.py"):
+            assert path in step["run"]
+
     def test_coverage_floor_raised(self, workflow):
         """The suite has grown; the line-coverage floor moved 70 -> 75."""
         runs = " ".join(_run_commands(workflow["jobs"]["tests"]))

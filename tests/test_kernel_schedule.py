@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import LUTShape
+from repro import obs
 from repro.kernels import (
     DEFAULT_BLOCK_ROWS,
     KernelSchedule,
@@ -21,7 +21,6 @@ from repro.kernels import (
 )
 from repro.kernels.lut import GATHER_STRATEGIES, lut_gather_reduce
 from repro.kernels.schedule import FORMAT_VERSION
-from repro.mapping import AutoTuner
 from repro.pim import get_platform
 
 # Small enough that the measured search stays fast in CI.
@@ -173,17 +172,6 @@ class TestCache:
 
 
 class TestWarmStart:
-    def test_tuner_warm_host_schedule(self, tmp_path):
-        tuner = AutoTuner(
-            get_platform("upmem"),
-            schedule_cache=KernelScheduleCache(str(tmp_path)),
-        )
-        shape = LUTShape(n=64, h=64, f=32, v=4, ct=16)
-        cold = tuner.warm_host_schedule(shape, repeats=1)
-        assert cold.candidates_evaluated > 0
-        warm = tuner.warm_host_schedule(shape, repeats=1)
-        assert warm.candidates_evaluated == 0
-
     def test_serving_warmup_installs_measured_profile(self, tmp_path):
         from repro.baselines import wimpy_host
         from repro.engine.serving import GenerationServer
@@ -199,6 +187,19 @@ class TestWarmStart:
         assert server.prefill_engine.host_kernel_profile is not None
         assert server.decode_engine.host_kernel_profile is not None
         assert len(os.listdir(str(tmp_path))) >= 1
+        # A second server warming from the same directory re-measures
+        # nothing: the schedule comes from the cache.
+        registry = obs.get_registry()
+        measured = registry.counter("kernel_schedule.candidates")
+        hits = registry.counter("kernel_schedule_cache.hits")
+        before = (measured.value, hits.value)
+        again = GenerationServer(
+            get_platform("upmem"), wimpy_host(),
+            schedule_cache=str(tmp_path),
+        )
+        again.warmup(config)
+        assert (measured.value, hits.value) == (before[0], before[1] + 1)
+        assert again.prefill_engine.host_kernel_profile is not None
 
     def test_serving_warmup_respects_explicit_profile(self, tmp_path):
         from repro.baselines import wimpy_host
