@@ -56,7 +56,7 @@ from .scheduler import (
     RequestScheduler,
     ScheduleResult,
     SchedulerPolicy,
-    _add_phases,
+    _accumulate,
     _InFlight,
     _load_streams,
     _point_json,
@@ -294,8 +294,8 @@ class _PrefillPool:
             now=now,
             prefill_pool_backlog_s=max(0.0, self.free_at - now),
             decode_pool_backlog_s=sched._decode_backlog_s(running),
-            pool_prefill_s=sched.prefill_cost.prefill_s(r.prompt_len, r.batch),
-            colocated_prefill_s=sched.cost.prefill_s(r.prompt_len, r.batch),
+            pool_prefill_s=sched.prefill_cost.prefill(r.prompt_len, r.batch)[0],
+            colocated_prefill_s=sched.cost.prefill(r.prompt_len, r.batch)[0],
             kv_transfer_s=(
                 sched.kv.transfer_s(r.prompt_len, r.batch)
                 if r.generate_len
@@ -315,10 +315,9 @@ class _PrefillPool:
         self.free_at = done
         self.busy_s += duration
         self.prefill_tokens += r.prompt_len * r.batch
-        _add_phases(
+        _accumulate(
             self.phase_totals,
-            "prefill",
-            sched.prefill_cost.prefill_phases(r.prompt_len, r.batch),
+            sched.prefill_cost.prefill(r.prompt_len, r.batch)[1],
         )
         self.timeline.append(
             ("prefill_pool", f"prefill req {r.request_id}", start, done)
@@ -440,9 +439,9 @@ class DisaggScheduler(RequestScheduler):
         backlog = 0.0
         for f in running:
             if f.prefill_remaining > 0:
-                backlog += self.cost.prefill_s(
+                backlog += self.cost.prefill(
                     f.prefill_remaining, f.request.batch
-                )
+                )[0]
         decoding = [f for f in running if f.prefill_remaining <= 0]
         remaining = [
             f.request.generate_len - f.generated
@@ -452,7 +451,7 @@ class DisaggScheduler(RequestScheduler):
         if remaining:
             seqs = sum(f.request.batch for f in decoding)
             total_ctx = sum(f.context_len * f.request.batch for f in decoding)
-            step_s = self.cost.decode_step_s(seqs, total_ctx / seqs)
+            step_s = self.cost.decode_step(seqs, total_ctx / seqs)[0]
             backlog += max(remaining) * step_s
         return backlog
 

@@ -39,6 +39,7 @@ interleave, which the ledger itself enforces).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -405,6 +406,30 @@ def _normalized_phases(
     return {phase: seconds * scale for phase, seconds in phases.items()}
 
 
+#: A memoized step cost: ``(seconds, phase items)``, the items
+#: ``("<request class>/<phase>", seconds)`` pairs in the engine's phase
+#: order, ready to add to a run's phase totals.
+CostEntry = Tuple[float, Tuple[Tuple[str, float], ...]]
+#: A memoized engine report: ``(seconds, normalized phases)``.
+_Report = Tuple[float, Dict[str, float]]
+
+
+def _phase_items(
+    request_class: str, phases: Dict[str, float]
+) -> Tuple[Tuple[str, float], ...]:
+    return tuple(
+        (f"{request_class}/{phase}", seconds) for phase, seconds in phases.items()
+    )
+
+
+def _accumulate(
+    totals: Dict[str, float], items: Tuple[Tuple[str, float], ...]
+) -> None:
+    """Add a cost entry's phase items to a run's phase totals, in order."""
+    for key, seconds in items:
+        totals[key] = totals.get(key, 0.0) + seconds
+
+
 class EngineCostModel:
     """Memoized prefill/decode-step costing through a GenerationServer.
 
@@ -414,6 +439,13 @@ class EngineCostModel:
     exactly (the set of distinct chunk sizes is small).  Each memoized
     phase report is rescaled once, on the miss, to partition its cost, so
     the phases every scheduler accumulates partition its busy seconds.
+
+    The schedulers' per-step path reads :meth:`prefill` and
+    :meth:`decode_step`: one key and one dict hit returning the cost with
+    its phase items.  A miss there prices through :meth:`prefill_s` /
+    :meth:`prefill_phases` (or the decode pair), so a subclass overriding
+    those — :class:`~repro.cluster.sharding.ShardedCostModel` — is
+    memoized the same way.
     """
 
     def __init__(
@@ -427,32 +459,59 @@ class EngineCostModel:
         self.server = server
         self.config = config
         self.context_bucket = context_bucket
-        self._prefill_cache: Dict[Tuple[int, int], float] = {}
-        self._decode_cache: Dict[Tuple[int, int], float] = {}
-        self._prefill_phases: Dict[Tuple[int, int], Dict[str, float]] = {}
-        self._decode_phases: Dict[Tuple[int, int], Dict[str, float]] = {}
+        #: Engine reports: key -> (seconds, normalized phases).
+        self._prefill_cache: Dict[Tuple[int, int], _Report] = {}
+        self._decode_cache: Dict[Tuple[int, int], _Report] = {}
+        #: Per-step entries, built through the public methods on a miss.
+        self._prefill_steps: Dict[Tuple[int, int], CostEntry] = {}
+        self._decode_steps: Dict[Tuple[int, int], CostEntry] = {}
+        self._fifo_cache: Dict[Tuple[int, int, int], float] = {}
+
+    def prefill(self, tokens: int, batch: int = 1) -> CostEntry:
+        """:meth:`prefill_s` with its ``prefill/*`` phase items, memoized."""
+        key = (tokens, batch)
+        entry = self._prefill_steps.get(key)
+        if entry is None:
+            entry = self._prefill_steps[key] = (
+                self.prefill_s(tokens, batch),
+                _phase_items("prefill", self.prefill_phases(tokens, batch)),
+            )
+        return entry
+
+    def decode_step(self, batch_seqs: int, context_len: float) -> CostEntry:
+        """:meth:`decode_step_s` with its ``decode/*`` phase items, memoized."""
+        key = self._decode_key(batch_seqs, context_len)
+        entry = self._decode_steps.get(key)
+        if entry is None:
+            entry = self._decode_steps[key] = (
+                self.decode_step_s(batch_seqs, context_len),
+                _phase_items(
+                    "decode", self.decode_step_phases(batch_seqs, context_len)
+                ),
+            )
+        return entry
 
     def prefill_s(self, tokens: int, batch: int = 1) -> float:
         """Cost of prefilling ``tokens`` prompt tokens of one request."""
+        return self._prefill_report(tokens, batch)[0]
+
+    def prefill_phases(self, tokens: int, batch: int = 1) -> Dict[str, float]:
+        """Phase attribution of :meth:`prefill_s` for the same arguments."""
+        return self._prefill_report(tokens, batch)[1]
+
+    def _prefill_report(self, tokens: int, batch: int) -> _Report:
         key = (tokens, batch)
         if key not in self._prefill_cache:
             shaped = self.config.with_(seq_len=tokens, batch_size=batch)
             report = self.server.prefill_engine.run(shaped)
-            self._prefill_cache[key] = report.total_s
-            self._prefill_phases[key] = _normalized_phases(
-                getattr(report, "phase_seconds", None) or {}, report.total_s
+            phases = getattr(report, "phase_seconds", None) or {}
+            self._prefill_cache[key] = (
+                report.total_s, _normalized_phases(phases, report.total_s)
             )
         return self._prefill_cache[key]
 
-    def prefill_phases(self, tokens: int, batch: int = 1) -> Dict[str, float]:
-        """Phase attribution of :meth:`prefill_s` for the same arguments."""
-        key = (tokens, batch)
-        if key not in self._prefill_phases:
-            self.prefill_s(tokens, batch)
-        return self._prefill_phases[key]
-
     def _decode_key(self, batch_seqs: int, context_len: float) -> Tuple[int, int]:
-        bucket = int(np.ceil(max(context_len, 1.0) / self.context_bucket))
+        bucket = math.ceil(max(context_len, 1.0) / self.context_bucket)
         return (batch_seqs, bucket * self.context_bucket)
 
     def decode_step_s(self, batch_seqs: int, context_len: float) -> float:
@@ -460,26 +519,40 @@ class EngineCostModel:
 
         ``context_len`` is the batch's mean KV-cache length at this step.
         """
-        key = self._decode_key(batch_seqs, context_len)
-        if key not in self._decode_cache:
-            report = self.server.decode_engine.run(
-                self.config, batch_size=key[0], context_len=key[1]
-            )
-            self._decode_cache[key] = report.token_latency_s
-            self._decode_phases[key] = _normalized_phases(
-                getattr(report, "phase_seconds", None) or {},
-                report.token_latency_s,
-            )
-        return self._decode_cache[key]
+        return self._decode_report(batch_seqs, context_len)[0]
 
     def decode_step_phases(
         self, batch_seqs: int, context_len: float
     ) -> Dict[str, float]:
         """Phase attribution of :meth:`decode_step_s` for the same arguments."""
+        return self._decode_report(batch_seqs, context_len)[1]
+
+    def _decode_report(self, batch_seqs: int, context_len: float) -> _Report:
         key = self._decode_key(batch_seqs, context_len)
-        if key not in self._decode_phases:
-            self.decode_step_s(batch_seqs, context_len)
-        return self._decode_phases[key]
+        if key not in self._decode_cache:
+            report = self.server.decode_engine.run(
+                self.config, batch_size=key[0], context_len=key[1]
+            )
+            seconds = report.token_latency_s
+            phases = getattr(report, "phase_seconds", None) or {}
+            self._decode_cache[key] = (
+                seconds, _normalized_phases(phases, seconds)
+            )
+        return self._decode_cache[key]
+
+    def fifo_service_s(
+        self, prompt_len: int, generate_len: int, batch: int = 1
+    ) -> float:
+        """Unbatched service time: full prefill, then ``generate_len``
+        decode steps at the request's own growing context (memoized)."""
+        key = (prompt_len, generate_len, batch)
+        total = self._fifo_cache.get(key)
+        if total is None:
+            total = self.prefill(prompt_len, batch)[0]
+            for step in range(generate_len):
+                total += self.decode_step(batch, prompt_len + step)[0]
+            self._fifo_cache[key] = total
+        return total
 
 
 @dataclass
@@ -518,17 +591,23 @@ class _Telemetry:
         registry = obs.get_registry()
         self.run = f"{ns}.run"
         self.step = f"{ns}.step"
-        self.queued = registry.counter(f"{ns}.requests_queued")
-        self.admitted = registry.counter(f"{ns}.requests_admitted")
-        self.completed = registry.counter(f"{ns}.requests_completed")
-        self.rejected = registry.counter(f"{ns}.requests_rejected")
-        self.steps = registry.counter(f"{ns}.steps")
-        self.prefill_tokens = registry.counter(f"{ns}.prefill_tokens")
-        self.decode_tokens = registry.counter(f"{ns}.decode_tokens")
+        #: Counters the loop counts locally and records once per run.
+        self.counters = {
+            name: registry.counter(f"{ns}.{name}")
+            for name in ("requests_queued", "requests_admitted",
+                         "requests_completed", "requests_rejected", "steps",
+                         "prefill_tokens", "decode_tokens")
+        }
         self.occupancy = registry.series(f"{ns}.batch_occupancy")
         self.ttft = registry.histogram(f"{ns}.ttft_s")
         self.tpot = registry.histogram(f"{ns}.tpot_s")
         self.e2e = registry.histogram(f"{ns}.e2e_s")
+
+    def record_run(self, occupancy: List[float], **counts: int) -> None:
+        """Add one run's counts and its per-step occupancy."""
+        for name, amount in counts.items():
+            self.counters[name].inc(amount)
+        self.occupancy.extend(occupancy)
 
 
 class _DegradationScope:
@@ -554,14 +633,6 @@ class _DegradationScope:
     def __exit__(self, *exc) -> None:
         if self.ledger is not None:
             self.summary = self.ledger.close_request_scope(self.scope)
-
-
-def _add_phases(
-    totals: Dict[str, float], request_class: str, phases: Dict[str, float]
-) -> None:
-    for phase, seconds in phases.items():
-        key = f"{request_class}/{phase}"
-        totals[key] = totals.get(key, 0.0) + seconds
 
 
 class RequestScheduler:
@@ -621,12 +692,9 @@ class RequestScheduler:
         :func:`~repro.engine.queueing.simulate_queue` for a FIFO
         comparison on equal footing.
         """
-        total = self.cost.prefill_s(request.prompt_len, request.batch)
-        for step in range(request.generate_len):
-            total += self.cost.decode_step_s(
-                request.batch, request.prompt_len + step
-            )
-        return total
+        return self.cost.fifo_service_s(
+            request.prompt_len, request.generate_len, request.batch
+        )
 
     # ------------------------------------------------------------------
     # The event loop
@@ -645,15 +713,23 @@ class RequestScheduler:
         return None
 
     def _simulate(self, requests: Sequence[Request]) -> ScheduleResult:
-        """The event loop every scheduler class runs (see :meth:`run`)."""
+        """The event loop every scheduler class runs (see :meth:`run`).
+
+        Telemetry is paid once per run: the loop keeps local counts and
+        records them, with the occupancy series, when the run ends — even
+        when it raises.  Only the ``<ns>.step`` span is opened per step.
+        """
         policy = self.policy
         tracer = obs.get_tracer()
         ordered = _ordered(requests)
         tel = _Telemetry(self._ns)
+        cost = self.cost
 
         waiting: deque = deque()
         running: List[_InFlight] = []
         stats: Dict[int, RequestStats] = {}
+        queued = 0
+        admitted = 0
         rejected = 0
         steps = 0
         busy_s = 0.0
@@ -682,7 +758,6 @@ class RequestScheduler:
                 finished_s=when,
             )
             last_finish = max(last_finish, when)
-            tel.completed.inc()
             tel.ttft.observe(done.ttft_s)
             tel.e2e.observe(done.e2e_s)
             if r.generate_len:
@@ -692,11 +767,11 @@ class RequestScheduler:
             nonlocal rejected
             rejected += 1
             stats[r.request_id] = _stats(r, rejected=True)
-            tel.rejected.inc()
 
         def admit(flight: _InFlight) -> None:
+            nonlocal admitted
             running.append(flight)
-            tel.admitted.inc()
+            admitted += 1
 
         pool = self._prefill_pool(finish, phase_totals)
         owner = f"{tel.run}[{self.name}]" if self.name else tel.run
@@ -708,137 +783,139 @@ class RequestScheduler:
             max_batch_size=policy.max_batch_size,
             chunked_prefill=policy.chunked_prefill,
         ) as run_span:
-            while (
-                idx < len(ordered) or waiting or running
-                or (pool is not None and pool.pending)
-            ):
-                # 1. Move arrivals into the bounded wait queue.
-                while idx < len(ordered) and ordered[idx].arrival_s <= now:
-                    r = ordered[idx]
-                    idx += 1
-                    if (not self._feasible(r)
-                            or len(waiting) >= policy.max_queue_len):
-                        reject(r)
-                    else:
-                        waiting.append(r)
-                        tel.queued.inc()
+            try:
+                while (
+                    idx < len(ordered) or waiting or running
+                    or (pool is not None and pool.pending)
+                ):
+                    # 1. Move arrivals into the bounded wait queue.
+                    while idx < len(ordered) and ordered[idx].arrival_s <= now:
+                        r = ordered[idx]
+                        idx += 1
+                        if (not self._feasible(r)
+                                or len(waiting) >= policy.max_queue_len):
+                            reject(r)
+                        else:
+                            waiting.append(r)
+                            queued += 1
 
-                # 2. Admit prefill-pool output whose KV cache has landed
-                #    first (its prefill is already paid), then the queue
-                #    head: onto the prefill pool when the placement sends
-                #    it there, else into the batch while it has room.
-                if pool is not None:
-                    landed = pool.landed(now)
-                    while landed and self._fits(landed[0].request, running):
-                        admit(landed.popleft())
-                while waiting:
-                    head = waiting[0]
-                    if pool is not None and pool.place(head, now, running):
-                        waiting.popleft()
-                    elif self._fits(head, running):
-                        waiting.popleft()
-                        admit(_InFlight(request=head, admitted_s=now))
-                        if pool is not None:
-                            pool.placed_colocated.inc()
-                    else:
-                        break  # head-of-line blocking
+                    # 2. Admit prefill-pool output whose KV cache has landed
+                    #    first (its prefill is already paid), then the queue
+                    #    head: onto the prefill pool when the placement sends
+                    #    it there, else into the batch while it has room.
+                    if pool is not None:
+                        landed = pool.landed(now)
+                        while landed and self._fits(landed[0].request, running):
+                            admit(landed.popleft())
+                    while waiting:
+                        head = waiting[0]
+                        if pool is not None and pool.place(head, now, running):
+                            waiting.popleft()
+                        elif self._fits(head, running):
+                            waiting.popleft()
+                            admit(_InFlight(request=head, admitted_s=now))
+                            if pool is not None:
+                                pool.placed_colocated.inc()
+                        else:
+                            break  # head-of-line blocking
 
-                # 3. Idle: jump to the next arrival or KV-cache landing.
-                if not running:
-                    horizon = [ordered[idx].arrival_s] if idx < len(ordered) else []
-                    if pool is not None and pool.transfers:
-                        horizon.append(pool.transfers[0][0])
-                    if not horizon:
-                        break  # waiting is necessarily empty here
-                    now = max(now, min(horizon))
-                    continue
+                    # 3. Idle: jump to the next arrival or KV-cache landing.
+                    if not running:
+                        horizon = [ordered[idx].arrival_s] if idx < len(ordered) else []
+                        if pool is not None and pool.transfers:
+                            horizon.append(pool.transfers[0][0])
+                        if not horizon:
+                            break  # waiting is necessarily empty here
+                        now = max(now, min(horizon))
+                        continue
 
-                # 4. Execute one scheduler step (serialized on the one
-                #    PIM system: prefill work, then a decode iteration).
-                step_s = 0.0
-                step_prefill = 0
-                decoding = [f for f in running if f.decode_ready]
-                budget = (
-                    policy.prefill_chunk
-                    if policy.chunked_prefill
-                    else float("inf")
-                )
-                prefilling: List[_InFlight] = []
-                with tracer.span(tel.step) as sp:
-                    for f in running:
-                        if f.prefill_remaining <= 0 or budget <= 0:
-                            continue
-                        take = f.prefill_remaining
-                        if policy.chunked_prefill:
-                            take = min(take, int(budget))
-                        step_s += self.cost.prefill_s(take, f.request.batch)
-                        _add_phases(
-                            phase_totals,
-                            "prefill",
-                            self.cost.prefill_phases(take, f.request.batch),
-                        )
-                        f.prefilled += take
-                        budget -= take
-                        step_prefill += take * f.request.batch
-                        prefilling.append(f)
+                    # 4. Execute one scheduler step (serialized on the one
+                    #    PIM system: prefill work, then a decode iteration).
+                    step_s = 0.0
+                    step_prefill = 0
+                    decoding = [f for f in running if f.decode_ready]
+                    budget = (
+                        policy.prefill_chunk
+                        if policy.chunked_prefill
+                        else float("inf")
+                    )
+                    prefilling: List[_InFlight] = []
+                    with tracer.span(tel.step) as sp:
+                        for f in running:
+                            if f.prefill_remaining <= 0 or budget <= 0:
+                                continue
+                            take = f.prefill_remaining
+                            if policy.chunked_prefill:
+                                take = min(take, int(budget))
+                            seconds, phases = cost.prefill(take, f.request.batch)
+                            step_s += seconds
+                            _accumulate(phase_totals, phases)
+                            f.prefilled += take
+                            budget -= take
+                            step_prefill += take * f.request.batch
+                            prefilling.append(f)
 
-                    seqs = sum(f.request.batch for f in decoding)
-                    if seqs:
-                        total_ctx = sum(
-                            f.context_len * f.request.batch for f in decoding
-                        )
-                        step_s += self.cost.decode_step_s(seqs, total_ctx / seqs)
-                        _add_phases(
-                            phase_totals,
-                            "decode",
-                            self.cost.decode_step_phases(seqs, total_ctx / seqs),
-                        )
-                    sp.set_attribute("batch_seqs", seqs)
-                    sp.set_attribute("prefill_tokens", step_prefill)
-                    sp.set_attribute("model_seconds", step_s)
+                        seqs = sum(f.request.batch for f in decoding)
+                        if seqs:
+                            total_ctx = sum(
+                                f.context_len * f.request.batch for f in decoding
+                            )
+                            seconds, phases = cost.decode_step(seqs, total_ctx / seqs)
+                            step_s += seconds
+                            _accumulate(phase_totals, phases)
+                        sp.set_attribute("batch_seqs", seqs)
+                        sp.set_attribute("prefill_tokens", step_prefill)
+                        sp.set_attribute("model_seconds", step_s)
 
-                if step_s <= 0.0:
-                    # Nothing runnable this step (all admitted requests
-                    # are freshly prefilled, none decode-ready yet).
-                    for f in running:
-                        f.decode_ready = f.prefilled >= f.request.prompt_len
-                    continue
+                    if step_s <= 0.0:
+                        # Nothing runnable this step (all admitted requests
+                        # are freshly prefilled, none decode-ready yet).
+                        for f in running:
+                            f.decode_ready = f.prefilled >= f.request.prompt_len
+                        continue
 
-                step_start = now
-                now += step_s
-                if pool is not None:
-                    # ``now`` itself: the timelines share one float per step.
-                    pool.record_step(step_start, now, seqs)
-                busy_s += step_s
-                steps += 1
-                prefill_tokens += step_prefill
-                generated_tokens += seqs
-                tel.steps.inc()
-                tel.prefill_tokens.inc(step_prefill)
-                tel.decode_tokens.inc(seqs)
+                    step_start = now
+                    now += step_s
+                    if pool is not None:
+                        # ``now`` itself: the timelines share one float per step.
+                        pool.record_step(step_start, now, seqs)
+                    busy_s += step_s
+                    steps += 1
+                    prefill_tokens += step_prefill
+                    generated_tokens += seqs
 
-                # 5. Post-step bookkeeping: prefill completions, token
-                #    emissions, request completions.
-                for f in prefilling:
-                    if f.prefill_remaining <= 0 and f.prefill_done_s is None:
-                        f.prefill_done_s = now
-                        f.decode_ready = True
-                for f in decoding:
-                    f.generated += 1
-                    if f.first_token_s is None:
-                        f.first_token_s = now
-                for f in list(running):
-                    if f.done:
-                        if f.prefill_done_s is None:
+                    # 5. Post-step bookkeeping: prefill completions, token
+                    #    emissions, request completions.
+                    for f in prefilling:
+                        if f.prefill_remaining <= 0 and f.prefill_done_s is None:
                             f.prefill_done_s = now
-                        finish(f, now)
-                        running.remove(f)
+                            f.decode_ready = True
+                    for f in decoding:
+                        f.generated += 1
+                        if f.first_token_s is None:
+                            f.first_token_s = now
+                    for f in list(running):
+                        if f.done:
+                            if f.prefill_done_s is None:
+                                f.prefill_done_s = now
+                            finish(f, now)
+                            running.remove(f)
 
-                occ = float(sum(f.request.batch for f in running))
-                occupancy.append((now, occ))
-                occupancy_weighted += occ * step_s
-                peak_occupancy = max(peak_occupancy, int(occ))
-                tel.occupancy.append(occ)
+                    occ = float(sum(f.request.batch for f in running))
+                    occupancy.append((now, occ))
+                    occupancy_weighted += occ * step_s
+                    peak_occupancy = max(peak_occupancy, int(occ))
+            finally:
+                tel.record_run(
+                    [occ for _, occ in occupancy],
+                    requests_queued=queued,
+                    requests_admitted=admitted,
+                    requests_completed=len(stats) - rejected,
+                    requests_rejected=rejected,
+                    steps=steps,
+                    prefill_tokens=prefill_tokens,
+                    decode_tokens=generated_tokens,
+                )
 
             makespan_s = max(now, last_finish)
             run_span.set_attribute("completed", len(stats) - rejected)

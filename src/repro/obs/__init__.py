@@ -19,9 +19,13 @@ the same Chrome-trace schema so modeled timelines and wall-clock spans
 land in one viewable file.  The CLI exposes this via ``--emit-trace``,
 ``--metrics-json``, and the ``trace-export`` subcommand.
 
-Telemetry is always-on and cheap (see ``tests/test_obs_overhead.py``);
-:func:`set_enabled` swaps in null implementations when even that overhead
-is unwanted.
+Telemetry is always-on and cheap: ``tests/test_obs_overhead.py`` holds a
+tuner search to <5% over disabled, and ``tests/test_serving_telemetry.py``
+holds a serving replay to a bounded on/off ratio with registry calls per
+run, not per step.  What remains per scheduler step is its span: on a
+2-core host about 3 us in a 300-request replay, and 5-6 us once the span
+buffer is full and every new span evicts one.  :func:`set_enabled` swaps
+in null implementations when even that overhead is unwanted.
 """
 
 from __future__ import annotations
@@ -115,10 +119,14 @@ def enabled() -> bool:
 
 
 def reset(max_spans: Optional[int] = None) -> None:
-    """Clear all recorded telemetry (fresh registry + tracer)."""
+    """Clear all recorded telemetry (fresh registry + tracer).
+
+    ``max_spans`` bounds the new tracer's buffer (``None``: the default);
+    a non-positive value raises before anything is cleared.
+    """
     global _default_registry, _default_tracer
-    _default_registry = MetricsRegistry()
-    _default_tracer = Tracer(max_spans) if max_spans else Tracer()
+    tracer = Tracer() if max_spans is None else Tracer(max_spans)
+    _default_registry, _default_tracer = MetricsRegistry(), tracer
 
 
 __all__ = [

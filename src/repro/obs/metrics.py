@@ -9,7 +9,11 @@ machine-readable for the CLI's ``--metrics-json`` flag.
 
 Instruments are cheap (a lock plus a few float ops) and always-on; the
 ``repro.obs`` package swaps in null instruments when telemetry is
-disabled, and ``tests/test_obs_overhead.py`` guards the overhead bound.
+disabled.  Hot loops still record per run, not per call: the serving
+scheduler counts its steps locally and calls each counter's ``inc`` and
+the occupancy series' :meth:`Series.extend` once per run.
+``tests/test_obs_overhead.py`` (tuner search) and
+``tests/test_serving_telemetry.py`` (serving replay) guard the overhead.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 import json
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Default histogram bucket upper edges for latencies in seconds
 #: (1 us .. 100 s, log-spaced by decade thirds).
@@ -282,7 +287,8 @@ class Series:
 
     Keeps the most recent ``capacity`` points as ``(index, value)`` pairs;
     the index is the global observation number, so a truncated series still
-    shows *where* in the run its points came from.
+    shows *where* in the run its points came from.  A full series drops its
+    oldest point in O(1).
     """
 
     kind = "series"
@@ -294,15 +300,25 @@ class Series:
         self.description = description
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._points: List[Tuple[int, float]] = []
+        self._points: Deque[Tuple[int, float]] = deque(maxlen=capacity)
         self._next_index = 0
 
     def append(self, value: float) -> None:
         with self._lock:
             self._points.append((self._next_index, float(value)))
             self._next_index += 1
-            if len(self._points) > self.capacity:
-                del self._points[0]
+
+    def extend(self, values: Iterable[float]) -> None:
+        """Append every value in order; the same state as one
+        :meth:`append` per value, converting only the points it keeps."""
+        values = list(values)
+        kept = values[-self.capacity:]
+        with self._lock:
+            self._next_index += len(values)
+            self._points.extend(
+                zip(range(self._next_index - len(kept), self._next_index),
+                    map(float, kept))
+            )
 
     @property
     def count(self) -> int:
@@ -423,6 +439,9 @@ class _NullInstrument:
         return 0.0
 
     def append(self, value: float) -> None:
+        pass
+
+    def extend(self, values) -> None:
         pass
 
     def points(self) -> list:

@@ -1,6 +1,6 @@
 """Span tracing: nested, thread-safe, wall-clock timed regions.
 
-A :class:`Tracer` hands out :class:`Span` context managers::
+A :class:`Tracer` opens spans (:class:`Span`) through context managers::
 
     with tracer.span("tuner.tune", shape=str(shape)) as sp:
         ...
@@ -20,9 +20,8 @@ import itertools
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -67,10 +66,13 @@ class Tracer:
     ----------
     max_spans:
         Bound on the finished-span buffer (oldest dropped first), so
-        always-on tracing cannot grow memory without limit.
+        always-on tracing cannot grow memory without limit.  Must be
+        positive: a zero-length buffer would silently record nothing.
     """
 
     def __init__(self, max_spans: int = 100_000):
+        if max_spans <= 0:
+            raise ValueError("max_spans must be positive")
         self.epoch_perf = time.perf_counter()
         self.epoch_unix = time.time()
         self._ids = itertools.count(1)
@@ -94,27 +96,9 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    @contextmanager
-    def span(self, name: str, **attributes) -> Iterator[Span]:
+    def span(self, name: str, **attributes) -> "_OpenSpan":
         """Open a child span of this thread's current span."""
-        stack = self._stack()
-        parent = stack[-1] if stack else None
-        sp = Span(
-            name=name,
-            span_id=next(self._ids),
-            parent_id=parent.span_id if parent else None,
-            thread_id=threading.get_ident(),
-            start_s=self._now(),
-            attributes=dict(attributes),
-        )
-        stack.append(sp)
-        try:
-            yield sp
-        finally:
-            sp.end_s = self._now()
-            stack.pop()
-            with self._lock:
-                self._finished.append(sp)
+        return _OpenSpan(self, name, attributes)
 
     def finished_spans(self) -> List[Span]:
         with self._lock:
@@ -126,6 +110,50 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self._finished)
+
+
+class _OpenSpan:
+    """The context manager :meth:`Tracer.span` returns.
+
+    ``__enter__`` opens the span as a child of the thread's current span;
+    ``__exit__`` closes and buffers it, exception or not, and lets the
+    exception propagate.  A slotted class rather than a ``contextlib``
+    generator: the serving scheduler opens one span per step, and the
+    generator made a bare span about 1.7x as expensive (2.5 against 1.5 us
+    on a 2-core host).
+    """
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_stack", "_span")
+
+    def __init__(self, tracer: Tracer, name: str, attributes: Dict[str, object]):
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        stack = self._stack = tracer._stack()
+        # Positional (name, span_id, parent_id, thread_id, start_s, end_s,
+        # attributes): keyword matching is a fifth of a span's cost.
+        sp = self._span = Span(
+            self._name,
+            next(tracer._ids),
+            stack[-1].span_id if stack else None,
+            threading.get_ident(),
+            tracer._now(),
+            None,
+            self._attributes,
+        )
+        stack.append(sp)
+        return sp
+
+    def __exit__(self, *exc) -> bool:
+        tracer, sp = self._tracer, self._span
+        sp.end_s = tracer._now()
+        self._stack.pop()
+        with tracer._lock:
+            tracer._finished.append(sp)
+        return False
 
 
 class _NullSpan:

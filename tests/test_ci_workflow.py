@@ -134,6 +134,18 @@ class TestWorkflowFile:
                      "tests/test_persistent_caches.py"):
             assert path in step["run"]
 
+    def test_tests_job_runs_serving_telemetry_guards(self, workflow):
+        """The per-run telemetry guards and the bit-level serving parity
+        run with the scheduler suite."""
+        job = workflow["jobs"]["tests"]
+        step = next(s for s in job["steps"]
+                    if s.get("name", "").startswith("Scheduler + serving"))
+        for path in ("tests/test_scheduler.py",
+                     "tests/test_serving_invariants.py",
+                     "tests/test_serving_telemetry.py",
+                     "tests/test_serving_parity.py"):
+            assert path in step["run"]
+
     def test_coverage_floor_raised(self, workflow):
         """The suite has grown; the line-coverage floor moved 70 -> 75."""
         runs = " ".join(_run_commands(workflow["jobs"]["tests"]))

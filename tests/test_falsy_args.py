@@ -11,8 +11,9 @@ layer).
 
 import pytest
 
-from repro import cli
+from repro import cli, obs
 from repro.cli import _apply_layers_override, _resolve_slo_s
+from repro.obs import Tracer
 from repro.pim import get_platform
 from repro.pim.gemm_kernels import gemm_on_pim, gemv_sequence_on_pim
 from repro.workloads import bert_base
@@ -110,3 +111,36 @@ class TestKernelDtypeBytes:
         explicit = gemm_on_pim(upmem, 64, 64, 64,
                                dtype_bytes=upmem.gemm_dtype_bytes)
         assert gemm_on_pim(upmem, 64, 64, 64).total == explicit.total
+
+
+class TestTracerMaxSpans:
+    """``max_spans=0`` must raise: ``obs.reset`` used to install the
+    default buffer for it, and ``Tracer`` to silently record nothing."""
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_tracer_rejects_nonpositive_max_spans(self, bad):
+        with pytest.raises(ValueError, match="max_spans must be positive"):
+            Tracer(max_spans=bad)
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_reset_rejects_nonpositive_max_spans_before_clearing(self, bad):
+        try:
+            obs.reset()
+            obs.get_registry().counter("kept").inc()
+            with pytest.raises(ValueError, match="max_spans must be positive"):
+                obs.reset(max_spans=bad)
+            assert obs.get_registry().counter("kept").value == 1.0
+        finally:
+            obs.reset()
+
+    @pytest.mark.parametrize("max_spans, kept", [(2, "bc"), (None, "abc")])
+    def test_reset_bounds_the_span_buffer(self, max_spans, kept):
+        try:
+            obs.reset(max_spans=max_spans)
+            for name in "abc":
+                with obs.get_tracer().span(name):
+                    pass
+            names = [sp.name for sp in obs.get_tracer().finished_spans()]
+            assert names == list(kept)
+        finally:
+            obs.reset()
