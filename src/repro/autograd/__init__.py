@@ -15,8 +15,8 @@ from .functional import (
     ste_hard_assign,
 )
 from .optim import SGD, Adam, Optimizer
-from .tensor import (Tensor, concatenate, maximum, minimum, ones, stack,
-                     tensor, unbroadcast, where, zeros)
+from .tensor import (Tensor, concatenate, is_grad_enabled, maximum, minimum,
+                     no_grad, ones, stack, tensor, unbroadcast, where, zeros)
 
 __all__ = [
     "Tensor",
@@ -29,6 +29,8 @@ __all__ = [
     "maximum",
     "minimum",
     "unbroadcast",
+    "no_grad",
+    "is_grad_enabled",
     "softmax",
     "log_softmax",
     "gelu",

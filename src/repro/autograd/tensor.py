@@ -10,15 +10,50 @@ The design is deliberately simple: every differentiable operation builds a
 node holding a backward closure, and :meth:`Tensor.backward` runs a reverse
 topological sweep.  Broadcasting is handled by summing gradients back to the
 operand shape (:func:`unbroadcast`).
+
+Recording is governed by a per-thread grad mode (:func:`no_grad`,
+:func:`is_grad_enabled`): with it off, operations return plain tensors with
+no parents, so an inference forward keeps no intermediate alive.  Forward
+values never depend on the mode.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
+
+
+class _GradMode(threading.local):
+    """Per-thread switch: :meth:`Tensor._make` records the tape only while on."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+def is_grad_enabled() -> bool:
+    """Whether operations on this thread record the autograd tape."""
+    return _GRAD_MODE.enabled
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block on this thread without recording the autograd tape.
+
+    The previous mode is restored on exit, also when the block raises.
+    """
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = previous
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -116,7 +151,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._prev = tuple(parents)
             out._backward = backward

@@ -17,9 +17,10 @@ the spirit of LUT-NN's blocked AVX kernels (Tang et al., MobiSys 2023):
   ``||a||^2`` term is constant per (row, codebook) and is dropped, so the
   score tensor is one batched ``(CB, nb, V) @ (CB, V, CT)`` matmul (BLAS
   GEMM per codebook) plus a broadcast add.
-* **Blocked over N.**  Rows are processed in ``block_rows`` chunks so the
-  ``(CB, nb, CT)`` score tensor stays cache-resident regardless of batch
-  size.
+* **Blocked over N.**  Rows are processed in ``block_rows`` chunks, so
+  the ``(CB, nb, CT)`` score tensor grows with the block, not the batch.
+  It is not cache-resident at the default block: 4,096 float64 rows of
+  an H=256 layer (CB=64, CT=16) score into 33 MB.
 * **Dtype-aware.**  The kernel computes in float32 by default (the
   deployment dtype); float64 is opt-in.  ``dtype=None`` preserves the
   input's floating dtype.  Accuracy contract: float64 reproduces the

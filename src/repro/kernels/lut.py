@@ -7,11 +7,17 @@ checking (``indices.min()`` plus ``indices.max()``).  The kernels here:
 * pick the float gather strategy by working-set size: small row blocks
   use one **flat gather** on a ``(CB*CT, F)`` view of the table (one index
   array, one gather, one reduction); once the ``(nb, CB, F)`` intermediate
-  would spill out of cache the kernel switches to **per-codebook
-  accumulation** — CB gathers of ``(nb, F)`` each, added straight into the
-  output slice, so the accumulator stays cache-resident and the huge
-  intermediate (the reference path's bottleneck: it writes and re-reads
-  N*CB*F elements) is never materialized;
+  would outgrow ``_GATHER_BUDGET_BYTES`` the kernel switches to
+  **per-codebook accumulation** — CB gathers added straight into the
+  output, so the huge intermediate (the reference path's bottleneck: it
+  writes and re-reads N*CB*F elements) is never materialized;
+* walk the per-codebook path in **L2-sized row tiles**: a whole ``(nb, F)``
+  output slice is 6 MiB at 1,024 rows and F=768 in float64, so summing
+  CB gathers into it streams it through memory CB times.  Tiles of
+  ``_GATHER_TILE_BYTES // (F * itemsize)`` rows keep the tile's output
+  slice and each codebook's gather temporary cache-resident.  Every output
+  element is still summed in codebook order, so the result is
+  bit-identical to an untiled (or flat) gather;
 * validate bounds with a **single pass**: the signed index array is
   reinterpreted as unsigned of the same width, so a negative index becomes
   a huge value and one ``max() >= CT`` comparison catches both ends of the
@@ -40,8 +46,16 @@ from .. import obs
 from .ccs import DEFAULT_BLOCK_ROWS
 
 #: Largest (nb, CB, F) gather intermediate the flat strategy may create;
-#: beyond this the per-codebook accumulation path wins on memory traffic.
+#: beyond this the per-codebook path wins on memory traffic.  8 MiB is not
+#: cache-resident: the budget only keeps small (decode-sized) blocks on
+#: the one-gather path.
 _GATHER_BUDGET_BYTES = 8 << 20
+
+#: Output bytes per row tile of the per-codebook path: the tile's (rows, F)
+#: output slice and each codebook's (rows, F) gather temporary stay in L2.
+#: Best of a 128 KiB - 1 MiB sweep of float64 1,024-row gathers; 256 KiB
+#: was ~9% slower, beyond the sweep's noise (EXPERIMENTS.md).
+_GATHER_TILE_BYTES = 512 << 10
 
 #: Largest block intermediate the INT8 kernel creates per row block: the
 #: float64 widening of the (nb, CB, F) gather under per-codebook scales,
@@ -67,6 +81,15 @@ def _flat_row_budget(strategy: str, n: int, row_bytes: int) -> int:
     if strategy == "per-codebook":
         return 0
     return max(1, _GATHER_BUDGET_BYTES // max(row_bytes, 1))
+
+
+def _block_rows(block_rows: Optional[int]) -> int:
+    """``block_rows`` as a positive int; ``None`` means the default."""
+    if block_rows is None:
+        return DEFAULT_BLOCK_ROWS
+    if block_rows <= 0:
+        raise ValueError("block_rows must be positive")
+    return int(block_rows)
 
 
 def gather_offsets(cb: int, ct: int) -> np.ndarray:
@@ -117,7 +140,9 @@ def lut_gather_reduce(
     indices: (N, CB) integer index matrix from closest-centroid search.
     lut: (CB, CT, F) pre-computed tables (any float dtype).
     offsets: optional precomputed :func:`gather_offsets` (cached per layer).
-    block_rows: rows per block; bounds the (nb, CB, F) gather working set.
+    block_rows: rows per block (``None``: the default); bounds the
+        (nb, CB, F) gather working set.  The per-codebook path further
+        walks each block in L2-sized row tiles.
     strategy: ``"auto"`` (working-set heuristic), ``"flat"``, or
         ``"per-codebook"`` — force a gather path, e.g. from a measured
         :class:`~repro.kernels.schedule.KernelSchedule`.
@@ -127,34 +152,39 @@ def lut_gather_reduce(
     IndexError
         If any index falls outside ``[0, CT)`` — detected by one
         ``max() >= CT`` pass over the unsigned-reinterpreted indices.
+    ValueError
+        If ``block_rows`` is not positive.
     """
     if lut.ndim != 3:
         raise ValueError("LUT must have shape (CB, CT, F)")
+    block = _block_rows(block_rows)
     cb, ct, f = lut.shape
     unsigned = _checked_indices(indices, cb, ct)
     if offsets is None:
         offsets = gather_offsets(cb, ct)
     lut2d = lut.reshape(cb * ct, f)
     n = unsigned.shape[0]
-    block = int(block_rows or DEFAULT_BLOCK_ROWS)
     flat_rows = _flat_row_budget(strategy, n, cb * f * lut.itemsize)
+    tile = max(1, _GATHER_TILE_BYTES // max(f * lut.itemsize, 1))
     out = np.empty((n, f), dtype=lut.dtype)
     if cb == 0:
         out.fill(0)
         n = 0  # nothing to gather
     for start in range(0, n, block):
         stop = min(start + block, n)
-        sub = unsigned[start:stop]
         if stop - start <= flat_rows:
-            flat = sub.astype(np.int64) + offsets
+            flat = unsigned[start:stop].astype(np.int64) + offsets
             out[start:stop] = lut2d[flat].sum(axis=1)
         else:
-            # Per-codebook accumulation: the (nb, F) output slice stays
-            # cache-resident; no (nb, CB, F) intermediate is materialized.
-            seg = out[start:stop]
-            seg[:] = lut[0][sub[:, 0]]
-            for c in range(1, cb):
-                seg += lut[c][sub[:, c]]
+            # Per-codebook accumulation, one L2-sized row tile at a time;
+            # no (nb, CB, F) intermediate is materialized.
+            for lo in range(start, stop, tile):
+                hi = min(lo + tile, stop)
+                rows = unsigned[lo:hi]
+                seg = out[lo:hi]
+                seg[:] = lut[0][rows[:, 0]]
+                for c in range(1, cb):
+                    seg += lut[c][rows[:, c]]
     registry = obs.get_registry()
     registry.counter("kernels.lut.gathers").inc()
     registry.counter("kernels.lut.rows").inc(unsigned.shape[0])
@@ -179,14 +209,17 @@ def lut_gather_reduce_quantized(
     matmul, so dequantization still happens once per output rather than
     once per table entry.
 
-    Row blocks hold at most ``block_rows`` rows and are further capped so
-    the block intermediate (the widened float64 block, or the int8 gather
-    under a shared scale) stays within ``_INT8_BLOCK_BYTES``.
+    Row blocks hold at most ``block_rows`` rows (``None``: the default)
+    and are further capped so the block intermediate (the widened float64
+    block, or the int8 gather under a shared scale) stays within
+    ``_INT8_BLOCK_BYTES``.
 
     Raises
     ------
     IndexError
         If any index falls outside ``[0, CT)``.
+    ValueError
+        If ``block_rows`` is not positive.
     """
     values = qlut.values
     scales = np.asarray(qlut.scales, dtype=np.float64)
@@ -201,7 +234,7 @@ def lut_gather_reduce_quantized(
     n = unsigned.shape[0]
     element_bytes = 1 if common is not None else 8
     budget_rows = _INT8_BLOCK_BYTES // max(cb * f * element_bytes, 1)
-    block = max(1, min(int(block_rows or DEFAULT_BLOCK_ROWS), budget_rows))
+    block = max(1, min(_block_rows(block_rows), budget_rows))
     out = np.empty((n, f), dtype=np.float64)
     if cb == 0:
         out.fill(0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, no_grad
 from ..autograd.init import normal
 from .layers import (DEFAULT_INIT_STD, Embedding, LayerNorm, Linear, Tanh,
                      default_rng)
@@ -128,6 +128,7 @@ class DecoderLM(Module):
         probs /= probs.sum(axis=-1, keepdims=True)
         return np.array([rng.choice(self.vocab_size, p=p) for p in probs])
 
+    @no_grad()
     def generate(
         self,
         prompt: np.ndarray,
@@ -141,6 +142,9 @@ class DecoderLM(Module):
         ``use_cache=True`` decodes incrementally against per-layer KV
         caches — O(context) per token instead of O(context^2) — producing
         identical greedy output (sequences must fit ``max_seq_len``).
+        Generation returns token ids only, so it records no autograd tape
+        (it calls ``forward`` / ``forward_incremental`` directly, which
+        bypasses ``Module.__call__``'s eval-mode rule).
         """
         if new_tokens < 0:
             raise ValueError("new_tokens must be non-negative")

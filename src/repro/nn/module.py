@@ -3,15 +3,31 @@
 Mirrors the slice of ``torch.nn.Module`` the PIM-DL converter relies on:
 recursive parameter collection, named-module traversal (used to locate the
 linear layers to replace with LUTs), and train/eval mode switching.
+
+An eval-mode *root* call — one made while no other module call runs on
+the same thread — runs its forward under :func:`~repro.autograd.no_grad`,
+so inference records no autograd tape.  Nested calls inherit the mode of
+their root: an eval-mode submodule inside a training forward still passes
+gradients.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, no_grad
+
+
+class _CallState(threading.local):
+    """Per-thread: is a module call already running on this thread?"""
+
+    active = False
+
+
+_CALL_STATE = _CallState()
 
 
 class Module:
@@ -121,7 +137,17 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        state = _CALL_STATE
+        if state.active:
+            return self.forward(*args, **kwargs)
+        state.active = True
+        try:
+            if self.training:
+                return self.forward(*args, **kwargs)
+            with no_grad():
+                return self.forward(*args, **kwargs)
+        finally:
+            state.active = False
 
 
 class Sequential(Module):

@@ -100,6 +100,16 @@ class TestWorkflowFile:
         assert "tests/test_kernels.py" in step["run"]
         assert "perfbench/selftest.py" in step["run"]
 
+    def test_tests_job_runs_inference_mode_suite(self, workflow):
+        """The no-tape eval-mode forward guards run with the host kernels,
+        whose lean inference path they share."""
+        job = workflow["jobs"]["tests"]
+        step = next(s for s in job["steps"]
+                    if s.get("name", "").startswith("Host kernels + benchmark"))
+        assert step["name"] == (
+            "Host kernels + benchmark self-test (explicit tier-1 member)")
+        assert "tests/test_inference_mode.py" in step["run"]
+
     def test_tests_job_runs_cli_suite(self, workflow):
         """The CLI's parity, usage-error and parser-surface tests are one
         explicit step."""

@@ -9,10 +9,14 @@ are hard errors (CLI exit code 2, or ``ValueError`` at the library
 layer).
 """
 
+import numpy as np
 import pytest
 
 from repro import cli, obs
 from repro.cli import _apply_layers_override, _resolve_slo_s
+from repro.core import quantize_lut
+from repro.kernels import (DEFAULT_BLOCK_ROWS, lut_gather_reduce,
+                           lut_gather_reduce_quantized)
 from repro.obs import Tracer
 from repro.pim import get_platform
 from repro.pim.gemm_kernels import gemm_on_pim, gemv_sequence_on_pim
@@ -144,3 +148,39 @@ class TestTracerMaxSpans:
             assert names == list(kept)
         finally:
             obs.reset()
+
+
+class TestGatherBlockRows:
+    """``block_rows=0`` used to become the default; a negative value made
+    the float gather return its uninitialised output (the row loop never
+    ran) and was clamped to 1 by the INT8 gather.  Both now raise, as
+    ``CCSKernel`` does; ``None`` keeps the default."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(0)
+        lut = rng.normal(size=(3, 4, 5))
+        idx = rng.integers(0, 4, size=(7, 3)).astype(np.int32)
+        return idx, lut
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_float_gather_rejects_nonpositive(self, problem, bad):
+        idx, lut = problem
+        with pytest.raises(ValueError, match="block_rows must be positive"):
+            lut_gather_reduce(idx, lut, block_rows=bad)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_int8_gather_rejects_nonpositive(self, problem, bad):
+        idx, lut = problem
+        with pytest.raises(ValueError, match="block_rows must be positive"):
+            lut_gather_reduce_quantized(idx, quantize_lut(lut), block_rows=bad)
+
+    def test_none_keeps_default(self, problem):
+        idx, lut = problem
+        qlut = quantize_lut(lut)
+        np.testing.assert_array_equal(
+            lut_gather_reduce(idx, lut, block_rows=None),
+            lut_gather_reduce(idx, lut, block_rows=DEFAULT_BLOCK_ROWS))
+        np.testing.assert_array_equal(
+            lut_gather_reduce_quantized(idx, qlut, block_rows=None),
+            lut_gather_reduce_quantized(idx, qlut, block_rows=DEFAULT_BLOCK_ROWS))

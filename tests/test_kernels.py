@@ -314,6 +314,62 @@ class TestLutGatherReduce:
         )
 
 
+class TestGatherTiling:
+    """The per-codebook path walks its rows in L2-sized tiles: its peak
+    temporary is one tile, and tiling never changes a bit of the output."""
+
+    @pytest.mark.parametrize("n, cb, f", [(1024, 64, 768), (300, 16, 1024)])
+    def test_peak_temporary_is_one_tile(self, n, cb, f):
+        """The parent's per-codebook temporary was as large as the output
+        ((n, F) floats: 6 MiB at the first shape); it must stay within
+        the tile budget (plus index copies) once the output outgrows it."""
+        import tracemalloc
+
+        from repro.kernels import lut as lut_mod
+
+        rng = np.random.default_rng(1)
+        lut = rng.normal(size=(cb, 16, f))
+        idx = rng.integers(0, 16, size=(n, cb)).astype(np.int32)
+        budget = lut_mod._GATHER_TILE_BYTES
+        assert n * f * lut.itemsize > 2 * budget
+        tracemalloc.start()
+        try:
+            out = lut_gather_reduce(idx, lut)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= budget + (16 << 10)
+        np.testing.assert_allclose(out[:64], lut_lookup_reference(idx[:64], lut),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cb", [1, 5])
+    @pytest.mark.parametrize("tile_rows", [1, 3])
+    @pytest.mark.parametrize("strategy", ["auto", "per-codebook"])
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    def test_tiles_are_bit_identical(self, monkeypatch, dtype, cb, tile_rows,
+                                     strategy, block_rows):
+        """1-row and ragged 3-row tiles (17 rows; blocks of 5 split tiles
+        too) equal one tile and the flat gather exactly."""
+        from repro.kernels import lut as lut_mod
+
+        rng = np.random.default_rng(2)
+        f = 6
+        lut = rng.normal(size=(cb, 7, f)).astype(dtype)
+        idx = rng.integers(0, 7, size=(17, cb)).astype(np.int32)
+        flat = lut_gather_reduce(idx, lut, strategy="flat")
+        one_tile = lut_gather_reduce(idx, lut, strategy="per-codebook")
+        if strategy == "auto":
+            monkeypatch.setattr(lut_mod, "_GATHER_BUDGET_BYTES", 1)
+        monkeypatch.setattr(lut_mod, "_GATHER_TILE_BYTES",
+                            tile_rows * f * lut.itemsize)
+        tiled = lut_gather_reduce(idx, lut, block_rows=block_rows,
+                                  strategy=strategy)
+        assert tiled.dtype == dtype
+        np.testing.assert_array_equal(tiled, one_tile)
+        np.testing.assert_array_equal(tiled, flat)
+
+
 class TestQuantizedGatherReduce:
     @pytest.mark.parametrize("shape", [(4, 8, 6), (2, 256, 5), (1, 3, 7)])
     @pytest.mark.parametrize("per_codebook", [True, False])
