@@ -7,7 +7,7 @@ Subcommands mirror the offline workflow of paper Fig. 5:
   optionally persisting the mapping to a JSON store (``--store``) and/or a
   cross-run cache directory (``--cache DIR``); the search skips tilings
   whose cost lower bound cannot beat the best found, and reports how many
-  it searched (``--jobs`` is accepted but no longer changes the search);
+  it searched;
 * ``simulate`` — run the event-level simulator for a shape (tuned or with
   explicit mapping parameters) and print the latency breakdown;
   ``--overlap`` double-buffers the micro-kernel loop so tile transfers
@@ -388,7 +388,6 @@ def cmd_tune(args) -> int:
             platform,
             amortize_lut_distribution=args.amortize_lut,
             progress_callback=callback,
-            jobs=args.jobs,
             cache=cache,
         )
         registry = obs.get_registry()
@@ -455,7 +454,7 @@ def cmd_simulate(args) -> int:
         ["stage", "simulated_ms", "model_ms"],
         [
             ["distribution", f"{report.distribution_s * 1e3:.3f}",
-             f"{(estimate.sub_index + estimate.sub_lut) * 1e3:.3f}"],
+             f"{estimate.stage_phases()['distribution'] * 1e3:.3f}"],
             ["micro kernel", f"{report.kernel_s * 1e3:.3f}",
              f"{estimate.micro_kernel * 1e3:.3f}"],
             ["gather", f"{report.gather_s * 1e3:.3f}",
@@ -1687,10 +1686,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--amortize-lut", action="store_true",
                       help="treat LUTs as resident in PIM memory")
     tune.add_argument("--store", help="JSON mapping store to update")
-    tune.add_argument("--jobs", type=int, metavar="N", default=1,
-                      help="accepted for compatibility; the bound-pruned "
-                           "serial search ignores it (results are the same "
-                           "for every N)")
     tune.add_argument("--cache", metavar="DIR",
                       help="persistent mapping cache directory "
                            "(warm-start lookup + write-back)")

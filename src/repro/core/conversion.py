@@ -142,29 +142,20 @@ def convert_to_lut_nn(
     for an eLUT-NN calibration pass.  ``kernel_dtype``/``block_rows``
     configure each layer's host CCS kernel (see :mod:`repro.kernels`).
     """
-    rng = rng or np.random.default_rng()
     targets = find_target_linears(model, layer_filter)
     if not targets:
         raise ValueError("no linear layers matched the conversion filter")
-    recorder = record_activations(model, forward_batches, targets, max_rows=max_rows)
-
-    replacements: List[Tuple[str, LUTLinear]] = []
-    for name, layer in targets:
-        lut_layer = LUTLinear.from_linear(
-            layer,
-            recorder.activations(name),
-            v=v,
-            ct=ct,
-            rng=rng,
-            kmeans_iters=kmeans_iters,
-            centroid_init=centroid_init,
-            name=name,
-            kernel_dtype=kernel_dtype,
-            block_rows=block_rows,
-        )
-        model.replace_module(name, lut_layer)
-        replacements.append((name, lut_layer))
-    return replacements
+    return convert_with_plan(
+        model,
+        forward_batches,
+        {name: (v, ct) for name, _ in targets},
+        rng=rng,
+        kmeans_iters=kmeans_iters,
+        centroid_init=centroid_init,
+        max_rows=max_rows,
+        kernel_dtype=kernel_dtype,
+        block_rows=block_rows,
+    )
 
 
 def convert_with_plan(
@@ -182,13 +173,11 @@ def convert_with_plan(
 
     ``plan`` maps qualified layer names to (V, CT) pairs — typically the
     assignment of :func:`repro.core.autoconfig.plan_layer_configs`.  Layers
-    absent from the plan are left dense.
+    absent from the plan are left dense.  Layers are recorded together and
+    converted in model order, drawing codebooks from ``rng`` in that order.
     """
     rng = rng or np.random.default_rng()
-    targets = [
-        (name, layer)
-        for name, layer in find_target_linears(model, lambda n, layer: n in plan)
-    ]
+    targets = find_target_linears(model, lambda n, layer: n in plan)
     missing = set(plan) - {name for name, _ in targets}
     if missing:
         raise KeyError(f"plan references unknown linear layers: {sorted(missing)}")

@@ -19,15 +19,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..baselines.roofline import RooflineDevice
-from ..core.codebook import LUTShape
 from ..kernels import HostKernelProfile
-from ..mapping.analytical import with_overlap
 from ..mapping.tuner import AutoTuner
 from ..pim.gemm_kernels import linear_layer_on_pim
 from ..pim.platforms import PIMPlatform
 from ..workloads.configs import TransformerConfig
 from ..workloads.routing import MoEConfig
-from .moe import make_rank_tuner, price_moe_ffn
+from .engine import _LUTEngine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (resilience uses tuner)
     from ..resilience.recovery import RecoveryManager
@@ -128,13 +126,14 @@ class GEMVDecodeEngine:
         )
 
 
-class LUTDecodeEngine:
+class LUTDecodeEngine(_LUTEngine):
     """Decode with LUT-NN linear layers on the PIM (PIM-DL applied to decode).
 
     Per generated token the index matrix is tiny (N = batch), so the tuned
     mapping usually keeps the whole LUT resident (tables are weights) and the
     kernel reduces to per-token gathers — ``amortize_lut_distribution`` is
-    forced on, matching a serving deployment.
+    forced on, matching a serving deployment.  ``overlap`` double-buffers
+    the LUT micro-kernel loop as in :class:`~repro.engine.engine.PIMDLEngine`.
     """
 
     def __init__(
@@ -148,44 +147,21 @@ class LUTDecodeEngine:
         resilience: Optional["RecoveryManager"] = None,
         overlap: bool = False,
     ):
-        self.platform = platform
-        self.host = host
-        self.v = v
-        self.ct = ct
-        self.tuner = tuner or AutoTuner(platform, amortize_lut_distribution=True)
-        self.host_kernel_profile = host_kernel_profile
-        self.resilience = resilience
-        #: Double-buffer the LUT micro-kernel loop (see PIMDLEngine).
-        self.overlap = overlap
-        self._rank_tuner: Optional[AutoTuner] = None
+        super().__init__(
+            platform, host, v, ct, True, tuner, host_kernel_profile,
+            resilience, overlap,
+        )
 
     def _ccs_time(self, batch: int, h: int) -> float:
+        # Kept apart from the prefill roofline on purpose: its argmin bytes
+        # leave out the N*CB index write prefill charges.  Adding that term
+        # moves the colocated serving figures that tests pin.
         if self.host_kernel_profile is not None:
             return self.host_kernel_profile.ccs_time(batch, h, self.ct)
         cb = h // self.v
         distance = self.host.small_k_gemm_time(batch * cb, self.v, self.ct)
         argmin = self.host.op_time(batch * cb * self.ct, batch * cb * self.ct * 4.0)
         return distance + argmin
-
-    def _moe_cost(self, config: TransformerConfig, batch_size: int, moe: MoEConfig):
-        if self._rank_tuner is None:
-            self._rank_tuner = make_rank_tuner(
-                self.platform,
-                amortize_lut_distribution=self.tuner.amortize_lut_distribution,
-                cache=self.tuner.cache,
-            )
-        return price_moe_ffn(
-            self._rank_tuner,
-            self.host,
-            batch_size,
-            config.hidden_dim,
-            config.ffn_dim,
-            moe,
-            num_ranks=self.platform.ranks,
-            v=self.v,
-            ct=self.ct,
-            ccs_time=self._ccs_time,
-        )
 
     def run(
         self,
@@ -211,38 +187,27 @@ class LUTDecodeEngine:
             if moe is not None and name in ("FFN1", "FFN2"):
                 if name == "FFN2":
                     continue  # priced inside the MoE layer below
-                cost = self._moe_cost(config, batch_size, moe)
+                cost = self._moe_cost(batch_size, config, moe)
                 linear_s += cost.total_s
                 for phase, seconds in cost.phases.items():
                     add(phase, seconds)
                 continue
-            shape = LUTShape(n=batch_size, h=h, f=f, v=self.v, ct=self.ct)
-            if self.resilience is not None and self.resilience.active:
-                lut_s, _ = self.resilience.lut_op_seconds(
-                    shape,
-                    self.platform,
-                    self.tuner,
-                    self.host,
-                    host_kernel_profile=self.host_kernel_profile,
-                    op_name=f"decode/{name}",
-                )
+            lut_s, _, lat = self._price_lut_op(
+                self.lut_shape(batch_size, h, f), f"decode/{name}"
+            )
+            if lat is None:
                 linear_s += lut_s
                 add("lut", lut_s)
             else:
-                tuned = self.tuner.tune(shape)
-                lat = tuned.latency
-                if self.overlap:
-                    lat = with_overlap(shape, tuned.mapping, lat)
                 # DecodeReport has no hidden-time subtraction mechanism,
                 # so the wall clock (lat.total) and the *exposed* dma phase
                 # go in directly; the hidden time is reported alongside.
                 linear_s += lat.total
                 hidden_s += lat.overlap_hidden
-                add("distribution", lat.sub_index + lat.sub_lut)
-                add("dma", lat.exposed_transfer)
-                add("reduce", lat.kernel_reduce)
-                add("gather", lat.sub_output)
-                add("launch", lat.launch)
+                stages = lat.stage_phases()
+                stages["dma"] = lat.exposed_transfer
+                for phase, seconds in stages.items():
+                    add(phase, seconds)
             ccs_s = self._ccs_time(batch_size, h)
             linear_s += ccs_s
             add("ccs", ccs_s)

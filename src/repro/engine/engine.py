@@ -13,13 +13,13 @@ Three engines share the operator graph of :mod:`repro.engine.graph`:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .. import obs
 from ..baselines.roofline import RooflineDevice
 from ..core.codebook import LUTShape
 from ..kernels import HostKernelProfile
-from ..mapping.analytical import with_overlap
+from ..mapping.analytical import LatencyBreakdown, with_overlap
 from ..mapping.tuner import AutoTuner
 from ..pim.energy import host_only_energy, pim_system_energy
 from ..pim.gemm_kernels import linear_layer_on_pim
@@ -129,7 +129,133 @@ class GEMMPIMEngine:
         return report
 
 
-class PIMDLEngine:
+class _LUTEngine:
+    """What PIM-DL's prefill and decode engines share: one LUT-op pricer.
+
+    A LUT-NN linear layer is host CCS plus a PIM LUT kernel.  The kernel
+    is priced here once for both engines — by the resilience ladder under
+    an active fault plan, else by the Auto-Tuner (double-buffered when
+    ``overlap``) — along with the lazily built per-rank tuner and the
+    memoized MoE layer cost.
+    """
+
+    def __init__(
+        self,
+        platform: PIMPlatform,
+        host: RooflineDevice,
+        v: int,
+        ct: int,
+        amortize_lut_distribution: bool,
+        tuner: Optional[AutoTuner],
+        host_kernel_profile: Optional[HostKernelProfile],
+        resilience: Optional["RecoveryManager"],
+        overlap: bool,
+    ):
+        if v <= 0 or ct <= 0:
+            raise ValueError("v and ct must be positive")
+        self.platform = platform
+        self.host = host
+        self.v = v
+        self.ct = ct
+        self.tuner = tuner or AutoTuner(
+            platform, amortize_lut_distribution=amortize_lut_distribution
+        )
+        self.host_kernel_profile = host_kernel_profile
+        self.resilience = resilience
+        self.overlap = overlap
+        self._rank_tuner: Optional[AutoTuner] = None
+        self._moe_costs: dict = {}
+
+    def _ccs_time(self, n: int, h: int) -> float:
+        """Host-side closest-centroid search for one linear layer.
+
+        CCS is implemented as per-column inner products between (N, V)
+        activation tiles and (V, CT) codebooks (3*N*H*CT ops, paper §3.3)
+        followed by an argmin over the (N, CB, CT) distance tensor.  The
+        inner dimension of those GEMMs is the sub-vector length V, so they
+        run at small-K efficiency — which is why CCS contributes ~20% of
+        PIM-DL's latency despite its modest op count (Fig. 11-(a)).
+
+        When a measured :class:`~repro.kernels.HostKernelProfile` is set it
+        replaces the roofline estimate with this machine's real throughput.
+        """
+        if self.host_kernel_profile is not None:
+            return self.host_kernel_profile.ccs_time(n, h, self.ct)
+        cb = h // self.v
+        distance = self.host.small_k_gemm_time(n * cb, self.v, self.ct)
+        argmin_bytes = n * cb * self.ct * 4.0 + n * cb
+        argmin = self.host.op_time(n * cb * self.ct, argmin_bytes)
+        return distance + argmin
+
+    def lut_shape(self, n: int, h: int, f: int) -> LUTShape:
+        if h % self.v:
+            raise ValueError(f"hidden dim {h} not divisible by V={self.v}")
+        return LUTShape(n=n, h=h, f=f, v=self.v, ct=self.ct)
+
+    def rank_tuner(self) -> AutoTuner:
+        """Auto-Tuner for a single-rank platform slice (MoE expert kernels).
+
+        Shares the dense tuner's ``MappingCache`` (keyed by platform, so
+        slice entries never collide with full-platform entries) and its
+        amortization setting.
+        """
+        if self._rank_tuner is None:
+            self._rank_tuner = make_rank_tuner(
+                self.platform,
+                amortize_lut_distribution=self.tuner.amortize_lut_distribution,
+                cache=self.tuner.cache,
+            )
+        return self._rank_tuner
+
+    def _moe_cost(
+        self, tokens: int, config: TransformerConfig, moe: MoEConfig
+    ) -> MoELayerCost:
+        """Price one MoE FFN layer at ``tokens`` rows (memoized per engine)."""
+        key = (tokens, config.hidden_dim, config.ffn_dim, moe)
+        if key not in self._moe_costs:
+            self._moe_costs[key] = price_moe_ffn(
+                self.rank_tuner(),
+                self.host,
+                tokens,
+                config.hidden_dim,
+                config.ffn_dim,
+                moe,
+                num_ranks=self.platform.ranks,
+                v=self.v,
+                ct=self.ct,
+                ccs_time=self._ccs_time,
+            )
+        return self._moe_costs[key]
+
+    def _price_lut_op(
+        self, shape: LUTShape, op_name: str
+    ) -> Tuple[float, str, Optional[LatencyBreakdown]]:
+        """Price one LUT op as ``(seconds, device, breakdown)``.
+
+        Under an active fault plan the resilience ladder prices the op,
+        possibly on the host, and ``breakdown`` is ``None``.  Otherwise
+        ``breakdown`` is the tuned kernel's (double-buffered when
+        ``overlap``) and ``seconds`` its full sequential work, ``total +
+        overlap_hidden``.
+        """
+        if self.resilience is not None and self.resilience.active:
+            seconds, device = self.resilience.lut_op_seconds(
+                shape,
+                self.platform,
+                self.tuner,
+                self.host,
+                host_kernel_profile=self.host_kernel_profile,
+                op_name=op_name,
+            )
+            return seconds, device, None
+        tuned = self.tuner.tune(shape)
+        lat = tuned.latency
+        if self.overlap:
+            lat = with_overlap(shape, tuned.mapping, lat)
+        return lat.total + lat.overlap_hidden, "pim", lat
+
+
+class PIMDLEngine(_LUTEngine):
     """The PIM-DL system: LUT-NN linear layers on PIM, the rest on the host.
 
     Parameters
@@ -177,87 +303,22 @@ class PIMDLEngine:
         resilience: Optional["RecoveryManager"] = None,
         overlap: bool = False,
     ):
-        if v <= 0 or ct <= 0:
-            raise ValueError("v and ct must be positive")
-        self.platform = platform
-        self.host = host
-        self.v = v
-        self.ct = ct
         if amortize_lut_distribution is None:
             # HBM-PIM/AiM keep LUTs (= model weights) resident in the PIM
             # banks; UPMEM re-distributes them per kernel (paper's setup).
             amortize_lut_distribution = bool(platform.extras.get("lut_resident", 0))
-        self.tuner = tuner or AutoTuner(
-            platform, amortize_lut_distribution=amortize_lut_distribution
+        super().__init__(
+            platform, host, v, ct, amortize_lut_distribution, tuner,
+            host_kernel_profile, resilience, overlap,
         )
-        self.host_kernel_profile = host_kernel_profile
-        self.resilience = resilience
-        self.overlap = overlap
-        self._rank_tuner: Optional[AutoTuner] = None
-        self._moe_costs: dict = {}
 
     @property
     def name(self) -> str:
         return f"pim-dl[{self.platform.name}, V={self.v}, CT={self.ct}]"
 
-    def _ccs_time(self, n: int, h: int) -> float:
-        """Host-side closest-centroid search for one linear layer.
-
-        CCS is implemented as per-column inner products between (N, V)
-        activation tiles and (V, CT) codebooks (3*N*H*CT ops, paper §3.3)
-        followed by an argmin over the (N, CB, CT) distance tensor.  The
-        inner dimension of those GEMMs is the sub-vector length V, so they
-        run at small-K efficiency — which is why CCS contributes ~20% of
-        PIM-DL's latency despite its modest op count (Fig. 11-(a)).
-
-        When a measured :class:`~repro.kernels.HostKernelProfile` is set it
-        replaces the roofline estimate with this machine's real throughput.
-        """
-        if self.host_kernel_profile is not None:
-            return self.host_kernel_profile.ccs_time(n, h, self.ct)
-        cb = h // self.v
-        distance = self.host.small_k_gemm_time(n * cb, self.v, self.ct)
-        argmin_bytes = n * cb * self.ct * 4.0 + n * cb
-        argmin = self.host.op_time(n * cb * self.ct, argmin_bytes)
-        return distance + argmin
-
-    def lut_shape(self, n: int, h: int, f: int) -> LUTShape:
-        if h % self.v:
-            raise ValueError(f"hidden dim {h} not divisible by V={self.v}")
-        return LUTShape(n=n, h=h, f=f, v=self.v, ct=self.ct)
-
-    def rank_tuner(self) -> AutoTuner:
-        """Auto-Tuner for a single-rank platform slice (MoE expert kernels).
-
-        Shares the dense tuner's ``MappingCache`` (keyed by platform, so
-        slice entries never collide with full-platform entries) and its
-        amortization setting.
-        """
-        if self._rank_tuner is None:
-            self._rank_tuner = make_rank_tuner(
-                self.platform,
-                amortize_lut_distribution=self.tuner.amortize_lut_distribution,
-                cache=self.tuner.cache,
-            )
-        return self._rank_tuner
-
     def moe_layer_cost(self, config: TransformerConfig, moe: MoEConfig) -> MoELayerCost:
         """Price one MoE FFN layer of ``config`` (memoized per engine)."""
-        key = (config.tokens, config.hidden_dim, config.ffn_dim, moe)
-        if key not in self._moe_costs:
-            self._moe_costs[key] = price_moe_ffn(
-                self.rank_tuner(),
-                self.host,
-                config.tokens,
-                config.hidden_dim,
-                config.ffn_dim,
-                moe,
-                num_ranks=self.platform.ranks,
-                v=self.v,
-                ct=self.ct,
-                ccs_time=self._ccs_time,
-            )
-        return self._moe_costs[key]
+        return self._moe_cost(config.tokens, config, moe)
 
     def run(
         self,
@@ -299,47 +360,23 @@ class PIMDLEngine:
                     # (and, under fault injection, the recovery ladder's).
                     shape = self.lut_shape(n, op.h, op.f)
                     lut_phases = None
-                    if self.resilience is not None and self.resilience.active:
-                        with tracer.span(
-                            f"op:{op.name}/LUT", engine=self.name, device="pim",
-                            category="lut",
-                        ) as sp:
-                            lut_seconds, device = self.resilience.lut_op_seconds(
-                                shape,
-                                self.platform,
-                                self.tuner,
-                                self.host,
-                                host_kernel_profile=self.host_kernel_profile,
-                                op_name=f"{op.name}/LUT",
-                            )
-                            sp.set_attribute("model_seconds", lut_seconds)
+                    with tracer.span(
+                        f"op:{op.name}/LUT", engine=self.name, device="pim",
+                        category="lut",
+                    ) as sp:
+                        lut_seconds, device, lat = self._price_lut_op(
+                            shape, f"{op.name}/LUT"
+                        )
+                        sp.set_attribute("model_seconds", lut_seconds)
+                        if lat is None:
                             sp.set_attribute("device", device)
-                    else:
-                        device = "pim"
-                        with tracer.span(
-                            f"op:{op.name}/LUT", engine=self.name, device="pim",
-                            category="lut",
-                        ) as sp:
-                            tuned = self.tuner.tune(shape)
-                            lat = tuned.latency
-                            if self.overlap:
-                                lat = with_overlap(shape, tuned.mapping, lat)
+                        else:
                             # Op seconds and phases report the full
                             # sequential work; the pipelined saving lands
                             # in report.overlap_hidden_s, preserving the
                             # sum(phases) == total_s + hidden invariant.
-                            lut_seconds = lat.total + lat.overlap_hidden
                             report.overlap_hidden_s += lat.overlap_hidden
-                            # The analytical stages attribute the LUT op to
-                            # the same phases the simulator profiles.
-                            lut_phases = {
-                                "distribution": lat.sub_index + lat.sub_lut,
-                                "dma": lat.kernel_transfer,
-                                "reduce": lat.kernel_reduce,
-                                "gather": lat.sub_output,
-                                "launch": lat.launch,
-                            }
-                            sp.set_attribute("model_seconds", lut_seconds)
+                            lut_phases = lat.stage_phases()
                             if lat.overlap_hidden > 0:
                                 sp.set_attribute(
                                     "overlap_hidden_s", lat.overlap_hidden

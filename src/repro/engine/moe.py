@@ -22,7 +22,7 @@ re-searching for every count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .. import obs
 from ..baselines.roofline import RooflineDevice
@@ -127,13 +127,12 @@ def price_moe_ffn(
     num_ranks: int,
     v: int,
     ct: int,
-    ccs_time: Optional[Callable[[int, int], float]] = None,
+    ccs_time: Callable[[int, int], float],
 ) -> MoELayerCost:
     """Price one MoE FFN layer (see module docstring for the model).
 
-    ``ccs_time(n, h)`` defaults to a small-K roofline estimate mirroring
-    :meth:`repro.engine.engine.PIMDLEngine._ccs_time`; engines pass their
-    own so a measured host kernel profile flows through.
+    ``ccs_time(n, h)`` prices the host CCS of ``n`` routed rows; engines
+    pass their own, so a measured host kernel profile flows through.
     """
     if tokens <= 0:
         raise ValueError("tokens must be positive")
@@ -144,8 +143,6 @@ def price_moe_ffn(
             f"hidden_dim={hidden_dim} and ffn_dim={ffn_dim} must be "
             f"divisible by V={v}"
         )
-    if ccs_time is None:
-        ccs_time = _roofline_ccs(host, v, ct)
 
     trace = route_tokens(tokens, moe)
     counts = trace.expert_token_counts()
@@ -176,13 +173,7 @@ def price_moe_ffn(
             # Same stage attribution as the dense LUT op; partitions the
             # scaled total exactly, so critical-rank phases sum to the
             # makespan.
-            for phase, s in (
-                ("distribution", lat.sub_index + lat.sub_lut),
-                ("dma", lat.kernel_transfer),
-                ("reduce", lat.kernel_reduce),
-                ("gather", lat.sub_output),
-                ("launch", lat.launch),
-            ):
+            for phase, s in lat.stage_phases().items():
                 phases[phase] = phases.get(phase, 0.0) + s * scale
         expert_seconds.append(seconds)
         expert_phases.append(phases)
@@ -242,18 +233,3 @@ def _gate_time(host: RooflineDevice, tokens: int, h: int, experts: int) -> float
     gemm_bytes = (tokens * h + h * experts + tokens * experts) * 4.0
     select = host.op_time(tokens * experts, 2.0 * tokens * experts * 4.0)
     return host.op_time(gemm_flops, gemm_bytes) + select
-
-
-def _roofline_ccs(
-    host: RooflineDevice, v: int, ct: int
-) -> Callable[[int, int], float]:
-    """Default CCS estimate (mirrors ``PIMDLEngine._ccs_time``)."""
-
-    def ccs(n: int, h: int) -> float:
-        cb = h // v
-        distance = host.small_k_gemm_time(n * cb, v, ct)
-        argmin_bytes = n * cb * ct * 4.0 + n * cb
-        argmin = host.op_time(n * cb * ct, argmin_bytes)
-        return distance + argmin
-
-    return ccs

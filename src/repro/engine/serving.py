@@ -112,10 +112,6 @@ class GenerationServer:
         :func:`~repro.mapping.tuner.tune_model_parallel`) never re-runs
         Algorithm 1; searches it does perform are persisted for the next
         process.
-    tune_jobs:
-        Passed to both tuners as ``AutoTuner(jobs=...)``: validated
-        (negative raises, ``0`` means one per CPU) but it no longer changes
-        the bound-pruned serial search a cold cache still runs.
     host_kernel_profile:
         Measured host CCS throughput (:func:`repro.kernels.measure_host_kernels`);
         forwarded to both the prefill and decode engines so their latency
@@ -147,7 +143,6 @@ class GenerationServer:
         ct: int = 16,
         lut_nn: bool = True,
         mapping_cache: Optional[Union[MappingCache, str]] = None,
-        tune_jobs: int = 1,
         host_kernel_profile: Optional[HostKernelProfile] = None,
         resilience: Optional[RecoveryManager] = None,
         overlap: bool = False,
@@ -177,7 +172,6 @@ class GenerationServer:
                 tuner=AutoTuner(
                     platform,
                     amortize_lut_distribution=prefill_amortize,
-                    jobs=tune_jobs,
                     cache=mapping_cache,
                 ),
                 host_kernel_profile=host_kernel_profile,
@@ -189,7 +183,6 @@ class GenerationServer:
                 tuner=AutoTuner(
                     platform,
                     amortize_lut_distribution=True,
-                    jobs=tune_jobs,
                     cache=mapping_cache,
                 ),
                 host_kernel_profile=host_kernel_profile,

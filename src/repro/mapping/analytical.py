@@ -30,9 +30,11 @@ from .space import (
     OUTPUT_BYTES,
     TRAVERSALS,
     Mapping,
+    _load_count,
+    _loop_trips,
+    _pow2_divisors,
     is_legal,
 )
-from .space import _pow2_divisors
 
 
 @dataclass(frozen=True)
@@ -69,34 +71,21 @@ class LatencyBreakdown:
     def total(self) -> float:
         return self.sub_lut_partition + self.micro_kernel + self.launch
 
+    def stage_phases(self) -> Dict[str, float]:
+        """This kernel's stages under the phase names the simulator profiles.
 
-def _loop_trips(shape: LUTShape, mapping: Mapping) -> Dict[str, int]:
-    return {
-        "n": mapping.n_s_tile // mapping.n_m_tile,
-        "f": mapping.f_s_tile // mapping.f_m_tile,
-        "cb": shape.cb // mapping.cb_m_tile,
-    }
-
-
-def _load_count(traversal, trips: Dict[str, int], deps) -> int:
-    """Reloads of a tensor under a single-resident-tile buffer model.
-
-    The resident tile changes exactly when the tensor's tile tag (its
-    projection onto ``deps``) changes.  In a lexicographic loop nest that
-    happens once per iteration of every loop at or above the innermost
-    *moving* relevant loop — a relevant dim with a single trip never changes
-    the tag, so loops outer to it cause no eviction either.  When no
-    relevant dim moves, the single tile is loaded once.
-    """
-    moving = [traversal.index(d) for d in deps if trips[d] > 1]
-    if not moving:
-        return 1
-    innermost_moving = max(moving)
-    count = 1
-    for depth, dim in enumerate(traversal):
-        if depth <= innermost_moving:
-            count *= trips[dim]
-    return count
+        The one stage -> phase map of the engines and the MoE pricing.
+        ``dma`` is the full transfer work, so the phases sum to ``total +
+        overlap_hidden``; a caller that reports wall-clock phases sets
+        ``dma`` to :attr:`exposed_transfer`.
+        """
+        return {
+            "distribution": self.sub_index + self.sub_lut,
+            "dma": self.kernel_transfer,
+            "reduce": self.kernel_reduce,
+            "gather": self.sub_output,
+            "launch": self.launch,
+        }
 
 
 def pipeline_overlap_hidden(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import permutations
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.codebook import LUTShape
 from ..pim.platforms import PIMPlatform
@@ -85,6 +85,36 @@ def buffer_bytes_required(shape: LUTShape, mapping: Mapping) -> int:
     else:  # fine
         lut_buffer = FINE_GRAIN_SLOTS * mapping.f_load_tile * LUT_BYTES
     return index_tile + output_tile + lut_buffer
+
+
+def _loop_trips(shape: LUTShape, mapping: Mapping) -> Dict[str, int]:
+    """Trip counts of the micro-kernel loop nest, per dim (m-tiles)."""
+    return {
+        "n": mapping.n_s_tile // mapping.n_m_tile,
+        "f": mapping.f_s_tile // mapping.f_m_tile,
+        "cb": shape.cb // mapping.cb_m_tile,
+    }
+
+
+def _load_count(traversal, trips: Dict[str, int], deps) -> int:
+    """Reloads of a tensor under a single-resident-tile buffer model.
+
+    The resident tile changes exactly when the tensor's tile tag (its
+    projection onto ``deps``) changes.  In a lexicographic loop nest that
+    happens once per iteration of every loop at or above the innermost
+    *moving* relevant loop — a relevant dim with a single trip never changes
+    the tag, so loops outer to it cause no eviction either.  When no
+    relevant dim moves, the single tile is loaded once.
+    """
+    moving = [traversal.index(d) for d in deps if trips[d] > 1]
+    if not moving:
+        return 1
+    innermost_moving = max(moving)
+    count = 1
+    for depth, dim in enumerate(traversal):
+        if depth <= innermost_moving:
+            count *= trips[dim]
+    return count
 
 
 def is_legal(shape: LUTShape, mapping: Mapping, platform: PIMPlatform) -> bool:

@@ -30,7 +30,6 @@ same stream synchronously (the CLI uses it for ``--progress``).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -98,11 +97,6 @@ class AutoTuner:
         evaluation (per sub-LUT tiling in :meth:`tune`, skipped tilings
         included; per mapping in :meth:`tune_exhaustive`).  The search is
         silent without it.
-    jobs:
-        Accepted for compatibility and validated (negative raises, ``0``
-        means one per CPU), but the value no longer changes the search:
-        the bound-pruned serial search outruns a process pool, so results
-        and timings are the same for every value.
     cache:
         Optional persistent :class:`~repro.mapping.store.MappingCache`.
         Checked before any search (warm start: a hit evaluates zero
@@ -115,16 +109,12 @@ class AutoTuner:
         amortize_lut_distribution: bool = False,
         max_micro_kernels: Optional[int] = None,
         progress_callback: Optional[ProgressCallback] = None,
-        jobs: int = 1,
         cache: Optional["MappingCache"] = None,
     ):
-        if jobs < 0:
-            raise ValueError("jobs must be >= 0 (0 means one per CPU)")
         self.platform = platform
         self.amortize_lut_distribution = amortize_lut_distribution
         self.max_micro_kernels = max_micro_kernels
         self.progress_callback = progress_callback
-        self.jobs = jobs or (os.cpu_count() or 1)
         self.cache = cache
         self._cache: Dict[Tuple, TuningResult] = {}
 
@@ -318,7 +308,6 @@ def tune_model_parallel(
     platform: PIMPlatform,
     v: int = 4,
     ct: int = 16,
-    jobs: int = 0,
     cache: Optional["MappingCache"] = None,
     amortize_lut_distribution: bool = False,
 ) -> Dict[LUTShape, TuningResult]:
@@ -327,13 +316,10 @@ def tune_model_parallel(
     The offline entry point of the paper's workflow ("each model need to
     be tuned only once", §5.3): results land in ``cache`` when given, so
     serving processes warm-start instead of re-running Algorithm 1.
-    ``jobs`` is validated as in :class:`AutoTuner` but no longer changes
-    the search: each shape runs the bound-pruned serial search.
     """
     tuner = AutoTuner(
         platform,
         amortize_lut_distribution=amortize_lut_distribution,
-        jobs=jobs,
         cache=cache,
     )
     return tuner.tune_many(model_lut_shapes(config, v=v, ct=ct))

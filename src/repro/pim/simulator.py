@@ -18,7 +18,7 @@ to check that the distributed dataflow computes exactly what the reference
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from ..mapping.space import (
     LUT_BYTES,
     OUTPUT_BYTES,
     Mapping,
+    _load_count,
+    _loop_trips,
     is_legal,
     num_pes_used,
 )
@@ -53,6 +55,34 @@ MAX_EXPLICIT_TILES = 100_000
 
 def _align(size: float) -> float:
     return ALIGN_BYTES * np.ceil(size / ALIGN_BYTES)
+
+
+#: Receives each step of the explicit walk as ``(kind, seconds, tile)``.
+EventSink = Callable[[str, float, Tuple[int, int, int]], None]
+
+
+class _EventCosts(NamedTuple):
+    """Per-event costs of one PE's micro-kernel loop nest (seconds, bytes).
+
+    Computed once per kernel by :meth:`PIMSimulator._event_costs` and read
+    by the explicit walk, the closed form and the phase reconstruction.
+    """
+
+    trips: Dict[str, int]
+    tiles: int
+    index_bytes: float  # one aligned index m-tile
+    output_bytes: float  # one aligned output m-tile
+    index_load: float
+    output_move: float  # one output m-tile load or store
+    static_stage: float  # static scheme: the sub-LUT staged before the loop
+    static_bytes: float
+    static_loads: int
+    lut_tile: float  # coarse / fine: one LUT tile visit, all its chunks
+    lut_chunks: int  # chunks per LUT tile visit
+    chunk_bytes: float
+    lookup: float  # per m-tile
+    reduce: float  # per m-tile: adds plus ``lookup``
+    loop_overhead: float  # per m-tile
 
 
 @dataclass
@@ -155,12 +185,78 @@ class PIMSimulator:
     # ------------------------------------------------------------------
     # Per-PE micro kernel
     # ------------------------------------------------------------------
+    def _event_costs(self, shape: LUTShape, mapping: Mapping) -> _EventCosts:
+        """The per-event costs of one PE's loop nest under ``mapping``."""
+        local = self.platform.local_memory
+        compute = self.platform.compute
+        trips = _loop_trips(shape, mapping)
+        index_bytes = _align(mapping.n_m_tile * mapping.cb_m_tile * INDEX_BYTES)
+        output_bytes = _align(mapping.n_m_tile * mapping.f_m_tile * OUTPUT_BYTES)
+
+        static_stage = static_bytes = 0.0
+        static_loads = 0
+        chunk_bytes = 0.0
+        lut_chunks = 0
+        if mapping.load_scheme == "static":
+            # Whole sub-LUT staged once, before the loop nest.
+            lut_total = shape.cb * shape.ct * mapping.f_s_tile * LUT_BYTES
+            static_bytes = _align(lut_total)
+            static_stage = local.latency(static_bytes, min(lut_total, 2048))
+            static_loads = int(np.ceil(lut_total / 2048))
+        elif mapping.load_scheme == "coarse":
+            chunk_bytes = _align(
+                mapping.cb_load_tile * shape.ct * mapping.f_load_tile * LUT_BYTES
+            )
+            lut_chunks = int(
+                np.ceil(mapping.cb_m_tile / mapping.cb_load_tile)
+                * np.ceil(mapping.f_m_tile / mapping.f_load_tile)
+            )
+        else:  # fine
+            chunk_bytes = _align(mapping.f_load_tile * LUT_BYTES)
+            lut_chunks = int(
+                mapping.n_m_tile
+                * mapping.cb_m_tile
+                * np.ceil(mapping.f_m_tile / mapping.f_load_tile)
+            )
+        lut_tile = (
+            lut_chunks * local.latency(chunk_bytes, chunk_bytes) if lut_chunks else 0.0
+        )
+
+        lookup = compute.lookup_time(mapping.n_m_tile * mapping.cb_m_tile)
+        if mapping.load_scheme == "fine":
+            extra_chunks = max(int(np.ceil(mapping.f_m_tile / mapping.f_load_tile)) - 1, 0)
+            lookup += compute.lookup_time(
+                mapping.n_m_tile * mapping.cb_m_tile * extra_chunks
+            )
+        reduce = compute.add_time(
+            mapping.n_m_tile * mapping.cb_m_tile * mapping.f_m_tile
+        )
+        reduce += lookup
+        return _EventCosts(
+            trips=trips,
+            tiles=trips["n"] * trips["f"] * trips["cb"],
+            index_bytes=index_bytes,
+            output_bytes=output_bytes,
+            index_load=local.latency(index_bytes, index_bytes),
+            output_move=local.latency(output_bytes, output_bytes),
+            static_stage=static_stage,
+            static_bytes=static_bytes,
+            static_loads=static_loads,
+            lut_tile=lut_tile,
+            lut_chunks=lut_chunks,
+            chunk_bytes=chunk_bytes,
+            lookup=lookup,
+            reduce=reduce,
+            loop_overhead=LOOP_OVERHEAD_CYCLES / compute.frequency_hz,
+        )
+
     def _micro_kernel_time(
         self,
         shape: LUTShape,
         mapping: Mapping,
         phases: Optional[Dict[str, float]] = None,
         overlap: bool = False,
+        sink: Optional[EventSink] = None,
     ) -> Tuple[float, Dict[str, int]]:
         """Sequential micro-kernel time (and event counts) for one PE.
 
@@ -169,142 +265,59 @@ class PIMSimulator:
         is evaluated over the same per-tile events and the transfer time it
         hides is reported out-of-band as ``phases["overlap_hidden"]`` —
         callers subtract it from the kernel wall clock and the dma phase.
+
+        ``sink(kind, seconds, tile)`` receives every step of the explicit
+        walk, in order (see :meth:`_walk_loop_nest`); passing one forces the
+        walk whatever the tile count.
         """
-        platform = self.platform
-        local = platform.local_memory
-        compute = platform.compute
-
-        trips = {
-            "n": mapping.n_s_tile // mapping.n_m_tile,
-            "f": mapping.f_s_tile // mapping.f_m_tile,
-            "cb": shape.cb // mapping.cb_m_tile,
-        }
-        order = mapping.traversal
-        total_tiles = trips["n"] * trips["f"] * trips["cb"]
-
+        costs = self._event_costs(shape, mapping)
         counts = {
             "index_loads": 0,
             "output_loads": 0,
             "output_stores": 0,
-            "lut_loads": 0,
-            "tiles": total_tiles,
+            "lut_loads": costs.static_loads,
+            "tiles": costs.tiles,
         }
-        time_s = 0.0
-
-        mtile_index = _align(mapping.n_m_tile * mapping.cb_m_tile * INDEX_BYTES)
-        mtile_output = _align(mapping.n_m_tile * mapping.f_m_tile * OUTPUT_BYTES)
-
         # Static LUT staging happens once, before the loop nest.
-        static_stage_cost = 0.0
-        static_stage_bytes = 0.0
-        if mapping.load_scheme == "static":
-            lut_total = shape.cb * shape.ct * mapping.f_s_tile * LUT_BYTES
-            static_stage_cost = local.latency(_align(lut_total), min(lut_total, 2048))
-            static_stage_bytes = _align(lut_total)
-            time_s += static_stage_cost
-            counts["lut_loads"] += int(np.ceil(lut_total / 2048))
+        time_s = costs.static_stage
+        if sink is not None and mapping.load_scheme == "static":
+            sink("lut_load", costs.static_stage, (-1, -1, -1))
 
-        # Per-tile event costs, applied whenever the resident tile changes.
-        index_load_cost = local.latency(mtile_index, mtile_index)
-        output_load_cost = local.latency(mtile_output, mtile_output)
-        output_store_cost = output_load_cost
-
-        if mapping.load_scheme == "coarse":
-            chunk = _align(
-                mapping.cb_load_tile * shape.ct * mapping.f_load_tile * LUT_BYTES
-            )
-            chunks_per_tile = int(
-                np.ceil(mapping.cb_m_tile / mapping.cb_load_tile)
-                * np.ceil(mapping.f_m_tile / mapping.f_load_tile)
-            )
-            lut_tile_cost = chunks_per_tile * local.latency(chunk, chunk)
-        elif mapping.load_scheme == "fine":
-            chunk = _align(mapping.f_load_tile * LUT_BYTES)
-            chunks_per_tile = int(
-                mapping.n_m_tile
-                * mapping.cb_m_tile
-                * np.ceil(mapping.f_m_tile / mapping.f_load_tile)
-            )
-            # Parallel read slots hide part of the per-access setup.
-            lut_tile_cost = chunks_per_tile * local.latency(chunk, chunk)
-        else:
-            chunk = 0.0
-            chunks_per_tile = 0
-            lut_tile_cost = 0.0
-
-        lookup_per_tile = compute.lookup_time(mapping.n_m_tile * mapping.cb_m_tile)
-        if mapping.load_scheme == "fine":
-            extra_chunks = max(int(np.ceil(mapping.f_m_tile / mapping.f_load_tile)) - 1, 0)
-            lookup_per_tile += compute.lookup_time(
-                mapping.n_m_tile * mapping.cb_m_tile * extra_chunks
-            )
-        reduce_per_tile = compute.add_time(
-            mapping.n_m_tile * mapping.cb_m_tile * mapping.f_m_tile
-        )
-        reduce_per_tile += lookup_per_tile
-        loop_overhead = LOOP_OVERHEAD_CYCLES / compute.frequency_hz
-
-        tile_events: Optional[list] = (
-            [] if overlap and total_tiles <= MAX_EXPLICIT_TILES else None
-        )
-        if total_tiles <= MAX_EXPLICIT_TILES:
-            time_s += self._walk_loop_nest(
-                order,
-                trips,
-                mapping,
-                counts,
-                index_load_cost,
-                output_load_cost,
-                output_store_cost,
-                lut_tile_cost,
-                chunks_per_tile,
-                reduce_per_tile,
-                loop_overhead,
-                tile_events=tile_events,
-            )
+        explicit = sink is not None or costs.tiles <= MAX_EXPLICIT_TILES
+        tile_events: Optional[list] = [] if overlap and explicit else None
+        if explicit:
+            time_s += self._walk_loop_nest(mapping, costs, counts, tile_events, sink)
         else:
             # Aggregate using the same per-event costs and exact reuse
             # counts; only the Python loop is collapsed.
-            time_s += self._aggregate_loop_nest(
-                order,
-                trips,
-                mapping,
-                counts,
-                index_load_cost,
-                output_load_cost,
-                output_store_cost,
-                lut_tile_cost,
-                chunks_per_tile,
-                reduce_per_tile,
-                loop_overhead,
-            )
+            time_s += self._aggregate_loop_nest(mapping, costs, counts)
 
         if phases is not None:
             # Analytical re-attribution of the accumulated kernel time.  Each
             # component is reconstructed from the exact event counts, and the
             # reduce phase is the residual, so the partition sums to ``time_s``
             # exactly (no float drift against the walk above).
-            lut_dma_s = static_stage_cost
-            lut_dma_bytes = static_stage_bytes
-            if chunks_per_tile:
-                visits = counts["lut_loads"] // chunks_per_tile
-                lut_dma_s = visits * lut_tile_cost
-                lut_dma_bytes = counts["lut_loads"] * chunk
+            lut_dma_s = costs.static_stage
+            lut_dma_bytes = costs.static_bytes
+            if costs.lut_chunks:
+                visits = counts["lut_loads"] // costs.lut_chunks
+                lut_dma_s = visits * costs.lut_tile
+                lut_dma_bytes = counts["lut_loads"] * costs.chunk_bytes
             dma_s = (
-                counts["index_loads"] * index_load_cost
-                + counts["output_loads"] * output_load_cost
-                + counts["output_stores"] * output_store_cost
+                counts["index_loads"] * costs.index_load
+                + counts["output_loads"] * costs.output_move
+                + counts["output_stores"] * costs.output_move
                 + lut_dma_s
             )
-            overhead_s = counts["tiles"] * loop_overhead
-            lookup_s = counts["tiles"] * lookup_per_tile
+            overhead_s = counts["tiles"] * costs.loop_overhead
+            lookup_s = counts["tiles"] * costs.lookup
             phases["dma"] = dma_s
             phases["lookup"] = lookup_s
             phases["overhead"] = overhead_s
             phases["reduce"] = time_s - dma_s - lookup_s - overhead_s
             counts["dma_bytes"] = int(
-                counts["index_loads"] * mtile_index
-                + (counts["output_loads"] + counts["output_stores"]) * mtile_output
+                counts["index_loads"] * costs.index_bytes
+                + (counts["output_loads"] + counts["output_stores"]) * costs.output_bytes
                 + lut_dma_bytes
             )
             if overlap:
@@ -326,34 +339,38 @@ class PIMSimulator:
                     # Aggregate path (>MAX_EXPLICIT_TILES): uniform-tile
                     # closed form, (T-1)/T * min(in-loop transfer, compute).
                     tiles = counts["tiles"]
-                    in_loop_transfer = dma_s - static_stage_cost
-                    compute_total = tiles * (loop_overhead + reduce_per_tile)
+                    in_loop_transfer = dma_s - costs.static_stage
+                    compute_total = tiles * (costs.loop_overhead + costs.reduce)
                     hidden = (tiles - 1) / tiles * min(in_loop_transfer, compute_total)
                 phases["overlap_hidden"] = hidden
         return time_s, counts
 
     def _walk_loop_nest(
         self,
-        order,
-        trips,
-        mapping,
-        counts,
-        index_load_cost,
-        output_load_cost,
-        output_store_cost,
-        lut_tile_cost,
-        chunks_per_tile,
-        reduce_per_tile,
-        loop_overhead,
+        mapping: Mapping,
+        costs: _EventCosts,
+        counts: Dict[str, int],
         tile_events: Optional[list] = None,
+        sink: Optional[EventSink] = None,
     ) -> float:
         """Explicit tile-by-tile walk with resident-tile tags per tensor.
 
         When ``tile_events`` is a list, it receives one ``(transfer_s,
         compute_s)`` pair per tile for pipeline evaluation; the ``time_s``
         accumulation order is untouched either way, so the sequential total
-        stays bit-identical.
+        stays bit-identical.  ``sink`` receives each step as ``(kind,
+        seconds, (n, f, cb))``: an ``"overhead"`` step opens every tile,
+        then its ``index_load`` / ``output_store`` / ``output_load`` /
+        ``lut_load`` / ``reduce`` events, and a final ``output_store``
+        follows the last tile.
         """
+        trips = costs.trips
+        index_load = costs.index_load
+        output_move = costs.output_move
+        lut_tile = costs.lut_tile
+        reduce = costs.reduce
+        loop_overhead = costs.loop_overhead
+        tracing = sink is not None
         time_s = 0.0
         resident_index: Optional[Tuple[int, int]] = None
         resident_output: Optional[Tuple[int, int]] = None
@@ -362,7 +379,7 @@ class PIMSimulator:
         reload_lut = mapping.load_scheme in ("coarse", "fine")
 
         dims = {"n": 0, "f": 0, "cb": 0}
-        d0, d1, d2 = order
+        d0, d1, d2 = mapping.traversal
         for i0 in range(trips[d0]):
             dims[d0] = i0
             for i1 in range(trips[d1]):
@@ -371,24 +388,33 @@ class PIMSimulator:
                     dims[d2] = i2
                     time_s += loop_overhead
                     tile_transfer = 0.0
+                    if tracing:
+                        tile = (dims["n"], dims["f"], dims["cb"])
+                        sink("overhead", loop_overhead, tile)
 
                     index_tag = (dims["n"], dims["cb"])
                     if index_tag != resident_index:
-                        time_s += index_load_cost
-                        tile_transfer += index_load_cost
+                        time_s += index_load
+                        tile_transfer += index_load
                         counts["index_loads"] += 1
                         resident_index = index_tag
+                        if tracing:
+                            sink("index_load", index_load, tile)
 
                     output_tag = (dims["n"], dims["f"])
                     if output_tag != resident_output:
                         if resident_output is not None:
-                            time_s += output_store_cost
-                            tile_transfer += output_store_cost
+                            time_s += output_move
+                            tile_transfer += output_move
                             counts["output_stores"] += 1
+                            if tracing:
+                                sink("output_store", output_move, tile)
                         if output_tag in first_output_visit:
-                            time_s += output_load_cost
-                            tile_transfer += output_load_cost
+                            time_s += output_move
+                            tile_transfer += output_move
                             counts["output_loads"] += 1
+                            if tracing:
+                                sink("output_load", output_move, tile)
                         else:
                             first_output_visit.add(output_tag)
                         resident_output = output_tag
@@ -396,74 +422,53 @@ class PIMSimulator:
                     if reload_lut:
                         lut_tag = (dims["cb"], dims["f"])
                         if lut_tag != resident_lut:
-                            time_s += lut_tile_cost
-                            tile_transfer += lut_tile_cost
-                            counts["lut_loads"] += chunks_per_tile
+                            time_s += lut_tile
+                            tile_transfer += lut_tile
+                            counts["lut_loads"] += costs.lut_chunks
                             resident_lut = lut_tag
+                            if tracing:
+                                sink("lut_load", lut_tile, tile)
                         if mapping.load_scheme == "fine":
                             # Fine-grain always re-gathers per tile visit.
                             resident_lut = None
 
-                    time_s += reduce_per_tile
+                    time_s += reduce
+                    if tracing:
+                        sink("reduce", reduce, tile)
                     if tile_events is not None:
-                        tile_events.append(
-                            (tile_transfer, loop_overhead + reduce_per_tile)
-                        )
+                        tile_events.append((tile_transfer, loop_overhead + reduce))
         if resident_output is not None:
-            time_s += output_store_cost
+            time_s += output_move
             counts["output_stores"] += 1
+            if tracing:
+                sink("output_store", output_move, (dims["n"], dims["f"], dims["cb"]))
         return time_s
 
     def _aggregate_loop_nest(
-        self,
-        order,
-        trips,
-        mapping,
-        counts,
-        index_load_cost,
-        output_load_cost,
-        output_store_cost,
-        lut_tile_cost,
-        chunks_per_tile,
-        reduce_per_tile,
-        loop_overhead,
+        self, mapping: Mapping, costs: _EventCosts, counts: Dict[str, int]
     ) -> float:
         """Closed-form aggregation with identical per-event costs."""
-
-        def reuse_count(deps) -> int:
-            # Mirror of mapping.analytical._load_count: the resident tile is
-            # evicted once per iteration of loops at or above the innermost
-            # *moving* relevant dim (trip > 1); 1 load if nothing moves.
-            moving = [order.index(d) for d in deps if trips[d] > 1]
-            if not moving:
-                return 1
-            innermost = max(moving)
-            count = 1
-            for depth, dim in enumerate(order):
-                if depth <= innermost:
-                    count *= trips[dim]
-            return count
-
-        total_tiles = trips["n"] * trips["f"] * trips["cb"]
-        index_loads = reuse_count(("n", "cb"))
-        output_visits = reuse_count(("n", "f"))
+        order = mapping.traversal
+        trips = costs.trips
+        index_loads = _load_count(order, trips, ("n", "cb"))
+        output_visits = _load_count(order, trips, ("n", "f"))
         unique_outputs = trips["n"] * trips["f"]
         output_loads = output_visits - unique_outputs  # first visits zero-init
         output_stores = output_visits
 
-        time_s = total_tiles * (loop_overhead + reduce_per_tile)
-        time_s += index_loads * index_load_cost
-        time_s += output_loads * output_load_cost + output_stores * output_store_cost
+        time_s = costs.tiles * (costs.loop_overhead + costs.reduce)
+        time_s += index_loads * costs.index_load
+        time_s += output_loads * costs.output_move + output_stores * costs.output_move
         counts["index_loads"] += index_loads
         counts["output_loads"] += output_loads
         counts["output_stores"] += output_stores
         if mapping.load_scheme == "coarse":
-            lut_visits = reuse_count(("cb", "f"))
-            time_s += lut_visits * lut_tile_cost
-            counts["lut_loads"] += lut_visits * chunks_per_tile
+            lut_visits = _load_count(order, trips, ("cb", "f"))
+            time_s += lut_visits * costs.lut_tile
+            counts["lut_loads"] += lut_visits * costs.lut_chunks
         elif mapping.load_scheme == "fine":
-            time_s += total_tiles * lut_tile_cost
-            counts["lut_loads"] += total_tiles * chunks_per_tile
+            time_s += costs.tiles * costs.lut_tile
+            counts["lut_loads"] += costs.tiles * costs.lut_chunks
         return time_s
 
     # ------------------------------------------------------------------

@@ -6,25 +6,20 @@ and renders it as a text timeline.  Useful for understanding *why* a mapping
 is slow (e.g. seeing output partial-sum thrashing when the CB loop sits
 outside the N/F loops, paper §5.2.2).
 
-Tracing walks the loop nest explicitly, so it is intended for sub-LUT tiles
-of moderate size (the same ``MAX_EXPLICIT_TILES`` bound as the simulator).
+The events come from the simulator's own explicit loop-nest walk, so
+tracing is intended for sub-LUT tiles of moderate size (the same
+``MAX_EXPLICIT_TILES`` bound as the simulator).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
-
-import numpy as np
+from typing import List
 
 from ..core.codebook import LUTShape
-from ..mapping.space import INDEX_BYTES, OUTPUT_BYTES, LUT_BYTES, Mapping, is_legal
+from ..mapping.space import Mapping, _loop_trips, is_legal
 from .platforms import PIMPlatform
-from .simulator import ALIGN_BYTES, LOOP_OVERHEAD_CYCLES, MAX_EXPLICIT_TILES
-
-
-def _align(size: float) -> float:
-    return ALIGN_BYTES * np.ceil(size / ALIGN_BYTES)
+from .simulator import MAX_EXPLICIT_TILES, PIMSimulator
 
 
 @dataclass(frozen=True)
@@ -116,17 +111,15 @@ def trace_kernel(
 ) -> KernelTrace:
     """Trace one PE's micro-kernel execution under ``mapping``.
 
-    The event costs are identical to :class:`~repro.pim.simulator.PIMSimulator`'s
-    explicit walk, so ``trace.total_s`` matches the simulator's per-PE kernel
-    time for mappings within the explicit-walk bound.
+    The trace is a view of :class:`~repro.pim.simulator.PIMSimulator`'s
+    explicit loop-nest walk: each event carries the simulator's own cost,
+    and the loop overhead that opens every tile advances the clock without
+    an event, so ``trace.total_s`` is the simulator's per-PE kernel time
+    (up to summation order).
     """
     if not is_legal(shape, mapping, platform):
         raise ValueError(f"illegal mapping {mapping} for shape {shape}")
-    trips = {
-        "n": mapping.n_s_tile // mapping.n_m_tile,
-        "f": mapping.f_s_tile // mapping.f_m_tile,
-        "cb": shape.cb // mapping.cb_m_tile,
-    }
+    trips = _loop_trips(shape, mapping)
     total_tiles = trips["n"] * trips["f"] * trips["cb"]
     if total_tiles > MAX_EXPLICIT_TILES:
         raise ValueError(
@@ -134,90 +127,14 @@ def trace_kernel(
             f"choose larger m-tiles (bound {MAX_EXPLICIT_TILES})"
         )
 
-    local = platform.local_memory
-    compute = platform.compute
     trace = KernelTrace(shape=shape, mapping=mapping)
     clock = 0.0
 
-    def emit(kind: str, duration: float, tile: tuple) -> None:
+    def step(kind: str, seconds: float, tile: tuple) -> None:
         nonlocal clock
-        trace.events.append(TraceEvent(clock, duration, kind, tile))
-        clock += duration
+        if kind != "overhead":
+            trace.events.append(TraceEvent(clock, seconds, kind, tile))
+        clock += seconds
 
-    mtile_index = _align(mapping.n_m_tile * mapping.cb_m_tile * INDEX_BYTES)
-    mtile_output = _align(mapping.n_m_tile * mapping.f_m_tile * OUTPUT_BYTES)
-    index_cost = local.latency(mtile_index, mtile_index)
-    output_cost = local.latency(mtile_output, mtile_output)
-
-    if mapping.load_scheme == "static":
-        lut_total = shape.cb * shape.ct * mapping.f_s_tile * LUT_BYTES
-        emit("lut_load", local.latency(_align(lut_total), min(lut_total, 2048)), (-1,) * 3)
-        lut_tile_cost = 0.0
-    elif mapping.load_scheme == "coarse":
-        chunk = _align(mapping.cb_load_tile * shape.ct * mapping.f_load_tile * LUT_BYTES)
-        chunks = int(
-            np.ceil(mapping.cb_m_tile / mapping.cb_load_tile)
-            * np.ceil(mapping.f_m_tile / mapping.f_load_tile)
-        )
-        lut_tile_cost = chunks * local.latency(chunk, chunk)
-    else:
-        chunk = _align(mapping.f_load_tile * LUT_BYTES)
-        chunks = int(
-            mapping.n_m_tile
-            * mapping.cb_m_tile
-            * np.ceil(mapping.f_m_tile / mapping.f_load_tile)
-        )
-        lut_tile_cost = chunks * local.latency(chunk, chunk)
-
-    reduce_cost = compute.add_time(
-        mapping.n_m_tile * mapping.cb_m_tile * mapping.f_m_tile
-    ) + compute.lookup_time(mapping.n_m_tile * mapping.cb_m_tile)
-    if mapping.load_scheme == "fine":
-        extra = max(int(np.ceil(mapping.f_m_tile / mapping.f_load_tile)) - 1, 0)
-        reduce_cost += compute.lookup_time(mapping.n_m_tile * mapping.cb_m_tile * extra)
-    loop_overhead = LOOP_OVERHEAD_CYCLES / compute.frequency_hz
-
-    order = mapping.traversal
-    dims = {"n": 0, "f": 0, "cb": 0}
-    resident_index: Optional[tuple] = None
-    resident_output: Optional[tuple] = None
-    resident_lut: Optional[tuple] = None
-    seen_outputs: set = set()
-    reload_lut = mapping.load_scheme in ("coarse", "fine")
-
-    for i0 in range(trips[order[0]]):
-        dims[order[0]] = i0
-        for i1 in range(trips[order[1]]):
-            dims[order[1]] = i1
-            for i2 in range(trips[order[2]]):
-                dims[order[2]] = i2
-                tile = (dims["n"], dims["f"], dims["cb"])
-                clock += loop_overhead
-
-                index_tag = (dims["n"], dims["cb"])
-                if index_tag != resident_index:
-                    emit("index_load", index_cost, tile)
-                    resident_index = index_tag
-
-                output_tag = (dims["n"], dims["f"])
-                if output_tag != resident_output:
-                    if resident_output is not None:
-                        emit("output_store", output_cost, tile)
-                    if output_tag in seen_outputs:
-                        emit("output_load", output_cost, tile)
-                    else:
-                        seen_outputs.add(output_tag)
-                    resident_output = output_tag
-
-                if reload_lut:
-                    lut_tag = (dims["cb"], dims["f"])
-                    if lut_tag != resident_lut:
-                        emit("lut_load", lut_tile_cost, tile)
-                        resident_lut = lut_tag
-                    if mapping.load_scheme == "fine":
-                        resident_lut = None
-
-                emit("reduce", reduce_cost, tile)
-    if resident_output is not None:
-        emit("output_store", output_cost, (dims["n"], dims["f"], dims["cb"]))
+    PIMSimulator(platform)._micro_kernel_time(shape, mapping, sink=step)
     return trace

@@ -222,7 +222,6 @@ class RecoveryManager:
             self._remap_tuners[key] = AutoTuner(
                 degraded,
                 amortize_lut_distribution=tuner.amortize_lut_distribution,
-                jobs=1,
                 cache=tuner.cache,
             )
         return self._remap_tuners[key]

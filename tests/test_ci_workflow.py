@@ -134,6 +134,14 @@ class TestWorkflowFile:
                      "tests/test_obs_overhead.py"):
             assert path in step["run"]
 
+    def test_tests_job_runs_cost_model_parity(self, workflow):
+        """The LUT cost model's bit-level parity (engine reports, the
+        simulator sweep, trace vs. walk) is one explicit step."""
+        job = workflow["jobs"]["tests"]
+        step = next(s for s in job["steps"]
+                    if s.get("name", "").startswith("LUT cost-model parity"))
+        assert "tests/test_cost_model_parity.py" in step["run"]
+
     def test_tests_job_runs_persistent_cache_suite(self, workflow):
         """The mapping and kernel-schedule caches' shared entry primitive
         is checked in one explicit step."""

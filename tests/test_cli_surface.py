@@ -26,7 +26,7 @@ SERVING = {
 OPTIONS = {
     "platforms": {"--json"},
     "tune": {*SHAPE, *TELEMETRY, "--platform", "--amortize-lut", "--store",
-             "--jobs", "--cache", "--progress"},
+             "--cache", "--progress"},
     "simulate": {*SHAPE, *TELEMETRY, "--platform", "--store", "--cache",
                  "--overlap", "--profile"},
     "flops": {*SHAPE, "--json"},

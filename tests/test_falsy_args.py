@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from repro import cli, obs
+from repro.baselines import wimpy_host
 from repro.cli import _apply_layers_override, _resolve_slo_s
 from repro.core import quantize_lut
+from repro.engine import LUTDecodeEngine, PIMDLEngine
 from repro.kernels import (DEFAULT_BLOCK_ROWS, lut_gather_reduce,
                            lut_gather_reduce_quantized)
 from repro.obs import Tracer
@@ -184,3 +186,17 @@ class TestGatherBlockRows:
         np.testing.assert_array_equal(
             lut_gather_reduce_quantized(idx, qlut, block_rows=None),
             lut_gather_reduce_quantized(idx, qlut, block_rows=DEFAULT_BLOCK_ROWS))
+
+
+class TestLUTEngineHyperParameters:
+    """Non-positive ``v`` / ``ct`` fail when a LUT engine is built.
+
+    ``LUTDecodeEngine(v=0)`` used to construct and then raise
+    ``ZeroDivisionError`` inside ``run``.
+    """
+
+    @pytest.mark.parametrize("engine", [PIMDLEngine, LUTDecodeEngine])
+    @pytest.mark.parametrize("v,ct", [(0, 16), (-4, 16), (4, 0), (4, -1)])
+    def test_nonpositive_v_or_ct_rejected(self, engine, v, ct):
+        with pytest.raises(ValueError, match="v and ct must be positive"):
+            engine(get_platform("upmem"), wimpy_host(), v=v, ct=ct)

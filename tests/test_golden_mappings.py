@@ -99,12 +99,3 @@ def test_golden_mapping(tuner, shape, expected_mapping, expected_cost):
     assert result.mapping == expected_mapping
     assert result.cost == pytest.approx(expected_cost, rel=1e-12)
 
-
-@pytest.mark.slow
-def test_golden_table_holds_under_parallel_search():
-    """The pinned winners are job-count independent too."""
-    tuner = AutoTuner(get_platform("upmem"), jobs=2)
-    for shape, expected_mapping, expected_cost in GOLDEN:
-        result = tuner.tune(shape)
-        assert result.mapping == expected_mapping
-        assert result.cost == pytest.approx(expected_cost, rel=1e-12)

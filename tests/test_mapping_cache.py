@@ -188,7 +188,7 @@ class TestTunerCacheIntegration:
     def test_parallel_tuner_fills_cache_too(self, platform, tmp_path):
         shape = LUTShape(n=256, h=32, f=64, v=4, ct=8)
         cache = MappingCache(str(tmp_path))
-        AutoTuner(platform, jobs=2, cache=cache).tune(shape)
+        AutoTuner(platform, cache=cache).tune(shape)
         assert cache.get(platform, shape) is not None
 
     def test_amortize_modes_cached_separately(self, platform, tmp_path):

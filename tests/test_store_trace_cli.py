@@ -163,25 +163,13 @@ class TestCLI:
         assert counter.value == before
         assert "search skipped" in out
 
-    def test_tune_jobs_matches_serial(self, capsys, tmp_path):
+    def test_tune_rejects_jobs_flag(self, capsys):
+        """``tune --jobs`` is gone: argparse rejects it with status 2."""
         args = ["--n", "256", "--h", "32", "--f", "64", "--v", "4", "--ct", "8"]
-        assert main(["tune", *args]) == 0
-        serial_out = capsys.readouterr().out
-        assert main(["tune", *args, "--jobs", "2"]) == 0
-        parallel_out = capsys.readouterr().out
-
-        def mapping_rows(text):
-            # Normalize column padding: the "mapping source" cell width
-            # differs between the two runs and re-pads every row.
-            return [
-                " ".join(line.split())
-                for line in text.splitlines()
-                if line.strip() and "mapping source" not in line
-                and not set(line.strip()) <= {"-", " "}
-            ]
-
-        assert mapping_rows(serial_out) == mapping_rows(parallel_out)
-        assert "search (" in parallel_out and " tilings searched)" in parallel_out
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", *args, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_tune_cache_warm_start(self, capsys, tmp_path):
         from repro import obs
