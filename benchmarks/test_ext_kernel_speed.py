@@ -6,8 +6,9 @@ CT=16 -> CB=192 codebooks) against the reference implementations frozen
 in :mod:`repro.kernels.reference`.
 
 The acceptance bar: the combined CCS + LUT-lookup pipeline must be at
-least 3x faster than the references in float32.  float64, INT8, and the
-vectorized Lloyd update are reported as informational rows.
+least 3x faster than the references in float32.  float64, INT8, the
+vectorized Lloyd update and the batched k-means codebook build (against
+the per-column k-means, bit-identical) are reported as informational rows.
 """
 
 import time
@@ -15,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import quantize_lut
+from repro.core import Codebooks, quantize_lut
 from repro.kernels import (
     CCSKernel,
     lloyd_update,
@@ -24,6 +25,7 @@ from repro.kernels import (
 )
 from repro.kernels.reference import (
     ccs_reference,
+    codebooks_reference,
     lloyd_update_reference,
     lut_lookup_reference,
 )
@@ -100,13 +102,25 @@ def test_kernel_speed_bert_base(report):
     np.testing.assert_allclose(ker_pair[0], ref_cents, atol=1e-10)
     rows.append(("lloyd update", ref_km_s, ker_km_s))
 
+    # --- Codebook build: per-column k-means vs one batched k-means -------
+    ref_cb_s, ref_books = best_of(
+        lambda: codebooks_reference(x, V, CT, max_iters=10,
+                                    rng=np.random.default_rng(1))
+    )
+    ker_cb_s, books = best_of(
+        lambda: Codebooks.from_activations(x, V, CT, max_iters=10,
+                                           rng=np.random.default_rng(1))
+    )
+    assert np.array_equal(books.centroids, ref_books)
+    rows.append(("codebook build (k-means)", ref_cb_s, ker_cb_s))
+
     lines = [
         f"shape: N={N} H={H} F={F} V={V} CT={CT} (CB={CB}), best of {REPEATS}",
-        f"{'kernel':<16} {'reference_ms':>13} {'kernel_ms':>10} {'speedup':>8}",
+        f"{'kernel':<24} {'reference_ms':>13} {'kernel_ms':>10} {'speedup':>8}",
     ]
     for name, ref_s, ker_s in rows:
         lines.append(
-            f"{name:<16} {ref_s * 1e3:>13.3f} {ker_s * 1e3:>10.3f}"
+            f"{name:<24} {ref_s * 1e3:>13.3f} {ker_s * 1e3:>10.3f}"
             f" {ref_s / ker_s:>7.2f}x"
         )
 
@@ -114,7 +128,7 @@ def test_kernel_speed_bert_base(report):
     combined_ker = f32_ccs_s + ker_lut_s
     combined = combined_ref / combined_ker
     lines.append(
-        f"{'ccs+lookup f32':<16} {combined_ref * 1e3:>13.3f}"
+        f"{'ccs+lookup f32':<24} {combined_ref * 1e3:>13.3f}"
         f" {combined_ker * 1e3:>10.3f} {combined:>7.2f}x"
     )
     lines.append(f"float32 index agreement with float64 reference: {idx_match:.4%}")

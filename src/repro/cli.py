@@ -1529,6 +1529,20 @@ def _bench_host_lut(platform_name: str):
     return value, {"shape": "n512-cb64-f256-ct16"}
 
 
+def _bench_host_codebooks(platform_name: str):
+    """Measured: this machine's k-means codebook build (conversion step 1)."""
+    import numpy as np
+
+    from .core import Codebooks
+
+    acts = np.random.default_rng(0).normal(size=(256, 256))
+    value = _best_seconds(
+        lambda: Codebooks.from_activations(acts, v=4, ct=16, max_iters=10,
+                                           rng=np.random.default_rng(1)),
+        5, warmup=0)
+    return value, {"shape": "m256-h256-v4-ct16", "max_iters": 10}
+
+
 #: bench id -> (suite kind, runner).  Ids are stable across commits — they
 #: key the store history.
 _BENCH_REGISTRY = {
@@ -1538,6 +1552,7 @@ _BENCH_REGISTRY = {
     "sim.overlap-bert-base": ("modeled", _bench_sim_overlap_bert),
     "kernels.host-ccs": ("measured", _bench_host_ccs),
     "kernels.host-lut": ("measured", _bench_host_lut),
+    "kernels.host-codebooks": ("measured", _bench_host_codebooks),
     "kernels.schedule-search": ("measured", _bench_schedule_search),
 }
 

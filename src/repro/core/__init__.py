@@ -39,7 +39,7 @@ from .conversion import (
     record_activations,
     set_lut_mode,
 )
-from .kmeans import assign, kmeans, kmeans_plusplus_init
+from .kmeans import assign, kmeans, kmeans_columns, kmeans_plusplus_init
 from .lut import build_lut, lut_bytes, lut_lookup, lut_matmul, reduce_flops
 from .lut_linear import LUTLinear
 from .quantization import QuantizedLUT, quantization_error, quantize_lut
@@ -48,6 +48,7 @@ __all__ = [
     "LUTShape",
     "Codebooks",
     "kmeans",
+    "kmeans_columns",
     "kmeans_plusplus_init",
     "assign",
     "closest_centroid_search",

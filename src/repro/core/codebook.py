@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kmeans import kmeans
+from .kmeans import kmeans_columns
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,11 @@ class LUTShape:
         return self.n * self.f
 
 
+def _check_v_ct(v: int, ct: int) -> None:
+    if v <= 0 or ct <= 0:
+        raise ValueError(f"V and CT must be positive, got V={v}, CT={ct}")
+
+
 class Codebooks:
     """Per-column centroid codebooks of one LUT-converted layer.
 
@@ -104,8 +109,10 @@ class Codebooks:
         """Cluster activation sub-vectors into codebooks (conversion step 1).
 
         ``activations`` is an (M, H) matrix gathered from calibration data.
-        Each of the H/V columns is clustered independently with k-means.
+        Each of the H/V columns is clustered independently with k-means,
+        in column order, by one batched :func:`kmeans_columns` call.
         """
+        _check_v_ct(v, ct)
         activations = np.asarray(activations, dtype=np.float64)
         if activations.ndim != 2:
             raise ValueError("activations must be 2-D (rows, H)")
@@ -114,12 +121,8 @@ class Codebooks:
             raise ValueError(f"H={h} not divisible by V={v}")
         if m < ct:
             raise ValueError(f"need at least CT={ct} calibration rows, got {m}")
-        rng = rng or np.random.default_rng()
-        cb = h // v
-        sub = activations.reshape(m, cb, v)
-        centroids = np.empty((cb, ct, v), dtype=np.float64)
-        for col in range(cb):
-            centroids[col], _, _ = kmeans(sub[:, col, :], ct, max_iters=max_iters, rng=rng)
+        columns = activations.reshape(m, h // v, v).transpose(1, 0, 2)
+        centroids, _, _ = kmeans_columns(columns, ct, max_iters=max_iters, rng=rng)
         return cls(centroids)
 
     @classmethod
@@ -136,6 +139,7 @@ class Codebooks:
         column's activation statistics, so distances are on the right scale
         but carry no structure — calibration must learn the codebooks.
         """
+        _check_v_ct(v, ct)
         activations = np.asarray(activations, dtype=np.float64)
         m, h = activations.shape
         if h % v != 0:

@@ -16,11 +16,13 @@ inference, next to the table lookups on PIM).  Three kernel families:
   block in one step (an int32 sum for a shared scale, one contraction
   with the per-codebook scales otherwise).
 * :func:`lloyd_update` — a fully vectorized Lloyd's update (scatter means
-  via ``np.bincount``, one-shot empty-cluster reseed) used by the k-means
-  codebook builder.
+  via ``np.bincount``, one-shot empty-cluster reseed) for one column of
+  points or a (C, n, d) stack of columns, which the batched k-means
+  codebook build (:func:`repro.core.kmeans_columns`) updates together.
 
 :mod:`repro.kernels.reference` keeps the frozen pre-kernel implementations
-for parity property tests and speedup benchmarks, and
+(and the per-column k-means the batched build replaced) for parity
+property tests and speedup benchmarks, and
 :mod:`repro.kernels.profile` measures the kernels' actual throughput so
 the engine/serving latency models can use measured host constants.
 

@@ -110,6 +110,22 @@ class TestWorkflowFile:
             "Host kernels + benchmark self-test (explicit tier-1 member)")
         assert "tests/test_inference_mode.py" in step["run"]
 
+    def test_tests_job_runs_kmeans_parity(self, workflow):
+        """The batched k-means parity suite is one explicit step, ahead of
+        the host-kernel step whose benchmark self-test can stop the job."""
+        job = workflow["jobs"]["tests"]
+        names = [s.get("name", "") for s in job["steps"]]
+        step = next(s for s in job["steps"]
+                    if s.get("name", "").startswith("Codebook k-means parity"))
+        assert step["name"] == (
+            "Codebook k-means parity (explicit tier-1 member)")
+        for path in ("tests/test_kmeans_batched.py", "tests/test_kmeans.py",
+                     "tests/test_codebook.py"):
+            assert path in step["run"]
+        kernels = next(i for i, name in enumerate(names)
+                       if name.startswith("Host kernels + benchmark"))
+        assert names.index(step["name"]) < kernels
+
     def test_tests_job_runs_cli_suite(self, workflow):
         """The CLI's parity, usage-error and parser-surface tests are one
         explicit step."""
@@ -198,6 +214,12 @@ class TestWorkflowFile:
 
         assert _BENCH_REGISTRY["sim.overlap-bert-base"][0] == "modeled"
         assert _BENCH_REGISTRY["kernels.schedule-search"][0] == "measured"
+
+    def test_codebook_bench_registered_as_measured(self):
+        """`bench run --suite measured` times the k-means codebook build."""
+        from repro.cli import _BENCH_REGISTRY
+
+        assert _BENCH_REGISTRY["kernels.host-codebooks"][0] == "measured"
 
     def test_tests_job_python_matrix(self, workflow):
         versions = workflow["jobs"]["tests"]["strategy"]["matrix"]["python-version"]

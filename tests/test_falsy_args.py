@@ -15,7 +15,7 @@ import pytest
 from repro import cli, obs
 from repro.baselines import wimpy_host
 from repro.cli import _apply_layers_override, _resolve_slo_s
-from repro.core import quantize_lut
+from repro.core import Codebooks, quantize_lut
 from repro.engine import LUTDecodeEngine, PIMDLEngine
 from repro.kernels import (DEFAULT_BLOCK_ROWS, lut_gather_reduce,
                            lut_gather_reduce_quantized)
@@ -200,3 +200,20 @@ class TestLUTEngineHyperParameters:
     def test_nonpositive_v_or_ct_rejected(self, engine, v, ct):
         with pytest.raises(ValueError, match="v and ct must be positive"):
             engine(get_platform("upmem"), wimpy_host(), v=v, ct=ct)
+
+
+class TestCodebookHyperParameters:
+    """Non-positive ``v`` / ``ct`` fail on entry to both codebook constructors.
+
+    ``v=0`` used to raise ``ZeroDivisionError`` in both,
+    ``random_init(ct=0)`` returned a (CB, 0, V) codebook, and negative
+    values failed inside numpy reshapes with unrelated messages.
+    """
+
+    @pytest.mark.parametrize("build", ["from_activations", "random_init"])
+    @pytest.mark.parametrize("v,ct", [(0, 4), (-2, 4), (2, 0), (2, -1)])
+    def test_nonpositive_v_or_ct_rejected(self, build, v, ct):
+        acts = np.random.default_rng(0).normal(size=(16, 8))
+        with pytest.raises(ValueError, match="V and CT must be positive"):
+            getattr(Codebooks, build)(acts, v=v, ct=ct,
+                                      rng=np.random.default_rng(1))
