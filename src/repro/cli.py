@@ -90,7 +90,14 @@ from . import obs
 from .analysis import format_table
 from .core import LUTShape, flop_reduction, gemm_ops, lutnn_ops
 from .kernels.profile import _best_seconds
-from .mapping import AutoTuner, Mapping, MappingCache, MappingStore, estimate_latency
+from .mapping import (
+    AutoTuner,
+    Mapping,
+    MappingCache,
+    MappingStore,
+    estimate_latency,
+    model_lut_shapes,
+)
 from .pim import PIMSimulator, PLATFORMS, get_platform, trace_kernel
 from .workloads import EVAL_MODELS
 
@@ -313,7 +320,7 @@ def _resolve_slo_s(value_ms: Optional[float], default_s: float, flag: str) -> fl
 
 
 def _kernel_traces(shape: LUTShape, mapping: Mapping, platform) -> list:
-    """The micro-kernel trace, or none beyond the explicit-walk bound."""
+    """The micro-kernel trace, or none beyond the trace bound."""
     try:
         return [trace_kernel(shape, mapping, platform)]
     except ValueError as exc:
@@ -1543,6 +1550,30 @@ def _bench_host_codebooks(platform_name: str):
     return value, {"shape": "m256-h256-v4-ct16", "max_iters": 10}
 
 
+def _bench_sim_walk(platform_name: str):
+    """Measured: this machine's simulator speed, overlap on, over BERT-base's
+    tuned LUT mappings on every platform plus one 262,144-tile mapping."""
+    runs = []
+    for name in PLATFORMS:
+        platform = get_platform(name)
+        simulator, tuner = PIMSimulator(platform), AutoTuner(platform)
+        for shape in model_lut_shapes(EVAL_MODELS["bert-base"]):
+            runs.append((simulator, shape, tuner.tune(shape).mapping))
+    runs.append((
+        PIMSimulator(get_platform("upmem")),
+        LUTShape(n=8192, h=512, f=1024, v=4, ct=16),
+        Mapping(n_s_tile=4096, f_s_tile=512, n_m_tile=32, f_m_tile=8, cb_m_tile=4,
+                traversal=("cb", "f", "n"), load_scheme="coarse",
+                cb_load_tile=2, f_load_tile=4),
+    ))
+
+    def run_all():
+        for simulator, shape, mapping in runs:
+            simulator.run(shape, mapping, overlap=True)
+
+    return _best_seconds(run_all, 5, warmup=0), {"model": "bert-base", "mappings": len(runs)}
+
+
 #: bench id -> (suite kind, runner).  Ids are stable across commits — they
 #: key the store history.
 _BENCH_REGISTRY = {
@@ -1554,6 +1585,7 @@ _BENCH_REGISTRY = {
     "kernels.host-lut": ("measured", _bench_host_lut),
     "kernels.host-codebooks": ("measured", _bench_host_codebooks),
     "kernels.schedule-search": ("measured", _bench_schedule_search),
+    "sim.walk": ("measured", _bench_sim_walk),
 }
 
 

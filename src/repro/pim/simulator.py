@@ -1,13 +1,22 @@
 """Event-level simulator of LUT-NN kernels on the DRAM-PIM abstraction.
 
 Where :mod:`repro.mapping.analytical` evaluates paper Eqs. 3–10 in closed
-form, this simulator walks the micro-kernel loop nest tile by tile with an
-explicit on-chip buffer state, and serializes host<->PIM transfers over the
-shared rank buses (limitation L1 of paper §5.1).  Second-order effects the
-closed form ignores — per-DMA setup on every tile, 8-byte alignment padding,
-per-loop-iteration instruction overhead, zero-initialized first output visits
-— make its latency the "measured" reference that paper Fig. 13 compares the
-analytical model against (reporting avg 3.44% / max 13.73% error).
+form, this simulator walks the micro-kernel loop nest tile by tile, tracking
+which index, output and LUT tile each PE holds, and serializes host<->PIM
+transfers over the shared rank buses (limitation L1 of paper §5.1).
+Second-order effects the closed form ignores — per-DMA setup on every tile,
+8-byte alignment padding, per-loop-iteration instruction overhead,
+zero-initialized first output visits — make its latency the "measured"
+reference that paper Fig. 13 compares the analytical model against
+(reporting avg 3.44% / max 13.73% error).
+
+The walk is one numpy pass over fixed-size chunks of tiles, whatever the
+tile count: each tile's events come from changes of its loop indices, and
+their costs are summed in walk order with ``np.cumsum``, which adds
+sequentially, so the kernel time equals a tile-by-tile Python loop bit for
+bit.  The double-buffered pipeline (``overlap=True``) is evaluated exactly
+on the same per-tile arrays, and :func:`repro.pim.trace.trace_kernel`
+replays the same events.
 
 The simulator can also execute the kernel *functionally* (producing the
 actual output matrix from real index/LUT arrays), which the test suite uses
@@ -18,7 +27,7 @@ to check that the distributed dataflow computes exactly what the reference
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +41,6 @@ from ..mapping.space import (
     LUT_BYTES,
     OUTPUT_BYTES,
     Mapping,
-    _load_count,
     _loop_trips,
     is_legal,
     num_pes_used,
@@ -48,24 +56,38 @@ LOOP_OVERHEAD_CYCLES = 24.0
 #: aligned MRAM accesses).
 ALIGN_BYTES = 8
 
-#: Beyond this tile count the per-tile event loop is aggregated batch-wise;
-#: the costs remain identical, only Python iteration is collapsed.
-MAX_EXPLICIT_TILES = 100_000
+#: Tiles per chunk of the loop-nest walk.  It bounds the walk's working
+#: arrays (192 KiB of per-event seconds) whatever the tile count.  On a
+#: 2-core Xeon, fresh processes walked Fig. 13's sampled mappings in
+#: 3.4 s with 4,096-tile chunks, 3.8 s with 2,048 and 5.0 s with 8,192.
+WALK_CHUNK_TILES = 4_096
+
+#: The events an m-tile can issue, in walk order: the loop overhead opens
+#: every tile and the reduce closes it.
+TILE_EVENTS = (
+    "overhead", "index_load", "output_store", "output_load", "lut_load", "reduce",
+)
 
 
 def _align(size: float) -> float:
     return ALIGN_BYTES * np.ceil(size / ALIGN_BYTES)
 
 
-#: Receives each step of the explicit walk as ``(kind, seconds, tile)``.
-EventSink = Callable[[str, float, Tuple[int, int, int]], None]
+def _clock(start: float, steps: np.ndarray) -> np.ndarray:
+    """``start``, then the running sum as each of ``steps`` is added.
+
+    ``np.cumsum`` adds left to right, one element at a time, so
+    ``_clock(t, steps)[-1]`` equals ``t += step`` over ``steps`` in a
+    Python loop bit for bit.
+    """
+    return np.cumsum(np.concatenate(([start], steps.ravel())))
 
 
 class _EventCosts(NamedTuple):
     """Per-event costs of one PE's micro-kernel loop nest (seconds, bytes).
 
     Computed once per kernel by :meth:`PIMSimulator._event_costs` and read
-    by the explicit walk, the closed form and the phase reconstruction.
+    by the walk's pricing, the phase reconstruction and the trace replay.
     """
 
     trips: Dict[str, int]
@@ -83,6 +105,14 @@ class _EventCosts(NamedTuple):
     lookup: float  # per m-tile
     reduce: float  # per m-tile: adds plus ``lookup``
     loop_overhead: float  # per m-tile
+
+    @property
+    def tile_seconds(self) -> Tuple[float, ...]:
+        """Seconds of each :data:`TILE_EVENTS` entry, in that order."""
+        return (
+            self.loop_overhead, self.index_load, self.output_move,
+            self.output_move, self.lut_tile, self.reduce,
+        )
 
 
 @dataclass
@@ -250,226 +280,119 @@ class PIMSimulator:
             loop_overhead=LOOP_OVERHEAD_CYCLES / compute.frequency_hz,
         )
 
+    def _walk(
+        self, mapping: Mapping, costs: _EventCosts
+    ) -> Iterator[Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]:
+        """The loop nest in chunks of at most :data:`WALK_CHUNK_TILES` tiles.
+
+        Yields ``((n, f, cb), events)`` per chunk: each tile's loop indices
+        and a ``(tiles, len(TILE_EVENTS))`` bool array of the events it
+        issues.  A tile reloads its index m-tile when ``(n, cb)`` changes,
+        stores the resident output m-tile when ``(n, f)`` changes after tile
+        0, and loads it back when ``(n, f)`` changes at ``cb != 0`` (an
+        ``(n, f)`` is first visited at its ``cb = 0`` tile, zero-initialized).
+        Coarse LUT tiles reload when ``(cb, f)`` changes; the fine scheme
+        re-gathers on every tile.  Each chunk leads with the previous chunk's
+        last tile (tile -1 of the first chunk loads everything), so only
+        running sums carry across chunks.
+        """
+        trips = costs.trips
+        outer, middle, inner = mapping.traversal
+        scheme = mapping.load_scheme
+        for start in range(0, costs.tiles, WALK_CHUNK_TILES):
+            tile = np.arange(start - 1, min(start + WALK_CHUNK_TILES, costs.tiles))
+            loop = {
+                outer: tile // (trips[middle] * trips[inner]),
+                middle: tile // trips[inner] % trips[middle],
+                inner: tile % trips[inner],
+            }
+
+            def moved(*dims: str) -> np.ndarray:
+                changed = np.zeros(len(tile) - 1, dtype=bool)
+                changed[0] = start == 0
+                for dim in dims:
+                    changed |= loop[dim][1:] != loop[dim][:-1]
+                return changed
+
+            output = moved("n", "f")
+            events = np.ones((len(tile) - 1, len(TILE_EVENTS)), dtype=bool)
+            events[:, 1] = moved("n", "cb")
+            events[:, 2] = output & (tile[1:] > 0)
+            events[:, 3] = output & (loop["cb"][1:] != 0)
+            events[:, 4] = moved("cb", "f") if scheme == "coarse" else scheme == "fine"
+            yield (loop["n"][1:], loop["f"][1:], loop["cb"][1:]), events
+
     def _micro_kernel_time(
-        self,
-        shape: LUTShape,
-        mapping: Mapping,
-        phases: Optional[Dict[str, float]] = None,
-        overlap: bool = False,
-        sink: Optional[EventSink] = None,
-    ) -> Tuple[float, Dict[str, int]]:
-        """Sequential micro-kernel time (and event counts) for one PE.
+        self, shape: LUTShape, mapping: Mapping, overlap: bool = False
+    ) -> Tuple[float, Dict[str, int], Dict[str, float], float]:
+        """One PE's sequential micro-kernel time, event counts and phases.
 
-        The returned time is always the *sequential* loop-nest walk.  With
-        ``overlap=True`` (requires ``phases``), the double-buffered pipeline
-        is evaluated over the same per-tile events and the transfer time it
-        hides is reported out-of-band as ``phases["overlap_hidden"]`` —
-        callers subtract it from the kernel wall clock and the dma phase.
-
-        ``sink(kind, seconds, tile)`` receives every step of the explicit
-        walk, in order (see :meth:`_walk_loop_nest`); passing one forces the
-        walk whatever the tile count.
+        The time is the loop nest's events (see :meth:`_walk`) summed in
+        walk order after the static LUT staging, plus the store of the last
+        resident output m-tile.  The phases re-attribute it from the exact
+        event counts, with ``reduce`` the residual, so they sum to the time
+        exactly.  The last value is the transfer time the double-buffered
+        pipeline hides (0.0 unless ``overlap``): the transfer of tile
+        ``i+1`` runs under the compute of tile ``i``, so the pipelined span
+        is ``t₀ + Σ max(tᵢ, c) + c`` over per-tile transfers ``tᵢ`` and the
+        per-tile compute ``c``; the static staging (fill) and the last
+        store (drain) stay exposed.  Callers subtract it from the kernel
+        wall clock and the dma phase; it is strictly less than the dma
+        phase by construction.
         """
         costs = self._event_costs(shape, mapping)
+        seconds = np.array(costs.tile_seconds)
+        compute = costs.loop_overhead + costs.reduce
+        issued = np.zeros(len(TILE_EVENTS), dtype=np.int64)
+        walk_s = pipelined = sequential = 0.0
+        for chunk, (_, events) in enumerate(self._walk(mapping, costs)):
+            steps = np.where(events, seconds, 0.0)
+            issued += events.sum(axis=0)
+            walk_s = _clock(walk_s, steps)[-1]
+            if overlap:
+                transfer = steps[:, 1] + steps[:, 2] + steps[:, 3] + steps[:, 4]
+                stages = np.maximum(transfer, compute)
+                if chunk == 0:
+                    stages[0] = transfer[0]  # the fill: nothing to hide under
+                pipelined = _clock(pipelined, stages)[-1]
+                sequential = _clock(sequential, transfer + compute)[-1]
+        time_s = costs.static_stage + float(walk_s + costs.output_move)
         counts = {
-            "index_loads": 0,
-            "output_loads": 0,
-            "output_stores": 0,
-            "lut_loads": costs.static_loads,
+            "index_loads": int(issued[1]),
+            "output_loads": int(issued[3]),
+            "output_stores": int(issued[2]) + 1,
+            "lut_loads": costs.static_loads + costs.lut_chunks * int(issued[4]),
             "tiles": costs.tiles,
         }
-        # Static LUT staging happens once, before the loop nest.
-        time_s = costs.static_stage
-        if sink is not None and mapping.load_scheme == "static":
-            sink("lut_load", costs.static_stage, (-1, -1, -1))
 
-        explicit = sink is not None or costs.tiles <= MAX_EXPLICIT_TILES
-        tile_events: Optional[list] = [] if overlap and explicit else None
-        if explicit:
-            time_s += self._walk_loop_nest(mapping, costs, counts, tile_events, sink)
-        else:
-            # Aggregate using the same per-event costs and exact reuse
-            # counts; only the Python loop is collapsed.
-            time_s += self._aggregate_loop_nest(mapping, costs, counts)
-
-        if phases is not None:
-            # Analytical re-attribution of the accumulated kernel time.  Each
-            # component is reconstructed from the exact event counts, and the
-            # reduce phase is the residual, so the partition sums to ``time_s``
-            # exactly (no float drift against the walk above).
-            lut_dma_s = costs.static_stage
-            lut_dma_bytes = costs.static_bytes
-            if costs.lut_chunks:
-                visits = counts["lut_loads"] // costs.lut_chunks
-                lut_dma_s = visits * costs.lut_tile
-                lut_dma_bytes = counts["lut_loads"] * costs.chunk_bytes
-            dma_s = (
-                counts["index_loads"] * costs.index_load
-                + counts["output_loads"] * costs.output_move
-                + counts["output_stores"] * costs.output_move
-                + lut_dma_s
-            )
-            overhead_s = counts["tiles"] * costs.loop_overhead
-            lookup_s = counts["tiles"] * costs.lookup
-            phases["dma"] = dma_s
-            phases["lookup"] = lookup_s
-            phases["overhead"] = overhead_s
-            phases["reduce"] = time_s - dma_s - lookup_s - overhead_s
-            counts["dma_bytes"] = int(
-                counts["index_loads"] * costs.index_bytes
-                + (counts["output_loads"] + counts["output_stores"]) * costs.output_bytes
-                + lut_dma_bytes
-            )
-            if overlap:
-                # Double-buffered pipeline over the same per-tile events:
-                # the transfer of tile i+1 overlaps the reduce of tile i,
-                # each stage bounded by max(transfer, compute); the static
-                # LUT staging (fill) and trailing output store (drain) stay
-                # exposed.  ``hidden`` = sequential - pipelined, and is
-                # strictly less than the dma phase by construction.
-                hidden = 0.0
-                if tile_events is not None and len(tile_events) > 1:
-                    pipelined = tile_events[0][0]
-                    for i in range(1, len(tile_events)):
-                        pipelined += max(tile_events[i][0], tile_events[i - 1][1])
-                    pipelined += tile_events[-1][1]
-                    sequential = sum(t + c for t, c in tile_events)
-                    hidden = max(sequential - pipelined, 0.0)
-                elif tile_events is None and counts["tiles"] > 1:
-                    # Aggregate path (>MAX_EXPLICIT_TILES): uniform-tile
-                    # closed form, (T-1)/T * min(in-loop transfer, compute).
-                    tiles = counts["tiles"]
-                    in_loop_transfer = dma_s - costs.static_stage
-                    compute_total = tiles * (costs.loop_overhead + costs.reduce)
-                    hidden = (tiles - 1) / tiles * min(in_loop_transfer, compute_total)
-                phases["overlap_hidden"] = hidden
-        return time_s, counts
-
-    def _walk_loop_nest(
-        self,
-        mapping: Mapping,
-        costs: _EventCosts,
-        counts: Dict[str, int],
-        tile_events: Optional[list] = None,
-        sink: Optional[EventSink] = None,
-    ) -> float:
-        """Explicit tile-by-tile walk with resident-tile tags per tensor.
-
-        When ``tile_events`` is a list, it receives one ``(transfer_s,
-        compute_s)`` pair per tile for pipeline evaluation; the ``time_s``
-        accumulation order is untouched either way, so the sequential total
-        stays bit-identical.  ``sink`` receives each step as ``(kind,
-        seconds, (n, f, cb))``: an ``"overhead"`` step opens every tile,
-        then its ``index_load`` / ``output_store`` / ``output_load`` /
-        ``lut_load`` / ``reduce`` events, and a final ``output_store``
-        follows the last tile.
-        """
-        trips = costs.trips
-        index_load = costs.index_load
-        output_move = costs.output_move
-        lut_tile = costs.lut_tile
-        reduce = costs.reduce
-        loop_overhead = costs.loop_overhead
-        tracing = sink is not None
-        time_s = 0.0
-        resident_index: Optional[Tuple[int, int]] = None
-        resident_output: Optional[Tuple[int, int]] = None
-        resident_lut: Optional[Tuple[int, int]] = None
-        first_output_visit: set = set()
-        reload_lut = mapping.load_scheme in ("coarse", "fine")
-
-        dims = {"n": 0, "f": 0, "cb": 0}
-        d0, d1, d2 = mapping.traversal
-        for i0 in range(trips[d0]):
-            dims[d0] = i0
-            for i1 in range(trips[d1]):
-                dims[d1] = i1
-                for i2 in range(trips[d2]):
-                    dims[d2] = i2
-                    time_s += loop_overhead
-                    tile_transfer = 0.0
-                    if tracing:
-                        tile = (dims["n"], dims["f"], dims["cb"])
-                        sink("overhead", loop_overhead, tile)
-
-                    index_tag = (dims["n"], dims["cb"])
-                    if index_tag != resident_index:
-                        time_s += index_load
-                        tile_transfer += index_load
-                        counts["index_loads"] += 1
-                        resident_index = index_tag
-                        if tracing:
-                            sink("index_load", index_load, tile)
-
-                    output_tag = (dims["n"], dims["f"])
-                    if output_tag != resident_output:
-                        if resident_output is not None:
-                            time_s += output_move
-                            tile_transfer += output_move
-                            counts["output_stores"] += 1
-                            if tracing:
-                                sink("output_store", output_move, tile)
-                        if output_tag in first_output_visit:
-                            time_s += output_move
-                            tile_transfer += output_move
-                            counts["output_loads"] += 1
-                            if tracing:
-                                sink("output_load", output_move, tile)
-                        else:
-                            first_output_visit.add(output_tag)
-                        resident_output = output_tag
-
-                    if reload_lut:
-                        lut_tag = (dims["cb"], dims["f"])
-                        if lut_tag != resident_lut:
-                            time_s += lut_tile
-                            tile_transfer += lut_tile
-                            counts["lut_loads"] += costs.lut_chunks
-                            resident_lut = lut_tag
-                            if tracing:
-                                sink("lut_load", lut_tile, tile)
-                        if mapping.load_scheme == "fine":
-                            # Fine-grain always re-gathers per tile visit.
-                            resident_lut = None
-
-                    time_s += reduce
-                    if tracing:
-                        sink("reduce", reduce, tile)
-                    if tile_events is not None:
-                        tile_events.append((tile_transfer, loop_overhead + reduce))
-        if resident_output is not None:
-            time_s += output_move
-            counts["output_stores"] += 1
-            if tracing:
-                sink("output_store", output_move, (dims["n"], dims["f"], dims["cb"]))
-        return time_s
-
-    def _aggregate_loop_nest(
-        self, mapping: Mapping, costs: _EventCosts, counts: Dict[str, int]
-    ) -> float:
-        """Closed-form aggregation with identical per-event costs."""
-        order = mapping.traversal
-        trips = costs.trips
-        index_loads = _load_count(order, trips, ("n", "cb"))
-        output_visits = _load_count(order, trips, ("n", "f"))
-        unique_outputs = trips["n"] * trips["f"]
-        output_loads = output_visits - unique_outputs  # first visits zero-init
-        output_stores = output_visits
-
-        time_s = costs.tiles * (costs.loop_overhead + costs.reduce)
-        time_s += index_loads * costs.index_load
-        time_s += output_loads * costs.output_move + output_stores * costs.output_move
-        counts["index_loads"] += index_loads
-        counts["output_loads"] += output_loads
-        counts["output_stores"] += output_stores
-        if mapping.load_scheme == "coarse":
-            lut_visits = _load_count(order, trips, ("cb", "f"))
-            time_s += lut_visits * costs.lut_tile
-            counts["lut_loads"] += lut_visits * costs.lut_chunks
-        elif mapping.load_scheme == "fine":
-            time_s += costs.tiles * costs.lut_tile
-            counts["lut_loads"] += costs.tiles * costs.lut_chunks
-        return time_s
+        lut_dma_s = costs.static_stage
+        lut_dma_bytes = costs.static_bytes
+        if costs.lut_chunks:
+            lut_dma_s = int(issued[4]) * costs.lut_tile
+            lut_dma_bytes = counts["lut_loads"] * costs.chunk_bytes
+        dma_s = (
+            counts["index_loads"] * costs.index_load
+            + counts["output_loads"] * costs.output_move
+            + counts["output_stores"] * costs.output_move
+            + lut_dma_s
+        )
+        lookup_s = costs.tiles * costs.lookup
+        overhead_s = costs.tiles * costs.loop_overhead
+        phases = {
+            "dma": dma_s,
+            "lookup": lookup_s,
+            "overhead": overhead_s,
+            "reduce": time_s - dma_s - lookup_s - overhead_s,
+        }
+        counts["dma_bytes"] = int(
+            counts["index_loads"] * costs.index_bytes
+            + (counts["output_loads"] + counts["output_stores"]) * costs.output_bytes
+            + lut_dma_bytes
+        )
+        hidden = 0.0
+        if overlap:  # one tile: fill and drain are the whole pipeline, 0.0
+            hidden = max(float(sequential - (pipelined + compute)), 0.0)
+        return time_s, counts, phases, hidden
 
     # ------------------------------------------------------------------
     # Functional execution
@@ -537,11 +460,9 @@ class PIMSimulator:
             injector.check_launch(self.platform)
             injector.check_transfer()
         distribution = self._distribution_time(shape, mapping)
-        kernel_phases: Dict[str, float] = {}
-        kernel, counts = self._micro_kernel_time(
-            shape, mapping, phases=kernel_phases, overlap=overlap
+        kernel, counts, kernel_phases, overlap_hidden = self._micro_kernel_time(
+            shape, mapping, overlap=overlap
         )
-        overlap_hidden = kernel_phases.pop("overlap_hidden", 0.0)
         if faulting:
             slowdown = injector.straggler_slowdown()
             if slowdown > 1.0:
@@ -580,10 +501,10 @@ class PIMSimulator:
         profile = PhaseProfile(
             phase_seconds={
                 "distribution": distribution,
-                "dma": kernel_phases.get("dma", 0.0),
-                "lookup": kernel_phases.get("lookup", 0.0),
-                "reduce": kernel_phases.get("reduce", kernel),
-                "overhead": kernel_phases.get("overhead", 0.0),
+                "dma": kernel_phases["dma"],
+                "lookup": kernel_phases["lookup"],
+                "reduce": kernel_phases["reduce"],
+                "overhead": kernel_phases["overhead"],
                 "gather": gather,
                 "launch": self.platform.kernel_launch_s,
             },

@@ -6,9 +6,10 @@ and renders it as a text timeline.  Useful for understanding *why* a mapping
 is slow (e.g. seeing output partial-sum thrashing when the CB loop sits
 outside the N/F loops, paper §5.2.2).
 
-The events come from the simulator's own explicit loop-nest walk, so
-tracing is intended for sub-LUT tiles of moderate size (the same
-``MAX_EXPLICIT_TILES`` bound as the simulator).
+The events are a replay of the simulator's own loop-nest walk.  The
+simulator prices any tile count; a trace keeps one Python object per
+event, so :func:`trace_kernel` refuses sub-LUT tiles past the trace bound,
+:data:`MAX_TRACE_TILES`.
 """
 
 from __future__ import annotations
@@ -16,10 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+import numpy as np
+
 from ..core.codebook import LUTShape
-from ..mapping.space import Mapping, _loop_trips, is_legal
+from ..mapping.space import Mapping, is_legal
 from .platforms import PIMPlatform
-from .simulator import MAX_EXPLICIT_TILES, PIMSimulator
+from .simulator import TILE_EVENTS, PIMSimulator, _clock
+
+#: The trace bound: most m-tiles one trace records (it bounds the event
+#: list, not the simulated timing).
+MAX_TRACE_TILES = 100_000
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ class KernelTrace:
             "count_by_kind": self.count_by_kind(),
         }
 
-    def render(self, width: int = 64, max_rows: int = 40) -> str:
+    def render(self, width: int = 64) -> str:
         """Plain-text timeline: one row per event kind, '#' marks busy time."""
         if not self.events:
             return "(empty trace)"
@@ -111,30 +118,37 @@ def trace_kernel(
 ) -> KernelTrace:
     """Trace one PE's micro-kernel execution under ``mapping``.
 
-    The trace is a view of :class:`~repro.pim.simulator.PIMSimulator`'s
-    explicit loop-nest walk: each event carries the simulator's own cost,
-    and the loop overhead that opens every tile advances the clock without
-    an event, so ``trace.total_s`` is the simulator's per-PE kernel time
-    (up to summation order).
+    The trace replays :class:`~repro.pim.simulator.PIMSimulator`'s walk:
+    each event carries the simulator's own cost, and the loop overhead
+    that opens every tile advances the clock without an event, so
+    ``trace.total_s`` is the simulator's per-PE kernel time (up to
+    summation order).
     """
     if not is_legal(shape, mapping, platform):
         raise ValueError(f"illegal mapping {mapping} for shape {shape}")
-    trips = _loop_trips(shape, mapping)
-    total_tiles = trips["n"] * trips["f"] * trips["cb"]
-    if total_tiles > MAX_EXPLICIT_TILES:
+    simulator = PIMSimulator(platform)
+    costs = simulator._event_costs(shape, mapping)
+    if costs.tiles > MAX_TRACE_TILES:
         raise ValueError(
-            f"trace would cover {total_tiles} tiles; "
-            f"choose larger m-tiles (bound {MAX_EXPLICIT_TILES})"
+            f"trace would cover {costs.tiles} tiles; "
+            f"choose larger m-tiles (trace bound {MAX_TRACE_TILES})"
         )
 
+    seconds = costs.tile_seconds
     trace = KernelTrace(shape=shape, mapping=mapping)
     clock = 0.0
-
-    def step(kind: str, seconds: float, tile: tuple) -> None:
-        nonlocal clock
-        if kind != "overhead":
-            trace.events.append(TraceEvent(clock, seconds, kind, tile))
-        clock += seconds
-
-    PIMSimulator(platform)._micro_kernel_time(shape, mapping, sink=step)
+    if mapping.load_scheme == "static":
+        trace.events.append(TraceEvent(clock, costs.static_stage, "lut_load", (-1, -1, -1)))
+        clock += costs.static_stage
+    for indices, events in simulator._walk(mapping, costs):
+        starts = _clock(clock, np.where(events, seconds, 0.0)).tolist()
+        clock = starts[-1]
+        tiles = list(zip(*(index.tolist() for index in indices)))
+        for row, kind in zip(*np.nonzero(events[:, 1:])):
+            kind += 1  # the overhead column issues no event
+            trace.events.append(TraceEvent(
+                starts[row * len(TILE_EVENTS) + kind], seconds[kind],
+                TILE_EVENTS[kind], tiles[row],
+            ))
+    trace.events.append(TraceEvent(clock, costs.output_move, "output_store", tiles[-1]))
     return trace

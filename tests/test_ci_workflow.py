@@ -152,11 +152,13 @@ class TestWorkflowFile:
 
     def test_tests_job_runs_cost_model_parity(self, workflow):
         """The LUT cost model's bit-level parity (engine reports, the
-        simulator sweep, trace vs. walk) is one explicit step."""
+        simulator sweep, trace vs. walk, the vectorized walk vs. the Python
+        reference walk) is one explicit step."""
         job = workflow["jobs"]["tests"]
         step = next(s for s in job["steps"]
                     if s.get("name", "").startswith("LUT cost-model parity"))
         assert "tests/test_cost_model_parity.py" in step["run"]
+        assert "tests/test_simulator_walk.py" in step["run"]
 
     def test_tests_job_runs_persistent_cache_suite(self, workflow):
         """The mapping and kernel-schedule caches' shared entry primitive
@@ -220,6 +222,12 @@ class TestWorkflowFile:
         from repro.cli import _BENCH_REGISTRY
 
         assert _BENCH_REGISTRY["kernels.host-codebooks"][0] == "measured"
+
+    def test_simulator_walk_bench_registered_as_measured(self):
+        """`bench run --suite measured` times the simulator itself."""
+        from repro.cli import _BENCH_REGISTRY
+
+        assert _BENCH_REGISTRY["sim.walk"][0] == "measured"
 
     def test_tests_job_python_matrix(self, workflow):
         versions = workflow["jobs"]["tests"]["strategy"]["matrix"]["python-version"]

@@ -1,5 +1,7 @@
 """Unit + property tests for the event-level PIM simulator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import Codebooks, LUTShape, build_lut, lut_lookup
 from repro.mapping import AutoTuner, Mapping
+from repro.mapping.space import LOAD_SCHEMES, TRAVERSALS, _load_count
 from repro.pim import PIMSimulator, get_platform
 
 
@@ -51,35 +54,27 @@ class TestTiming:
         with pytest.raises(ValueError):
             simulator.run(shape, Mapping(10, 8, 2, 2, 2))
 
-    def test_event_counts_match_reuse_model(self, simulator, shape, mapping):
-        rep = simulator.run(shape, mapping)
-        counts = rep.event_counts
-        trips_n = mapping.n_s_tile // mapping.n_m_tile
-        trips_f = mapping.f_s_tile // mapping.f_m_tile
-        trips_cb = shape.cb // mapping.cb_m_tile
-        assert counts["tiles"] == trips_n * trips_f * trips_cb
-        # Default traversal (n, f, cb): index depends on (n, cb) with cb
-        # innermost -> reloaded every tile.
-        assert counts["index_loads"] == counts["tiles"]
-        # Output resident across cb: stored once per (n, f) tile.
-        assert counts["output_stores"] == trips_n * trips_f
-
-    def test_explicit_walk_matches_aggregate(self, platform, shape, mapping):
-        """The tile-by-tile walk and the closed-form aggregation agree."""
-        import repro.pim.simulator as simmod
-
-        sim = PIMSimulator(platform)
-        explicit, counts_a = sim._micro_kernel_time(shape, mapping)
-        original = simmod.MAX_EXPLICIT_TILES
-        simmod.MAX_EXPLICIT_TILES = 0  # force aggregation
-        try:
-            aggregate, counts_b = sim._micro_kernel_time(shape, mapping)
-        finally:
-            simmod.MAX_EXPLICIT_TILES = original
-        assert aggregate == pytest.approx(explicit, rel=1e-9)
-        assert counts_a["index_loads"] == counts_b["index_loads"]
-        assert counts_a["output_stores"] == counts_b["output_stores"]
-        assert counts_a["lut_loads"] == counts_b["lut_loads"]
+    @pytest.mark.parametrize("trips_f", [2, 1], ids=["f-2-trips", "f-1-trip"])
+    @pytest.mark.parametrize("scheme", LOAD_SCHEMES)
+    @pytest.mark.parametrize("traversal", TRAVERSALS, ids="-".join)
+    def test_event_counts_match_reuse_model(self, simulator, shape, traversal, scheme,
+                                            trips_f):
+        """The walk reloads exactly what the analytical model's counter says."""
+        mapping = Mapping(n_s_tile=16, f_s_tile=8, n_m_tile=4, f_m_tile=8 // trips_f,
+                          cb_m_tile=2, traversal=traversal, load_scheme=scheme,
+                          cb_load_tile=2, f_load_tile=4)
+        counts = simulator.run(shape, mapping).event_counts
+        trips = {"n": 4, "f": trips_f, "cb": shape.cb // 2}
+        assert counts["tiles"] == trips["n"] * trips["f"] * trips["cb"]
+        assert counts["index_loads"] == _load_count(traversal, trips, ("n", "cb"))
+        stores = _load_count(traversal, trips, ("n", "f"))
+        assert counts["output_stores"] == stores
+        # Each (n, f) output m-tile is zero-initialized on its first visit.
+        assert counts["output_loads"] == stores - trips["n"] * trips["f"]
+        if scheme == "coarse":
+            chunks = math.ceil(2 / 2) * math.ceil(mapping.f_m_tile / 4)
+            visits = _load_count(traversal, trips, ("cb", "f"))
+            assert counts["lut_loads"] == visits * chunks
 
     def test_agreement_with_analytical_model_at_optimum(self, platform):
         """Paper Fig. 13: the model tracks measured latency within ~15%."""
