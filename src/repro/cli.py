@@ -386,7 +386,7 @@ def cmd_tune(args) -> int:
     result = None
     source = None
     if store is not None:
-        result = store.get(args.platform, shape)
+        result = store.get(args.platform, shape, amortize=args.amortize_lut)
         if result is not None:
             source = f"store {args.store} (search skipped)"
     if result is None:
@@ -426,8 +426,8 @@ def cmd_tune(args) -> int:
             ["mapping source", source],
         ],
     ))
-    if store is not None and (args.platform, shape) not in store:
-        store.put(args.platform, result)
+    if store is not None and (args.platform, shape, args.amortize_lut) not in store:
+        store.put(args.platform, result, amortize=args.amortize_lut)
         store.save()
         print(f"mapping saved to {args.store}")
     return _finish_telemetry(args)

@@ -91,13 +91,6 @@ class EngineReport:
             for category, seconds in self.per_category_seconds().items()
         }
 
-    def category_breakdown(self) -> Dict[str, float]:
-        """Latency per category — the data behind paper Fig. 11-(a).
-
-        Alias of :meth:`per_category_seconds` kept for existing callers.
-        """
-        return self.per_category_seconds()
-
     def per_operator(self) -> Dict[str, float]:
         """Latency per operator name — the data behind paper Fig. 11-(b)."""
         out: Dict[str, float] = {}

@@ -24,16 +24,20 @@ import numpy as np
 from ..core.codebook import LUTShape
 from ..pim.platforms import PIMPlatform
 from .space import (
-    FINE_GRAIN_SLOTS,
     INDEX_BYTES,
     LUT_BYTES,
     OUTPUT_BYTES,
+    STATIC_ACCESS_BYTES,
     TRAVERSALS,
     Mapping,
+    MappingGrid,
     _load_count,
     _loop_trips,
-    _pow2_divisors,
+    fits_buffer,
     is_legal,
+    load_options,
+    m_tile_options,
+    tiling_bursts,
 )
 
 
@@ -142,27 +146,14 @@ def tiling_fixed_terms(
     The one source of these terms for :func:`estimate_latency`,
     :func:`search_micro_kernels` and :func:`tiling_lower_bound`.
     """
-    groups = shape.n // n_s_tile
-    pes_per_group = shape.f // f_s_tile
-    n_pes = groups * pes_per_group
-
     # Following Eq. 4, replicated tiles count their full per-PE traffic
     # against the (faster) broadcast bandwidth; unique tiles go at
     # scatter/gather bandwidth.
-    stile_index = n_s_tile * shape.cb * INDEX_BYTES
-    stile_lut = shape.cb * shape.ct * f_s_tile * LUT_BYTES
-    stile_output = n_s_tile * f_s_tile * OUTPUT_BYTES
+    def burst_s(burst) -> float:
+        return burst.link.latency(burst.total_bytes, tile_bytes=burst.tile_bytes)
 
-    index_pattern = platform.broadcast if pes_per_group > 1 else platform.scatter
-    lut_pattern = platform.broadcast if groups > 1 else platform.scatter
-
-    t_sub_index = index_pattern.latency(stile_index * n_pes, tile_bytes=stile_index)
-    t_sub_lut = (
-        0.0
-        if amortize_lut_distribution
-        else lut_pattern.latency(stile_lut * n_pes, tile_bytes=stile_lut)
-    )
-    t_sub_output = platform.gather.latency(stile_output * n_pes, tile_bytes=stile_output)
+    bursts = tiling_bursts(shape, n_s_tile, f_s_tile, platform)
+    t_sub_lut = 0.0 if amortize_lut_distribution else burst_s(bursts.lut)
 
     # Reduce: f_s additions per (row, codebook) pair plus one table-address
     # computation per lookup (Eq. 10, with t_single-reduce from the PE).
@@ -170,7 +161,7 @@ def tiling_fixed_terms(
     lookup_count = n_s_tile * shape.cb
     reduce_base = platform.compute.add_time(reduce_count)
     reduce_base += platform.compute.lookup_time(lookup_count)
-    return TilingFixedTerms(t_sub_index, t_sub_lut, t_sub_output, reduce_base)
+    return TilingFixedTerms(burst_s(bursts.index), t_sub_lut, burst_s(bursts.output), reduce_base)
 
 
 def tiling_lower_bound(
@@ -261,7 +252,7 @@ def estimate_latency(
     lut_unique = shape.cb * shape.ct * mapping.f_s_tile * LUT_BYTES
     if mapping.load_scheme == "static":
         # Whole sub-LUT staged once at kernel start (Fig. 9, scheme 1).
-        t_ld_lut = local.latency(lut_unique, min(lut_unique, 2048))
+        t_ld_lut = local.latency(lut_unique, min(lut_unique, STATIC_ACCESS_BYTES))
     elif mapping.load_scheme == "coarse":
         # All CT candidates of (cb_load x f_load) blocks staged per visit;
         # the LUT footprint is re-streamed whenever the N loop revisits it.
@@ -307,111 +298,59 @@ def search_micro_kernels(
     """Vectorized ``KernelSearch`` of paper Algorithm 1 (line 8).
 
     Evaluates the full micro-kernel space — tile factors x traversal orders
-    x load schemes — for one sub-LUT tiling with numpy grids, using exactly
-    the cost formulas of :func:`estimate_latency` (a property test in the
-    suite holds the two implementations together).  Returns the cheapest
-    legal ``(mapping, t_micro_kernel)`` or ``None`` when no candidate fits
-    the on-chip buffer.
+    x load schemes — for one sub-LUT tiling with numpy grids.  Candidates,
+    legality and reload counts are the :mod:`repro.mapping.space` rules
+    :func:`estimate_latency` reads; the cost formulas are its vectorized
+    form, which sums some terms in another order, so the two agree to a
+    relative 1e-9 (a property test in the suite holds them together), not
+    bit for bit.  Returns the cheapest legal ``(mapping, t_micro_kernel)``
+    or ``None`` when no candidate fits the on-chip buffer.
     """
     local = platform.local_memory
-    compute = platform.compute
     cb, ct = shape.cb, shape.ct
-
-    n_m_opts = np.array(_pow2_divisors(n_s_tile, limit=256))
-    f_m_opts = np.array(_pow2_divisors(f_s_tile, limit=256))
-    cb_m_opts = np.array(_pow2_divisors(cb, limit=256))
-    NM, FM, CBM = np.meshgrid(n_m_opts, f_m_opts, cb_m_opts, indexing="ij")
-    trips = {
-        "n": n_s_tile // NM,
-        "f": f_s_tile // FM,
-        "cb": cb // CBM,
-    }
-
-    mtile_index = NM * CBM * INDEX_BYTES
-    mtile_output = NM * FM * OUTPUT_BYTES
-    buffer_base = mtile_index + mtile_output
-
-    lut_unique = cb * ct * f_s_tile * LUT_BYTES
+    NM, FM, CBM = np.meshgrid(*m_tile_options(shape, n_s_tile, f_s_tile), indexing="ij")
     setup = local.access_setup_s
     bw = local.peak_bytes_per_s
-
+    t_index_tile = setup + NM * CBM * INDEX_BYTES / bw
+    t_output_tile = setup + NM * FM * OUTPUT_BYTES / bw
+    lut_unique = cb * ct * f_s_tile * LUT_BYTES
+    fine_total = n_s_tile * cb * f_s_tile * LUT_BYTES
     # Reduce time: constant across the grid except for fine-grain chunking.
-    lookup_count = n_s_tile * cb
     t_reduce_base = tiling_fixed_terms(shape, n_s_tile, f_s_tile, platform).reduce_base
 
-    def load_count(traversal, deps):
-        """Vectorized version of :func:`_load_count` over the tile grid.
-
-        Per candidate, the eviction depth is the innermost relevant loop
-        whose trip count exceeds one; the reload count is the product of
-        trips at or above it (1 when no relevant loop moves).
-        """
-        dep_depths = sorted(traversal.index(d) for d in deps)
-        prefix = [np.ones_like(NM, dtype=np.float64)]
-        for dim in traversal:
-            prefix.append(prefix[-1] * trips[dim])
-        # prefix[k+1] = product of trips at depth <= k.
-        # Walk outermost -> innermost so the innermost moving dim wins.
-        count = np.ones_like(NM, dtype=np.float64)
-        for depth in dep_depths:
-            dim = traversal[depth]
-            count = np.where(trips[dim] > 1, prefix[depth + 1], count)
-        return count
+    # Per load option: its legality over the grid (no traversal: legality
+    # and trip counts do not depend on it), the LUT seconds of one stream
+    # (coarse streams repeat per traversal) and the reduce extra.
+    variants = []
+    for scheme, cb_l, f_l in load_options(shape, f_s_tile):
+        grid = MappingGrid(n_s_tile, f_s_tile, NM, FM, CBM, None, scheme, cb_l, f_l)
+        extra = 0.0
+        if scheme == "static":  # the whole sub-LUT resident in the buffer
+            access = min(lut_unique, STATIC_ACCESS_BYTES)
+            t_lut = setup * (lut_unique / access) + lut_unique / bw
+        elif scheme == "coarse":  # all CT candidates, block-wise per visit
+            access = cb_l * ct * f_l * LUT_BYTES
+            t_lut = lut_unique / bw + setup * (lut_unique / access)
+        else:  # fine: gather only the indexed entries
+            access = f_l * LUT_BYTES
+            t_lut = fine_total / bw + setup * (fine_total / access)
+            chunks = max(f_s_tile // f_l, 1)
+            extra = platform.compute.lookup_time(n_s_tile * cb * (chunks - 1))
+        variants.append((grid, fits_buffer(shape, grid, platform), t_lut, extra))
+    trips = _loop_trips(shape, grid)  # the same for every load option
 
     best_cost = np.inf
     best: Optional[Tuple[Mapping, float]] = None
-
     for traversal in TRAVERSALS:
-        lcount_index = load_count(traversal, ("n", "cb"))
-        t_index = lcount_index * (setup + mtile_index / bw)
-        out_count = load_count(traversal, ("n", "f"))
-        t_output = 2.0 * out_count * (setup + mtile_output / bw)
+        t_index = _load_count(traversal, trips, ("n", "cb")) * t_index_tile
+        t_output = 2.0 * _load_count(traversal, trips, ("n", "f")) * t_output_tile
         base = t_index + t_output + t_reduce_base
-
-        variants = []
-        # Static: whole sub-LUT resident in the buffer.
-        static_access = min(lut_unique, 2048)
-        t_static = setup * (lut_unique / static_access) + lut_unique / bw
-        variants.append(("static", 1, 1, np.full_like(NM, t_static, dtype=np.float64),
-                         np.full_like(NM, float(lut_unique), dtype=np.float64), 0.0))
-        # Coarse-grain: stream all CT candidates block-wise per LUT visit.
-        revisit = load_count(traversal, ("cb", "f"))
-        full_visits = trips["cb"] * trips["f"]
-        streams = np.maximum(revisit // full_visits, 1.0)
-        for cb_l in _pow2_divisors(cb, limit=16):
-            for f_l in _pow2_divisors(f_s_tile, limit=64):
-                access = cb_l * ct * f_l * LUT_BYTES
-                t_coarse = streams * (
-                    lut_unique / bw + setup * (lut_unique / access)
-                )
-                variants.append(
-                    ("coarse", cb_l, f_l, t_coarse,
-                     np.full_like(NM, float(access), dtype=np.float64), 0.0)
-                )
-        # Fine-grain: gather only the indexed entries.
-        fine_total = n_s_tile * cb * f_s_tile * LUT_BYTES
-        for f_l in _pow2_divisors(f_s_tile, limit=128):
-            access = f_l * LUT_BYTES
-            t_fine = np.full_like(
-                NM, fine_total / bw + setup * (fine_total / access), dtype=np.float64
-            )
-            chunks = max(f_s_tile // f_l, 1)
-            extra = compute.lookup_time(lookup_count * (chunks - 1))
-            variants.append(
-                ("fine", 1, f_l, t_fine,
-                 np.full_like(NM, float(FINE_GRAIN_SLOTS * access), dtype=np.float64),
-                 extra)
-            )
-
-        for scheme, cb_l, f_l, t_lut, lut_buffer, reduce_extra in variants:
-            total = base + t_lut + reduce_extra
-            legal = (buffer_base + lut_buffer) <= local.buffer_bytes
-            # Load tiles must fit inside the m-tile (see space.is_legal).
-            if scheme == "coarse":
-                legal = legal & (cb_l <= CBM) & (f_l <= FM)
-            elif scheme == "fine":
-                legal = legal & (f_l <= FM)
-            masked = np.where(legal, total, np.inf)
+        revisit = _load_count(traversal, trips, ("cb", "f"))
+        streams = np.maximum(revisit // (trips["cb"] * trips["f"]), 1.0)
+        for grid, legal, t_lut, extra in variants:
+            if grid.load_scheme == "coarse":
+                t_lut = streams * t_lut
+            masked = np.where(legal, base + t_lut + extra, np.inf)
             idx = np.unravel_index(np.argmin(masked), masked.shape)
             cost = masked[idx]
             if cost < best_cost:
@@ -424,9 +363,9 @@ def search_micro_kernels(
                         f_m_tile=int(FM[idx]),
                         cb_m_tile=int(CBM[idx]),
                         traversal=traversal,
-                        load_scheme=scheme,
-                        cb_load_tile=cb_l,
-                        f_load_tile=f_l,
+                        load_scheme=grid.load_scheme,
+                        cb_load_tile=grid.cb_load_tile,
+                        f_load_tile=grid.f_load_tile,
                     ),
                     best_cost,
                 )

@@ -9,16 +9,23 @@ A :class:`Mapping` bundles the four parameter groups of the auto-tuner:
 * **P3** tile traversal order — the loop nest permutation over (N, F, CB);
 * **P4** LUT load scheme — static / coarse-grain / fine-grain (Fig. 9),
   with their load-tile factors.
+
+It is also the one copy of the rules about how a mapping moves bytes,
+which the analytical model, its vectorized search, the simulator and the
+profiler all read: the host<->PIM bursts of a tiling, the candidate lists,
+buffer and load-tile legality, and tile reload counts.  Only the pricing
+of these moves differs between the model and the simulator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
 from itertools import permutations
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..core.codebook import LUTShape
-from ..pim.platforms import PIMPlatform
+from ..pim.platforms import PIMPlatform, TransferBandwidth
 
 LOAD_SCHEMES = ("static", "coarse", "fine")
 TRAVERSALS: Tuple[Tuple[str, str, str], ...] = tuple(permutations(("n", "f", "cb")))
@@ -32,6 +39,10 @@ OUTPUT_BYTES = 4
 #: Parallel read slots assumed for the fine-grain scheme (UPMEM hardware
 #: threads each keep an ``f_load_tile`` staging buffer, paper Fig. 9).
 FINE_GRAIN_SLOTS = 16
+
+#: Access size (bytes) in which the static scheme stages the whole sub-LUT
+#: into the buffer before the loop nest (Fig. 9, scheme 1).
+STATIC_ACCESS_BYTES = 2048
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,56 @@ def num_pes_used(shape: LUTShape, mapping: Mapping) -> int:
     return (shape.n // mapping.n_s_tile) * (shape.f // mapping.f_s_tile)
 
 
+#: :class:`Mapping`'s fields, unchecked, so numpy arrays can stand in for
+#: the tile factors: the rules below give arrays for such a grid where a
+#: mapping gives Python ints and bools (the vectorized search uses it).
+MappingGrid = namedtuple("MappingGrid", [f.name for f in fields(Mapping)])
+
+
+class Burst(NamedTuple):
+    """One tensor's host<->PIM burst under a sub-LUT tiling (paper Eq. 4):
+    one ``tile_bytes`` tile to (or from) each of ``pes`` PEs over ``link``."""
+
+    link: TransferBandwidth
+    tile_bytes: int
+    pes: int
+
+    @property
+    def total_bytes(self) -> int:
+        return self.tile_bytes * self.pes
+
+
+class TilingBursts(NamedTuple):
+    """The index and LUT distribution bursts and the output gather burst."""
+
+    index: Burst
+    lut: Burst
+    output: Burst
+
+
+def tiling_bursts(
+    shape: LUTShape, n_s_tile: int, f_s_tile: int, platform: PIMPlatform
+) -> TilingBursts:
+    """How the tiling ``(n_s_tile, f_s_tile)`` moves bytes between host and PEs.
+
+    The ``shape.f // f_s_tile`` PEs of a group share one index tile and the
+    ``shape.n // n_s_tile`` groups share each LUT tile: a tile with copies
+    on several PEs is broadcast, a unique one scattered.
+    """
+    groups = shape.n // n_s_tile
+    pes_per_group = shape.f // f_s_tile
+    pes = groups * pes_per_group
+
+    def fan_out(copies: int) -> TransferBandwidth:
+        return platform.broadcast if copies > 1 else platform.scatter
+
+    return TilingBursts(
+        index=Burst(fan_out(pes_per_group), n_s_tile * shape.cb * INDEX_BYTES, pes),
+        lut=Burst(fan_out(groups), shape.cb * shape.ct * f_s_tile * LUT_BYTES, pes),
+        output=Burst(platform.gather, n_s_tile * f_s_tile * OUTPUT_BYTES, pes),
+    )
+
+
 def buffer_bytes_required(shape: LUTShape, mapping: Mapping) -> int:
     """On-chip buffer footprint of the micro kernel under ``mapping``."""
     index_tile = mapping.n_m_tile * mapping.cb_m_tile * INDEX_BYTES
@@ -85,6 +146,17 @@ def buffer_bytes_required(shape: LUTShape, mapping: Mapping) -> int:
     else:  # fine
         lut_buffer = FINE_GRAIN_SLOTS * mapping.f_load_tile * LUT_BYTES
     return index_tile + output_tile + lut_buffer
+
+
+def fits_buffer(shape: LUTShape, mapping: Mapping, platform: PIMPlatform) -> bool:
+    """Whether the tiles fit the buffer and each load tile its m-tile (a
+    larger load block would stream bytes the tile never uses)."""
+    fits = buffer_bytes_required(shape, mapping) <= platform.local_memory.buffer_bytes
+    if mapping.load_scheme == "coarse":
+        fits = fits & (mapping.cb_load_tile <= mapping.cb_m_tile)
+    if mapping.load_scheme != "static":
+        fits = fits & (mapping.f_load_tile <= mapping.f_m_tile)
+    return fits
 
 
 def _loop_trips(shape: LUTShape, mapping: Mapping) -> Dict[str, int]:
@@ -104,16 +176,14 @@ def _load_count(traversal, trips: Dict[str, int], deps) -> int:
     happens once per iteration of every loop at or above the innermost
     *moving* relevant loop — a relevant dim with a single trip never changes
     the tag, so loops outer to it cause no eviction either.  When no
-    relevant dim moves, the single tile is loaded once.
+    relevant dim moves, the single tile is loaded once.  Trip counts may be
+    numpy grids.
     """
-    moving = [traversal.index(d) for d in deps if trips[d] > 1]
-    if not moving:
-        return 1
-    innermost_moving = max(moving)
-    count = 1
-    for depth, dim in enumerate(traversal):
-        if depth <= innermost_moving:
-            count *= trips[dim]
+    count = outer_iterations = 1
+    for dim in traversal:  # outermost first, so the innermost mover wins
+        outer_iterations = outer_iterations * trips[dim]
+        if dim in deps:  # where ``dim`` moves, the count becomes the product so far
+            count = count + (trips[dim] > 1) * (outer_iterations - count)
     return count
 
 
@@ -127,16 +197,7 @@ def is_legal(shape: LUTShape, mapping: Mapping, platform: PIMPlatform) -> bool:
         return False
     if num_pes_used(shape, mapping) > platform.num_pes:
         return False
-    # Load tiles must fit inside the micro-kernel tile they feed: a load
-    # block larger than the m-tile would stream bytes the tile never uses.
-    if mapping.load_scheme == "coarse":
-        if mapping.cb_load_tile > mapping.cb_m_tile:
-            return False
-        if mapping.f_load_tile > mapping.f_m_tile:
-            return False
-    if mapping.load_scheme == "fine" and mapping.f_load_tile > mapping.f_m_tile:
-        return False
-    return buffer_bytes_required(shape, mapping) <= platform.local_memory.buffer_bytes
+    return fits_buffer(shape, mapping, platform)
 
 
 def _pow2_divisors(value: int, limit: Optional[int] = None) -> List[int]:
@@ -152,6 +213,20 @@ def _pow2_divisors(value: int, limit: Optional[int] = None) -> List[int]:
     if limit is not None:
         out = [d for d in out if d <= limit]
     return out
+
+
+def m_tile_options(shape: LUTShape, n_s_tile: int, f_s_tile: int) -> Tuple[List[int], ...]:
+    """P2 candidates: the ``(n_m, f_m, cb_m)`` tile factors, each up to 256."""
+    return tuple(_pow2_divisors(v, limit=256) for v in (n_s_tile, f_s_tile, shape.cb))
+
+
+def load_options(shape: LUTShape, f_s_tile: int) -> List[Tuple[str, int, int]]:
+    """P4 candidates ``(load_scheme, cb_load_tile, f_load_tile)``, in order:
+    coarse blocks of up to 16 codebooks x 64 columns, fine chunks up to 128."""
+    coarse = [("coarse", cb_l, f_l) for cb_l in _pow2_divisors(shape.cb, limit=16)
+              for f_l in _pow2_divisors(f_s_tile, limit=64)]
+    fine = [("fine", 1, f_l) for f_l in _pow2_divisors(f_s_tile, limit=128)]
+    return [("static", 1, 1)] + coarse + fine
 
 
 def enumerate_sub_lut_tilings(
@@ -176,46 +251,23 @@ def enumerate_micro_kernels(
 ) -> Iterator[Mapping]:
     """All legal micro-kernel mappings for one sub-LUT tiling.
 
-    Enumerates P2 (power-of-two tile factors), P3 (all six traversal
-    orders), and P4 (three load schemes with power-of-two load tiles).
+    Enumerates P2 (:func:`m_tile_options`), P3 (all six traversal orders)
+    and P4 (:func:`load_options`).
     """
     count = 0
-    n_m_options = _pow2_divisors(n_s_tile, limit=256)
-    f_m_options = _pow2_divisors(f_s_tile, limit=256)
-    cb_m_options = _pow2_divisors(shape.cb, limit=256)
+    n_m_options, f_m_options, cb_m_options = m_tile_options(shape, n_s_tile, f_s_tile)
+    loads = load_options(shape, f_s_tile)
     for n_m in n_m_options:
         for f_m in f_m_options:
             for cb_m in cb_m_options:
                 for traversal in TRAVERSALS:
-                    for scheme in LOAD_SCHEMES:
-                        if scheme == "static":
-                            candidates = [
-                                Mapping(
-                                    n_s_tile, f_s_tile, n_m, f_m, cb_m,
-                                    traversal, "static",
-                                )
-                            ]
-                        elif scheme == "coarse":
-                            candidates = [
-                                Mapping(
-                                    n_s_tile, f_s_tile, n_m, f_m, cb_m,
-                                    traversal, "coarse",
-                                    cb_load_tile=cb_l, f_load_tile=f_l,
-                                )
-                                for cb_l in _pow2_divisors(shape.cb, limit=16)
-                                for f_l in _pow2_divisors(f_s_tile, limit=64)
-                            ]
-                        else:
-                            candidates = [
-                                Mapping(
-                                    n_s_tile, f_s_tile, n_m, f_m, cb_m,
-                                    traversal, "fine", f_load_tile=f_l,
-                                )
-                                for f_l in _pow2_divisors(f_s_tile, limit=128)
-                            ]
-                        for mapping in candidates:
-                            if is_legal(shape, mapping, platform):
-                                yield mapping
-                                count += 1
-                                if max_points is not None and count >= max_points:
-                                    return
+                    for scheme, cb_l, f_l in loads:
+                        mapping = Mapping(
+                            n_s_tile, f_s_tile, n_m, f_m, cb_m, traversal, scheme,
+                            cb_load_tile=cb_l, f_load_tile=f_l,
+                        )
+                        if is_legal(shape, mapping, platform):
+                            yield mapping
+                            count += 1
+                            if max_points is not None and count >= max_points:
+                                return

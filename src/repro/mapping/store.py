@@ -115,17 +115,20 @@ def _result_from_entry(entry: dict) -> TuningResult:
 
 
 class MappingStore:
-    """A JSON-backed registry of tuned mappings, keyed by platform + shape.
+    """A JSON-backed registry of tuned mappings, keyed by platform, shape
+    and amortization mode (``AutoTuner(amortize_lut_distribution=)``).
 
-    Entries are validated once, at load.  Constructing with a path loads it
-    *leniently*, so a damaged artifact degrades to re-tuning: an unusable
-    file starts an empty store and a malformed entry is dropped, each with
-    a ``RuntimeWarning``.  The explicit :meth:`load` raises ``ValueError``.
+    Full-mode entries keep the ``platform::shape`` key of older files, which
+    hold no amortized entries.  Entries are validated once, at load.
+    Constructing with a path loads it *leniently*, so a damaged artifact
+    degrades to re-tuning: an unusable file starts an empty store and a
+    malformed entry is dropped, each with a ``RuntimeWarning``.  The
+    explicit :meth:`load` raises ``ValueError``.
     """
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
-        self._entries: Dict[Tuple[str, LUTShape], TuningResult] = {}
+        self._entries: Dict[Tuple[str, LUTShape, bool], TuningResult] = {}
         if path and os.path.exists(path):
             try:
                 self._load(path, strict=False)
@@ -140,20 +143,23 @@ class MappingStore:
         return len(self._entries)
 
     def __contains__(self, key) -> bool:
-        platform_name, shape = key
-        return (platform_name, shape) in self._entries
+        """``(platform_name, shape)``, or with the amortization mode third."""
+        return self.get(*key) is not None
 
     @staticmethod
-    def _key(platform_name: str, shape: LUTShape) -> str:
-        return f"{platform_name}::{_shape_key(shape)}"
+    def _key(platform_name: str, shape: LUTShape, amortize: bool) -> str:
+        suffix = "-amortized" if amortize else ""
+        return f"{platform_name}::{_shape_key(shape)}{suffix}"
 
-    def put(self, platform_name: str, result: TuningResult) -> None:
+    def put(self, platform_name: str, result: TuningResult, amortize: bool = False) -> None:
         """Record a tuning result."""
-        self._entries[(platform_name, result.shape)] = result
+        self._entries[(platform_name, result.shape, amortize)] = result
 
-    def get(self, platform_name: str, shape: LUTShape) -> Optional[TuningResult]:
+    def get(
+        self, platform_name: str, shape: LUTShape, amortize: bool = False
+    ) -> Optional[TuningResult]:
         """Load a previously tuned mapping, or None when absent."""
-        return self._entries.get((platform_name, shape))
+        return self._entries.get((platform_name, shape, amortize))
 
     def save(self, path: Optional[str] = None) -> str:
         """Atomically write the registry to JSON; returns the path written."""
@@ -161,8 +167,11 @@ class MappingStore:
         if not path:
             raise ValueError("no path given to save the mapping store")
         entries = {
-            self._key(platform_name, shape): _result_to_entry(platform_name, result)
-            for (platform_name, shape), result in self._entries.items()
+            self._key(platform_name, shape, amortize): {
+                **_result_to_entry(platform_name, result),
+                "amortize_lut_distribution": amortize,
+            }
+            for (platform_name, shape, amortize), result in self._entries.items()
         }
         atomic_write_json(path, {"version": FORMAT_VERSION, "entries": entries})
         self.path = path
@@ -183,19 +192,20 @@ class MappingStore:
         entries = payload.get("entries")
         if not isinstance(entries, dict):
             raise ValueError("corrupt mapping store: no entries object")
-        loaded: Dict[Tuple[str, LUTShape], TuningResult] = {}
+        loaded: Dict[Tuple[str, LUTShape, bool], TuningResult] = {}
         for key, entry in entries.items():
             try:
                 platform_name, result = entry["platform"], _result_from_entry(entry)
-                if key != self._key(platform_name, result.shape):
-                    raise ValueError("key does not match the entry's platform/shape")
+                amortize = entry.get("amortize_lut_distribution", False) is True
+                if key != self._key(platform_name, result.shape, amortize):
+                    raise ValueError("key does not match the entry's platform/shape/mode")
             except (KeyError, TypeError, ValueError) as exc:
                 reason = f"malformed entry {key!r} in mapping store {path!r}: {exc}"
                 if strict:
                     raise ValueError(reason) from exc
                 warnings.warn(f"dropping {reason}", RuntimeWarning, stacklevel=3)
                 continue
-            loaded[(platform_name, result.shape)] = result
+            loaded[(platform_name, result.shape, amortize)] = result
         self._entries = loaded
         self.path = path
 

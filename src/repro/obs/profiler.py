@@ -397,7 +397,7 @@ def attribute_bottleneck(
     profile: PhaseProfile,
     platform=None,
     shape=None,
-    mapping=None,
+    bursts=None,
     dma_bytes: Optional[float] = None,
     top_k: int = 3,
 ) -> BottleneckReport:
@@ -405,7 +405,10 @@ def attribute_bottleneck(
 
     ``platform``/``shape`` enable roofline-relative utilization figures
     (duck-typed; any object with the :class:`~repro.pim.platforms.PIMPlatform`
-    attributes works).  ``dma_bytes`` is the per-PE local-memory traffic
+    attributes works).  ``bursts`` (a
+    :class:`~repro.mapping.space.TilingBursts`) are the host<->PIM bursts
+    the ``distribution`` and ``gather`` phases moved, each priced at its
+    own pattern's peak.  ``dma_bytes`` is the per-PE local-memory traffic
     the ``dma`` phase moved (the simulator records it in
     ``event_counts["dma_bytes"]``).
     """
@@ -420,22 +423,15 @@ def attribute_bottleneck(
             utilization["reduce"] = min(
                 total_adds / reduce_s / platform.peak_add_throughput, 1.0
             )
-        dist_s = phases.get("distribution", 0.0)
-        if dist_s > 0 and mapping is not None:
-            lut_bytes = float(shape.cb) * shape.ct * mapping.f_s_tile
-            index_bytes = float(mapping.n_s_tile) * shape.cb
-            n_pes = (shape.n // mapping.n_s_tile) * (shape.f // mapping.f_s_tile)
-            moved = n_pes * (lut_bytes + index_bytes)
-            utilization["distribution"] = min(
-                moved / dist_s / platform.broadcast.peak_bytes_per_s, 1.0
-            )
-        gather_s = phases.get("gather", 0.0)
-        if gather_s > 0 and mapping is not None:
-            # INT32 output accumulators (OUTPUT_BYTES in repro.mapping.space).
-            moved = float(shape.n) * shape.f * 4.0
-            utilization["gather"] = min(
-                moved / gather_s / platform.gather.peak_bytes_per_s, 1.0
-            )
+        transfers = {} if bursts is None else {
+            "distribution": (bursts.index, bursts.lut), "gather": (bursts.output,),
+        }
+        for phase, moved in transfers.items():
+            seconds = phases.get(phase, 0.0)
+            if seconds > 0:
+                utilization[phase] = min(sum(
+                    b.total_bytes / seconds / b.link.peak_bytes_per_s for b in moved
+                ), 1.0)
         dma_s = phases.get("dma", 0.0)
         if dma_s > 0 and dma_bytes:
             utilization["dma"] = min(

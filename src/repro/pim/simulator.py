@@ -40,10 +40,12 @@ from ..mapping.space import (
     INDEX_BYTES,
     LUT_BYTES,
     OUTPUT_BYTES,
+    STATIC_ACCESS_BYTES,
+    Burst,
     Mapping,
     _loop_trips,
     is_legal,
-    num_pes_used,
+    tiling_bursts,
 )
 from ..obs.profiler import PhaseProfile, build_rank_timelines
 from .platforms import PIMPlatform
@@ -153,11 +155,14 @@ class SimulationReport:
 
         if self.profile is None:
             raise ValueError("simulation ran without a phase profile")
+        bursts = None if platform is None else tiling_bursts(
+            self.shape, self.mapping.n_s_tile, self.mapping.f_s_tile, platform
+        )
         return attribute_bottleneck(
             self.profile,
             platform=platform,
             shape=self.shape,
-            mapping=self.mapping,
+            bursts=bursts,
             dma_bytes=self.event_counts.get("dma_bytes"),
             top_k=top_k,
         )
@@ -175,8 +180,8 @@ class PIMSimulator:
     #: Host-side command issue cost per PE per tensor burst (driver call).
     PER_PE_COMMAND_S = 0.05e-6
 
-    def _distribution_time(self, shape: LUTShape, mapping: Mapping) -> float:
-        """Transfer of index and LUT tiles to all PEs.
+    def _bursts_time(self, *bursts: Burst) -> float:
+        """Host seconds of bursts issued back to back to the same PEs.
 
         The pattern bandwidths in :class:`PIMPlatform` are *system-aggregate*
         figures (as measured in [33]), so replicated per-PE traffic is costed
@@ -184,33 +189,14 @@ class PIMSimulator:
         8-byte alignment padding, one bus setup per rank burst rather than
         one global setup, and per-PE command issue overhead.
         """
-        platform = self.platform
-        n_pes = num_pes_used(shape, mapping)
-        groups = shape.n // mapping.n_s_tile
-        pes_per_group = shape.f // mapping.f_s_tile
-
-        index_bytes = _align(mapping.n_s_tile * shape.cb * INDEX_BYTES)
-        lut_bytes = _align(shape.cb * shape.ct * mapping.f_s_tile * LUT_BYTES)
-        ranks = min(platform.ranks, n_pes)
-
-        index_pattern = platform.broadcast if pes_per_group > 1 else platform.scatter
-        lut_pattern = platform.broadcast if groups > 1 else platform.scatter
-
-        time_s = n_pes * index_bytes / index_pattern.rate(index_bytes)
-        time_s += n_pes * lut_bytes / lut_pattern.rate(lut_bytes)
-        time_s += ranks * (index_pattern.setup_latency_s + lut_pattern.setup_latency_s)
-        time_s += 2 * n_pes * self.PER_PE_COMMAND_S
-        return time_s
-
-    def _gather_time(self, shape: LUTShape, mapping: Mapping) -> float:
-        platform = self.platform
-        n_pes = num_pes_used(shape, mapping)
-        out_bytes = _align(mapping.n_s_tile * mapping.f_s_tile * OUTPUT_BYTES)
-        ranks = min(platform.ranks, n_pes)
-        time_s = n_pes * out_bytes / platform.gather.rate(out_bytes)
-        time_s += ranks * platform.gather.setup_latency_s
-        time_s += n_pes * self.PER_PE_COMMAND_S
-        return time_s
+        pes = bursts[0].pes
+        time_s = setup_s = 0.0
+        for burst in bursts:
+            tile_bytes = _align(burst.tile_bytes)
+            time_s += burst.pes * tile_bytes / burst.link.rate(tile_bytes)
+            setup_s += burst.link.setup_latency_s
+        time_s += min(self.platform.ranks, pes) * setup_s
+        return time_s + len(bursts) * pes * self.PER_PE_COMMAND_S
 
     # ------------------------------------------------------------------
     # Per-PE micro kernel
@@ -231,8 +217,8 @@ class PIMSimulator:
             # Whole sub-LUT staged once, before the loop nest.
             lut_total = shape.cb * shape.ct * mapping.f_s_tile * LUT_BYTES
             static_bytes = _align(lut_total)
-            static_stage = local.latency(static_bytes, min(lut_total, 2048))
-            static_loads = int(np.ceil(lut_total / 2048))
+            static_stage = local.latency(static_bytes, min(lut_total, STATIC_ACCESS_BYTES))
+            static_loads = int(np.ceil(lut_total / STATIC_ACCESS_BYTES))
         elif mapping.load_scheme == "coarse":
             chunk_bytes = _align(
                 mapping.cb_load_tile * shape.ct * mapping.f_load_tile * LUT_BYTES
@@ -459,7 +445,8 @@ class PIMSimulator:
             # is accumulated, exactly like a driver error on real HW.
             injector.check_launch(self.platform)
             injector.check_transfer()
-        distribution = self._distribution_time(shape, mapping)
+        bursts = tiling_bursts(shape, mapping.n_s_tile, mapping.f_s_tile, self.platform)
+        distribution = self._bursts_time(bursts.index, bursts.lut)
         kernel, counts, kernel_phases, overlap_hidden = self._micro_kernel_time(
             shape, mapping, overlap=overlap
         )
@@ -488,7 +475,7 @@ class PIMSimulator:
             # phase partition still sums to the (new) kernel_s exactly.
             kernel -= overlap_hidden
             kernel_phases["dma"] -= overlap_hidden
-        gather = self._gather_time(shape, mapping)
+        gather = self._bursts_time(bursts.output)
         output = None
         if indices is not None and lut is not None:
             exec_lut = np.asarray(lut)
@@ -497,7 +484,7 @@ class PIMSimulator:
                 device_lut = exec_lut
                 faults += ("lut_bit_flips",)
             output = self._execute(shape, mapping, np.asarray(indices), exec_lut)
-        n_pes = num_pes_used(shape, mapping)
+        n_pes = bursts.output.pes
         profile = PhaseProfile(
             phase_seconds={
                 "distribution": distribution,

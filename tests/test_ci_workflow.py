@@ -147,7 +147,9 @@ class TestWorkflowFile:
                      "tests/test_tuner_parallel.py",
                      "tests/test_golden_mappings.py",
                      "tests/test_obs_instrumentation.py",
-                     "tests/test_obs_overhead.py"):
+                     "tests/test_obs_overhead.py",
+                     "tests/test_analytical_model.py",
+                     "tests/test_mapping_space.py"):
             assert path in step["run"]
 
     def test_tests_job_runs_cost_model_parity(self, workflow):
@@ -157,8 +159,21 @@ class TestWorkflowFile:
         job = workflow["jobs"]["tests"]
         step = next(s for s in job["steps"]
                     if s.get("name", "").startswith("LUT cost-model parity"))
-        assert "tests/test_cost_model_parity.py" in step["run"]
-        assert "tests/test_simulator_walk.py" in step["run"]
+        for path in ("tests/test_cost_model_parity.py",
+                     "tests/test_simulator_walk.py",
+                     "tests/test_simulator.py",
+                     "tests/test_obs_profiler.py"):
+            assert path in step["run"]
+
+    def test_coverage_step_runs_after_a_failed_step(self, workflow):
+        """The full tier-1 run is not skipped when an earlier explicit
+        step (the benchmark self-test) fails; the job still fails."""
+        job = workflow["jobs"]["tests"]
+        step = next(s for s in job["steps"]
+                    if s.get("name", "").startswith("Tier-1 tests with coverage"))
+        assert step.get("if") == "${{ !cancelled() }}"
+        assert "continue-on-error" not in step
+        assert all("continue-on-error" not in s for s in job["steps"])
 
     def test_tests_job_runs_persistent_cache_suite(self, workflow):
         """The mapping and kernel-schedule caches' shared entry primitive

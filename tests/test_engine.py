@@ -84,7 +84,7 @@ class TestHostEngine:
 
     def test_category_breakdown_keys(self, small_bert):
         rep = HostEngine(cpu_server_fp32()).run(small_bert)
-        breakdown = rep.category_breakdown()
+        breakdown = rep.per_category_seconds()
         assert set(breakdown) == {"gemm", ATTENTION, ELEMENTWISE}
         assert sum(breakdown.values()) == pytest.approx(rep.total_s)
 
@@ -105,7 +105,7 @@ class TestGEMMPIMEngine:
 class TestPIMDLEngine:
     def test_linears_split_into_ccs_and_lut(self, small_bert, upmem):
         rep = PIMDLEngine(upmem, wimpy_host(), v=4, ct=16).run(small_bert)
-        cats = rep.category_breakdown()
+        cats = rep.per_category_seconds()
         assert cats["ccs"] > 0 and cats["lut"] > 0
         lut_ops = [op for op in rep.ops if op.category == "lut"]
         assert len(lut_ops) == small_bert.num_layers * 4

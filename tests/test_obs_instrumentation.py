@@ -150,8 +150,6 @@ class TestReportAggregations:
         assert devices["pim"] == pytest.approx(report.pim_s)
         shares = report.category_shares()
         assert sum(shares.values()) == pytest.approx(1.0)
-        # Back-compat alias stays in place.
-        assert report.category_breakdown() == cats
 
     def test_to_jsonable_round_trips(self, fresh_obs, platform):
         import json

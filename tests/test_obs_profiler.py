@@ -238,6 +238,32 @@ class TestBottleneckReport:
         assert all(0.0 <= u <= 1.0 for u in bn.utilization.values())
         assert bn.top_ranks  # at least one loaded rank
 
+    @pytest.mark.parametrize("n_s_tile, f_s_tile, index_link, lut_link", [
+        (64, 8, "broadcast", "scatter"),  # one group: a unique LUT tile per PE
+        (16, 32, "scatter", "broadcast"),  # one PE per group: unique index tiles
+    ])
+    def test_distribution_priced_at_each_burst_pattern(
+        self, simulator, platform, n_s_tile, f_s_tile, index_link, lut_link
+    ):
+        mapping = Mapping(n_s_tile=n_s_tile, f_s_tile=f_s_tile, n_m_tile=4,
+                          f_m_tile=4, cb_m_tile=2)
+        report = simulator.run(SHAPE, mapping)
+        pes = (SHAPE.n // n_s_tile) * (SHAPE.f // f_s_tile)
+        index_bytes = pes * n_s_tile * SHAPE.cb
+        lut_bytes = pes * SHAPE.cb * SHAPE.ct * f_s_tile
+        roofline_s = (
+            index_bytes / getattr(platform, index_link).peak_bytes_per_s
+            + lut_bytes / getattr(platform, lut_link).peak_bytes_per_s
+        )
+        bn = report.bottleneck(platform=platform)
+        assert bn.utilization["distribution"] == pytest.approx(
+            roofline_s / report.distribution_s, rel=1e-12
+        )
+        gather_s = SHAPE.n * SHAPE.f * 4 / platform.gather.peak_bytes_per_s
+        assert bn.utilization["gather"] == pytest.approx(
+            gather_s / report.gather_s, rel=1e-12
+        )
+
     def test_bottleneck_without_profile_raises(self, simulator):
         report = simulator.run(SHAPE, MAPPINGS["coarse"])
         object.__setattr__(report, "profile", None)

@@ -163,6 +163,52 @@ class TestCLI:
         assert counter.value == before
         assert "search skipped" in out
 
+    def test_tune_store_keys_amortization_mode(self, capsys, tmp_path, platform):
+        """``tune --store --amortize-lut`` must not answer with the full-mode
+        entry: at this shape the full mode picks a static mapping and the
+        resident-LUT mode a fine-grain one."""
+        store = str(tmp_path / "maps.json")
+        args = ["--n", "128", "--h", "768", "--f", "768", "--v", "4", "--ct", "16"]
+        shape = LUTShape(n=128, h=768, f=768, v=4, ct=16)
+        full = AutoTuner(platform).tune(shape)
+        amortized = AutoTuner(platform, amortize_lut_distribution=True).tune(shape)
+        assert full.mapping != amortized.mapping
+
+        assert main(["tune", *args, "--store", store]) == 0
+        capsys.readouterr()
+        assert main(["tune", *args, "--store", store, "--amortize-lut"]) == 0
+        out = capsys.readouterr().out
+        assert "search (" in out and "search skipped" not in out
+        assert f"{amortized.cost * 1e3:.3f} ms" in out
+        assert main(["tune", *args, "--store", store, "--amortize-lut"]) == 0
+        assert "search skipped" in capsys.readouterr().out
+
+        loaded = MappingStore(store)
+        assert len(loaded) == 2
+        assert loaded.get("upmem", shape).mapping == full.mapping
+        assert loaded.get("upmem", shape, amortize=True).mapping == amortized.mapping
+        assert ("upmem", shape, True) in loaded
+
+        # simulate reads the full-mode entry.
+        assert main(["simulate", *args, "--store", store]) == 0
+        assert "using stored mapping" in capsys.readouterr().out
+
+    def test_older_store_file_answers_full_mode_only(self, tuned, tmp_path):
+        shape, result = tuned
+        path = str(tmp_path / "old.json")
+        store = MappingStore()
+        store.put("upmem", result)
+        store.save(path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        for entry in payload["entries"].values():
+            del entry["amortize_lut_distribution"]  # written before the mode
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        old = MappingStore(path)
+        assert old.get("upmem", shape).mapping == result.mapping
+        assert old.get("upmem", shape, amortize=True) is None
+
     def test_tune_rejects_jobs_flag(self, capsys):
         """``tune --jobs`` is gone: argparse rejects it with status 2."""
         args = ["--n", "256", "--h", "32", "--f", "64", "--v", "4", "--ct", "8"]
