@@ -3,13 +3,11 @@
 Subcommands mirror the offline workflow of paper Fig. 5:
 
 * ``platforms`` — list the modeled DRAM-PIM platforms and their constants;
-* ``tune`` — run the Auto-Tuner (Algorithm 1) for one LUT workload shape,
-  optionally persisting the mapping to a JSON store (``--store``) and/or a
-  cross-run cache directory (``--cache DIR``); the search skips tilings
-  whose cost lower bound cannot beat the best found, and reports how many
-  it searched;
-* ``simulate`` — run the event-level simulator for a shape (tuned or with
-  explicit mapping parameters) and print the latency breakdown;
+* ``tune`` — run the Auto-Tuner (Algorithm 1) for one LUT workload shape;
+  the search skips tilings whose cost lower bound cannot beat the best
+  found, and reports how many it searched;
+* ``simulate`` — tune a shape, run the event-level simulator on the
+  mapping and print the latency breakdown next to the analytical model's;
   ``--overlap`` double-buffers the micro-kernel loop so tile transfers
   overlap the previous tile's lookup/reduce;
 * ``flops`` — op-count / reduction analytics for a GEMM shape (Fig. 3);
@@ -21,8 +19,6 @@ Subcommands mirror the offline workflow of paper Fig. 5:
   pre-kernel references; ``--search [--schedule-cache DIR]`` instead runs
   the measured kernel-schedule search (block sizes, gather strategy) and
   persists the winner;
-* ``trace-export`` — tune + simulate one shape and write the telemetry as
-  a Chrome-trace file (viewable in Perfetto / ``chrome://tracing``);
 * ``serve-sim`` — discrete-event continuous-batching serving simulation
   (:mod:`repro.engine.scheduler`): a Poisson/uniform arrival stream is
   scheduled into the running batch with chunked-prefill and admission
@@ -51,20 +47,22 @@ Subcommands mirror the offline workflow of paper Fig. 5:
 Flags are declared once, in groups the subcommands share:
 
 * shape — ``--n --h --f --v --ct`` (``tune``, ``simulate``, ``flops``,
-  ``kernels``, ``trace-export``);
+  ``kernels``);
 * model — ``--model --platform --v --ct``, plus ``--layers`` everywhere
   except ``compare``;
 * serving — the stream, load (``--rate``/``--utilization``),
   batching-policy and SLO flags of the three ``serve-*`` commands;
 * output — ``--json`` (machine-readable stdout), ``--attribution`` where a
   command has a phase breakdown, ``--emit-trace PATH`` (Chrome trace of the
-  run's spans, engine timelines and micro-kernel events) and
-  ``--metrics-json PATH`` (snapshot of the default
-  :class:`~repro.obs.MetricsRegistry`); ``tune --progress N`` and
-  ``simulate --profile [TRACE]`` (per-phase
+  run's spans, engine timelines, micro-kernel events and per-rank lanes,
+  viewable in Perfetto / ``chrome://tracing``) and ``--metrics-json PATH``
+  (snapshot of the default :class:`~repro.obs.MetricsRegistry`);
+  ``tune --progress N`` and ``simulate --profile`` (per-phase
   :class:`~repro.obs.BottleneckReport`) are command-specific;
 * host kernel — ``--dtype --block-rows`` (``compare``, ``kernels``);
-* mapping source — ``--store --cache`` (``simulate``, ``trace-export``).
+* mapping source — ``--cache DIR`` (``tune``, ``simulate``): the
+  persistent :class:`~repro.mapping.MappingCache` the Auto-Tuner looks a
+  shape up in once before searching, and writes a search's result to.
 
 A command whose default differs from its group's sets it with
 ``set_defaults`` (e.g. ``serve-disagg --generate-len 64``).
@@ -94,7 +92,6 @@ from .mapping import (
     AutoTuner,
     Mapping,
     MappingCache,
-    MappingStore,
     estimate_latency,
     model_lut_shapes,
 )
@@ -239,10 +236,9 @@ def _add_host_kernel_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_mapping_source_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--store", help="JSON mapping store to read")
     parser.add_argument("--cache", metavar="DIR",
-                        help="persistent mapping cache directory to read "
-                             "(a fresh tune writes back)")
+                        help="persistent mapping cache directory "
+                             "(warm-start lookup + write-back)")
 
 
 def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
@@ -377,37 +373,42 @@ def _progress_printer(every: int):
     return callback
 
 
-def cmd_tune(args) -> int:
-    platform = get_platform(args.platform)
-    shape = _shape_from_args(args)
-    store = MappingStore(args.store) if args.store else None
-    cache = MappingCache(args.cache) if args.cache else None
+def _tune(args, platform, shape, amortize: bool = False, progress_callback=None):
+    """Tune ``shape`` through the Auto-Tuner, warm-started from ``--cache``
+    (one lookup; a search writes back): tune and simulate.
 
-    result = None
-    source = None
-    if store is not None:
-        result = store.get(args.platform, shape, amortize=args.amortize_lut)
-        if result is not None:
-            source = f"store {args.store} (search skipped)"
-    if result is None:
-        callback = _progress_printer(args.progress) if args.progress else None
-        tuner = AutoTuner(
-            platform,
-            amortize_lut_distribution=args.amortize_lut,
-            progress_callback=callback,
-            cache=cache,
-        )
-        registry = obs.get_registry()
-        considered = registry.counter("tuner.candidates_evaluated")
-        skipped = registry.counter("tuner.tilings_bound_pruned")
-        before = (considered.value, skipped.value)
-        result = tuner.tune(shape)
-        tilings = int(considered.value - before[0])
-        if tilings == 0:
-            source = f"cache {args.cache} (search skipped)"
-        else:
-            searched = tilings - int(skipped.value - before[1])
-            source = f"search ({searched} of {tilings} tilings searched)"
+    Returns the result and its "mapping source" line, read from the
+    tuner's counter deltas.
+    """
+    registry = obs.get_registry()
+    counters = [
+        registry.counter(f"tuner.{name}")
+        for name in ("store_hits", "candidates_evaluated", "tilings_bound_pruned")
+    ]
+    before = [counter.value for counter in counters]
+    result = AutoTuner(
+        platform,
+        amortize_lut_distribution=amortize,
+        progress_callback=progress_callback,
+        cache=MappingCache(args.cache) if args.cache else None,
+    ).tune(shape)
+    hits, tilings, skipped = (
+        int(counter.value - value) for counter, value in zip(counters, before)
+    )
+    if hits:
+        return result, f"cache {args.cache} (search skipped)"
+    return result, f"search ({tilings - skipped} of {tilings} tilings searched)"
+
+
+def cmd_tune(args) -> int:
+    shape = _shape_from_args(args)
+    result, source = _tune(
+        args,
+        get_platform(args.platform),
+        shape,
+        amortize=args.amortize_lut,
+        progress_callback=_progress_printer(args.progress) if args.progress else None,
+    )
     m = result.mapping
     print(format_table(
         ["parameter", "value"],
@@ -426,34 +427,15 @@ def cmd_tune(args) -> int:
             ["mapping source", source],
         ],
     ))
-    if store is not None and (args.platform, shape, args.amortize_lut) not in store:
-        store.put(args.platform, result, amortize=args.amortize_lut)
-        store.save()
-        print(f"mapping saved to {args.store}")
     return _finish_telemetry(args)
-
-
-def _resolve_mapping(args, platform, shape) -> Mapping:
-    """The ``--store`` mapping, else the ``--cache`` one, else a fresh tune
-    (written back to ``--cache``): simulate and trace-export."""
-    if args.store:
-        stored = MappingStore(args.store).get(args.platform, shape)
-        if stored is not None:
-            print(f"using stored mapping from {args.store}")
-            return stored.mapping
-    cache = MappingCache(args.cache) if args.cache else None
-    if cache is not None:
-        cached = cache.get(platform, shape)
-        if cached is not None:
-            print(f"using cached mapping from {args.cache}")
-            return cached.mapping
-    return AutoTuner(platform, cache=cache).tune(shape).mapping
 
 
 def cmd_simulate(args) -> int:
     platform = get_platform(args.platform)
     shape = _shape_from_args(args)
-    mapping = _resolve_mapping(args, platform, shape)
+    result, source = _tune(args, platform, shape)
+    print(f"mapping source: {source}")
+    mapping = result.mapping
     report = PIMSimulator(platform).run(shape, mapping, overlap=args.overlap)
     estimate = estimate_latency(shape, mapping, platform, overlap=args.overlap)
     error = abs(estimate.total - report.total_s) / report.total_s
@@ -476,21 +458,8 @@ def cmd_simulate(args) -> int:
             f"(simulated) / {estimate.overlap_hidden * 1e3:.3f} ms (model) "
             f"of transfer"
         )
-    if args.profile is not None:
+    if args.profile:
         print(report.bottleneck(platform=platform).render())
-        if args.profile != "-":
-            try:
-                document = obs.write_chrome_trace(
-                    args.profile, profiles=[report.profile]
-                )
-            except OSError as exc:
-                print(f"error: cannot write rank trace: {exc}", file=sys.stderr)
-                return 1
-            print(
-                f"per-rank chrome trace written to {args.profile} "
-                f"({len(document['traceEvents'])} events)",
-                file=sys.stderr,
-            )
     kernel_traces = _kernel_traces(shape, mapping, platform) if args.emit_trace else []
     profiles = [report.profile] if report.profile is not None else []
     return _finish_telemetry(args, kernel_traces=kernel_traces, profiles=profiles)
@@ -1699,24 +1668,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_trace_export(args) -> int:
-    """Tune + simulate one shape and export the full telemetry picture."""
-    platform = get_platform(args.platform)
-    shape = _shape_from_args(args)
-    mapping = _resolve_mapping(args, platform, shape)
-    PIMSimulator(platform).run(shape, mapping)
-    document = obs.write_chrome_trace(
-        args.out,
-        spans=obs.get_tracer().finished_spans(),
-        kernel_traces=_kernel_traces(shape, mapping, platform),
-        metrics=obs.get_registry().snapshot(),
-    )
-    print(f"chrome trace written to {args.out} "
-          f"({len(document['traceEvents'])} events)")
-    print("open it in Perfetto (https://ui.perfetto.dev) or chrome://tracing")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="PIM-DL reproduction command line"
@@ -1732,10 +1683,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shape_arguments(tune)
     tune.add_argument("--amortize-lut", action="store_true",
                       help="treat LUTs as resident in PIM memory")
-    tune.add_argument("--store", help="JSON mapping store to update")
-    tune.add_argument("--cache", metavar="DIR",
-                      help="persistent mapping cache directory "
-                           "(warm-start lookup + write-back)")
+    _add_mapping_source_arguments(tune)
     tune.add_argument("--progress", type=int, metavar="N", default=0,
                       help="print search progress every N candidates")
     _add_telemetry_arguments(tune)
@@ -1750,10 +1698,9 @@ def build_parser() -> argparse.ArgumentParser:
              "overlaps tile i's lookup/reduce",
     )
     simulate.add_argument(
-        "--profile", nargs="?", const="-", default=None, metavar="TRACE",
-        help="print the per-phase bottleneck attribution; with a PATH, "
-             "also write the per-rank occupancy Chrome trace there "
-             "(per-rank lanes ride along in --emit-trace either way)",
+        "--profile", action="store_true",
+        help="print the per-phase bottleneck attribution (the per-rank "
+             "lanes ride along in --emit-trace)",
     )
     _add_telemetry_arguments(simulate)
 
@@ -1937,16 +1884,6 @@ def build_parser() -> argparse.ArgumentParser:
                                            "rank-imbalance index and "
                                            "most-loaded ranks")
 
-    trace_export = sub.add_parser(
-        "trace-export",
-        help="tune + simulate one shape and write a Chrome-trace file",
-    )
-    _add_platform_argument(trace_export)
-    _add_shape_arguments(trace_export)
-    _add_mapping_source_arguments(trace_export)
-    trace_export.add_argument("--out", required=True, metavar="PATH",
-                              help="output Chrome-trace JSON file")
-
     bench = sub.add_parser(
         "bench",
         help="run benchmarks against the persistent baseline store and "
@@ -1995,7 +1932,6 @@ COMMANDS = {
     "serve-cluster": cmd_serve_cluster,
     "serve-disagg": cmd_serve_disagg,
     "moe": cmd_moe,
-    "trace-export": cmd_trace_export,
     "bench": cmd_bench,
 }
 

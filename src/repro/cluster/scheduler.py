@@ -55,7 +55,6 @@ from ..engine.scheduler import (
     RequestStats,
     ScheduleResult,
     SchedulerPolicy,
-    _DegradationScope,
     _latency_fields,
     _load_streams,
     _ordered,
@@ -66,7 +65,7 @@ from ..engine.scheduler import (
 from ..engine.serving import GenerationServer
 from ..pim.platforms import TransferBandwidth
 from ..resilience.faults import FaultPlan
-from ..resilience.recovery import DegradationSummary
+from ..resilience.recovery import DegradationSummary, _DegradationScope
 from ..workloads.configs import TransformerConfig
 from .routing import ReplicaLoad, Router, make_router
 from .sharding import ShardPlan, ShardedCostModel
@@ -464,7 +463,7 @@ class ClusterScheduler:
                 registry.counter("cluster.failovers").inc()
                 assign(replace(req, arrival_s=t_f), t_f, failed_from=rep)
 
-        with _DegradationScope(self.server, "cluster.run") as scope, tracer.span(
+        with _DegradationScope(self.server.resilience, "cluster.run") as scope, tracer.span(
             "cluster.run",
             replicas=R,
             shards=self.shards,

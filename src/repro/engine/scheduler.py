@@ -48,7 +48,7 @@ import numpy as np
 
 from .. import obs
 from ..obs.metrics import percentiles
-from ..resilience.recovery import DegradationSummary
+from ..resilience.recovery import DegradationSummary, _DegradationScope
 from ..workloads.configs import TransformerConfig
 from .queueing import generate_arrivals
 from .serving import GenerationServer
@@ -610,31 +610,6 @@ class _Telemetry:
         self.occupancy.extend(occupancy)
 
 
-class _DegradationScope:
-    """A run's ledger request scope, open while the run executes.
-
-    A no-op unless the server has an active RecoveryManager; otherwise
-    the scope closes on exit, error or not, and ``summary`` holds the
-    run's degradation slice.
-    """
-
-    def __init__(self, server, owner: str):
-        manager = server.resilience
-        active = manager is not None and manager.active
-        self.ledger = manager.ledger if active else None
-        self.owner = owner
-        self.summary: Optional[DegradationSummary] = None
-
-    def __enter__(self) -> "_DegradationScope":
-        if self.ledger is not None:
-            self.scope = self.ledger.open_request_scope(self.owner)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.ledger is not None:
-            self.summary = self.ledger.close_request_scope(self.scope)
-
-
 class RequestScheduler:
     """Discrete-event continuous-batching scheduler over one server.
 
@@ -775,7 +750,7 @@ class RequestScheduler:
 
         pool = self._prefill_pool(finish, phase_totals)
         owner = f"{tel.run}[{self.name}]" if self.name else tel.run
-        with _DegradationScope(self.server, owner) as scope, tracer.span(
+        with _DegradationScope(self.server.resilience, owner) as scope, tracer.span(
             tel.run,
             model=self.config.name,
             engine=self.server.name,

@@ -27,7 +27,11 @@ from ..kernels.schedule import KernelScheduleCache, search_kernel_schedule
 from ..mapping.store import MappingCache
 from ..mapping.tuner import AutoTuner, TuningResult, model_lut_shapes
 from ..pim.platforms import PIMPlatform
-from ..resilience.recovery import DegradationSummary, RecoveryManager
+from ..resilience.recovery import (
+    DegradationSummary,
+    RecoveryManager,
+    _DegradationScope,
+)
 from ..workloads.configs import TransformerConfig
 from .decode import GEMVDecodeEngine, LUTDecodeEngine
 from .engine import GEMMPIMEngine, PIMDLEngine
@@ -269,29 +273,19 @@ class GenerationServer:
 
         tracer = obs.get_tracer()
         registry = obs.get_registry()
-        ledger = (
-            self.resilience.ledger
-            if self.resilience is not None and self.resilience.active
-            else None
-        )
         # Per-request degradation is an exclusive ledger scope: the ledger
         # itself rejects a second concurrent request, so interleaved callers
         # (the continuous-batching scheduler) must drive the engines
         # directly and account at the batch level.
-        scope = (
-            ledger.open_request_scope("serving.request")
-            if ledger is not None
-            else None
-        )
-        try:
-            with tracer.span(
-                "serving.request",
-                engine=self.name,
-                model=config.name,
-                prompt_len=prompt_len,
-                generate_len=generate_len,
-                batch_size=batch_size,
-            ) as request_span:
+        with tracer.span(
+            "serving.request",
+            engine=self.name,
+            model=config.name,
+            prompt_len=prompt_len,
+            generate_len=generate_len,
+            batch_size=batch_size,
+        ) as request_span:
+            with _DegradationScope(self.resilience, "serving.request") as scope:
                 with tracer.span("serving.prefill", engine=self.name) as sp:
                     prefill_s = self._prefill.run(prefill_config).total_s
                     sp.set_attribute("model_seconds", prefill_s)
@@ -311,16 +305,10 @@ class GenerationServer:
                         sp.set_attribute("model_seconds", decode_s)
                 request_span.set_attribute("model_seconds", prefill_s + decode_s)
 
-                degraded = None
-                if scope is not None:
-                    degraded = ledger.close_request_scope(scope)
-                    scope = None
-                    request_span.set_attribute("degraded", degraded.degraded)
-                    request_span.set_attribute("fallbacks", degraded.fallbacks)
-        except BaseException:
-            if scope is not None:
-                ledger.close_request_scope(scope)
-            raise
+            degraded = scope.summary
+            if degraded is not None:
+                request_span.set_attribute("degraded", degraded.degraded)
+                request_span.set_attribute("fallbacks", degraded.fallbacks)
 
         registry.counter("serving.requests").inc()
         registry.counter("serving.generated_tokens").inc(batch_size * generate_len)

@@ -176,8 +176,8 @@ def tiling_lower_bound(
     The fixed terms plus the launch time: the micro-kernel transfer terms
     and the fine-grain reduce extra are never negative.  The sum runs in
     ``LatencyBreakdown.total``'s order and float addition is monotonic, so
-    for the sequential model without a fault injector (the tuner's) the
-    bound holds bit-for-bit, not just in exact arithmetic.
+    for the sequential model (the tuner's) the bound holds bit-for-bit, not
+    just in exact arithmetic.
     """
     fixed = tiling_fixed_terms(
         shape, n_s_tile, f_s_tile, platform, amortize_lut_distribution
@@ -191,7 +191,6 @@ def estimate_latency(
     mapping: Mapping,
     platform: PIMPlatform,
     amortize_lut_distribution: bool = False,
-    fault_injector=None,
     overlap: bool = False,
 ) -> LatencyBreakdown:
     """Closed-form latency of one LUT kernel under ``mapping``.
@@ -202,12 +201,6 @@ def estimate_latency(
         When True, the host→PIM LUT transfer (model weights) is treated as
         resident across invocations and excluded — the steady-state serving
         configuration used by the end-to-end engine.
-    fault_injector:
-        Optional :class:`~repro.resilience.faults.FaultInjector`.  When
-        active, the estimate is evaluated against the *degraded* platform
-        (dead ranks/PEs removed — the mapping must be legal there, i.e.
-        already remapped) and the micro-kernel terms are stretched by the
-        straggler slowdown.  An inactive injector changes nothing.
     overlap:
         When True, model the micro-kernel loop as a double-buffered
         pipeline: the transfer of m-tile ``i+1`` overlaps the reduce of
@@ -216,10 +209,6 @@ def estimate_latency(
         :attr:`LatencyBreakdown.overlap_hidden`; with ``overlap=False`` the
         result is bit-identical to the sequential model.
     """
-    straggler = 1.0
-    if fault_injector is not None and fault_injector.active:
-        platform = fault_injector.degraded_platform(platform)
-        straggler = fault_injector.straggler_slowdown()
     if not is_legal(shape, mapping, platform):
         raise ValueError(f"illegal mapping {mapping} for shape {shape}")
 
@@ -280,8 +269,8 @@ def estimate_latency(
         sub_index=fixed.sub_index,
         sub_lut=fixed.sub_lut,
         sub_output=fixed.sub_output,
-        kernel_transfer=t_transfer * straggler,
-        kernel_reduce=t_reduce * straggler,
+        kernel_transfer=t_transfer,
+        kernel_reduce=t_reduce,
         launch=platform.kernel_launch_s,
     )
     if overlap:

@@ -16,8 +16,8 @@ Chrome-trace-format JSON (Perfetto / ``chrome://tracing``), and bridges
 (:mod:`repro.obs.bridge`) convert :class:`~repro.engine.report.EngineReport`
 op lists and simulator :class:`~repro.pim.trace.KernelTrace` streams into
 the same Chrome-trace schema so modeled timelines and wall-clock spans
-land in one viewable file.  The CLI exposes this via ``--emit-trace``,
-``--metrics-json``, and the ``trace-export`` subcommand.
+land in one viewable file.  The CLI exposes this via ``--emit-trace``
+(e.g. ``repro simulate ... --emit-trace PATH``) and ``--metrics-json``.
 
 Telemetry is always-on and cheap: ``tests/test_obs_overhead.py`` holds a
 tuner search to <5% over disabled, and ``tests/test_serving_telemetry.py``

@@ -72,7 +72,8 @@ class KernelTrace:
 
         The bridge in :mod:`repro.obs.bridge` owns the schema, so
         micro-kernel timelines merge with engine spans in one file; see
-        ``repro.obs.write_chrome_trace`` / ``python -m repro trace-export``.
+        ``repro.obs.write_chrome_trace`` / ``python -m repro simulate
+        --emit-trace PATH``.
         """
         from ..obs.bridge import kernel_trace_to_chrome_events
 

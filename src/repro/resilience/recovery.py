@@ -183,6 +183,30 @@ class DegradationLedger:
         )
 
 
+class _DegradationScope:
+    """A run's ledger request scope, open while the run executes.
+
+    A no-op unless ``manager`` is an active :class:`RecoveryManager`;
+    otherwise the scope closes on exit, error or not, and ``summary`` holds
+    the run's degradation slice.
+    """
+
+    def __init__(self, manager: Optional["RecoveryManager"], owner: str):
+        active = manager is not None and manager.active
+        self.ledger = manager.ledger if active else None
+        self.owner = owner
+        self.summary: Optional[DegradationSummary] = None
+
+    def __enter__(self) -> "_DegradationScope":
+        if self.ledger is not None:
+            self.scope = self.ledger.open_request_scope(self.owner)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.ledger is not None:
+            self.summary = self.ledger.close_request_scope(self.scope)
+
+
 class RecoveryManager:
     """Runs the retry/remap/fallback ladder for LUT operators.
 

@@ -155,14 +155,16 @@ class TestWorkflowFile:
     def test_tests_job_runs_cost_model_parity(self, workflow):
         """The LUT cost model's bit-level parity (engine reports, the
         simulator sweep, trace vs. walk, the vectorized walk vs. the Python
-        reference walk) is one explicit step."""
+        reference walk) and the operator graph's conformance with the
+        executed model are one explicit step."""
         job = workflow["jobs"]["tests"]
         step = next(s for s in job["steps"]
                     if s.get("name", "").startswith("LUT cost-model parity"))
         for path in ("tests/test_cost_model_parity.py",
                      "tests/test_simulator_walk.py",
                      "tests/test_simulator.py",
-                     "tests/test_obs_profiler.py"):
+                     "tests/test_obs_profiler.py",
+                     "tests/test_operator_graph.py"):
             assert path in step["run"]
 
     def test_coverage_step_runs_after_a_failed_step(self, workflow):

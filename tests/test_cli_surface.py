@@ -25,10 +25,10 @@ SERVING = {
 
 OPTIONS = {
     "platforms": {"--json"},
-    "tune": {*SHAPE, *TELEMETRY, "--platform", "--amortize-lut", "--store",
-             "--cache", "--progress"},
-    "simulate": {*SHAPE, *TELEMETRY, "--platform", "--store", "--cache",
-                 "--overlap", "--profile"},
+    "tune": {*SHAPE, *TELEMETRY, "--platform", "--amortize-lut", "--cache",
+             "--progress"},
+    "simulate": {*SHAPE, *TELEMETRY, "--platform", "--cache", "--overlap",
+                 "--profile"},
     "flops": {*SHAPE, "--json"},
     "compare": {*MODEL, *OUTPUT, "--attribution", "--measure-host",
                 "--dtype", "--block-rows", "--overlap"},
@@ -47,7 +47,6 @@ OPTIONS = {
                      "--placement", "--prefill-device", "--sweep"},
     "moe": {*MODEL, *OUTPUT, "--layers", "--attribution", "--experts",
             "--top-k", "--routing", "--zipf-s", "--placers", "--seed"},
-    "trace-export": {*SHAPE, "--platform", "--store", "--cache", "--out"},
     "bench run": {"--store", "--suite", "--platform"},
     "bench compare": {"--store", "--suite", "--platform", "--threshold",
                       "--record", "--json"},

@@ -13,7 +13,6 @@ from repro.mapping import (
     FORMAT_VERSION,
     AutoTuner,
     MappingCache,
-    MappingStore,
     platform_fingerprint,
 )
 from repro.pim import get_platform
@@ -200,45 +199,6 @@ class TestTunerCacheIntegration:
         ).tune(shape)
         assert amortized.cost < full.cost
         assert len(cache) == 2
-
-
-class TestMappingStoreHardening:
-    def test_save_is_atomic_no_temp_left(self, platform, tuned, tmp_path):
-        shape, result = tuned
-        path = str(tmp_path / "maps.json")
-        store = MappingStore()
-        store.put(platform.name, result)
-        store.save(path)
-        assert MappingStore(path).get(platform.name, shape) is not None
-        assert [n for n in os.listdir(str(tmp_path)) if ".tmp-" in n] == []
-
-    def test_constructor_is_lenient_on_corruption(self, tmp_path):
-        path = str(tmp_path / "bad.json")
-        with open(path, "w") as fh:
-            fh.write("{ nope")
-        with pytest.warns(RuntimeWarning, match="unusable mapping store"):
-            store = MappingStore(path)
-        assert len(store) == 0
-
-    def test_constructor_is_lenient_on_version(self, tmp_path):
-        path = str(tmp_path / "old.json")
-        with open(path, "w") as fh:
-            json.dump({"version": 1, "entries": {}}, fh)
-        with pytest.warns(RuntimeWarning, match="unusable mapping store"):
-            store = MappingStore(path)
-        assert len(store) == 0
-
-    def test_explicit_load_stays_strict(self, tmp_path):
-        path = str(tmp_path / "old.json")
-        with open(path, "w") as fh:
-            json.dump({"version": 99, "entries": {}}, fh)
-        with pytest.raises(ValueError):
-            MappingStore().load(path)
-        corrupt = str(tmp_path / "corrupt.json")
-        with open(corrupt, "w") as fh:
-            fh.write("not json at all")
-        with pytest.raises(ValueError):
-            MappingStore().load(corrupt)
 
 
 class TestServingWarmup:

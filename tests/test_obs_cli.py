@@ -1,5 +1,6 @@
 """Smoke tests for the CLI's observability surface: --json output modes,
---emit-trace / --metrics-json flags, tune --progress, and trace-export."""
+--emit-trace / --metrics-json flags, tune --progress, simulate --profile,
+and trace export through simulate --emit-trace."""
 
 import json
 import os
@@ -97,10 +98,11 @@ class TestProfileFlag:
         assert "reduce" in out
 
     def test_simulate_profile_writes_per_rank_trace(self, capsys, tmp_path):
-        """Acceptance: --profile emits a per-rank Chrome trace plus a
-        BottleneckReport whose phases sum to the simulated total."""
+        """Acceptance: --profile prints a BottleneckReport, and the per-rank
+        lanes ride in the --emit-trace file."""
         trace_path = str(tmp_path / "ranks.json")
-        assert main(["simulate", *SHAPE_ARGS, "--profile", trace_path]) == 0
+        assert main(["simulate", *SHAPE_ARGS, "--profile",
+                     "--emit-trace", trace_path]) == 0
         out = capsys.readouterr().out
         assert "bottleneck:" in out
         with open(trace_path) as fh:
@@ -136,9 +138,12 @@ class TestServeSimRateValidation:
 
 class TestTraceExport:
     def test_trace_export_writes_loadable_file(self, capsys, tmp_path):
+        """A simulated kernel's Chrome trace is exported by
+        ``simulate --emit-trace``: the kernel's micro-kernel events and the
+        tuner's span land in one loadable file."""
         out = str(tmp_path / "kernel.json")
-        assert main(["trace-export", *SHAPE_ARGS, "--out", out]) == 0
-        assert "chrome trace written" in capsys.readouterr().out
+        assert main(["simulate", *SHAPE_ARGS, "--emit-trace", out]) == 0
+        assert "chrome trace written" in capsys.readouterr().err
         with open(out) as fh:
             document = json.load(fh)
         events = document["traceEvents"]

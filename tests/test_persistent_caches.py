@@ -1,5 +1,5 @@
 """The persistent caches on one entry primitive: corrupt entries, counter
-balance, on-disk compatibility, and MappingStore entry validation.
+balance (in the CLI's tune and simulate too), and on-disk compatibility.
 
 ``MappingCache`` and ``KernelScheduleCache`` both sit on
 :class:`repro.obs.entries.EntryDirectory`, so every corrupt entry must be
@@ -17,7 +17,7 @@ from repro import obs
 from repro.cli import main
 from repro.core import LUTShape
 from repro.kernels import KernelScheduleCache, search_kernel_schedule
-from repro.mapping import AutoTuner, MappingCache, MappingStore, platform_fingerprint
+from repro.mapping import AutoTuner, MappingCache, platform_fingerprint
 from repro.pim import get_platform
 
 SHAPE = LUTShape(n=256, h=32, f=64, v=4, ct=8)
@@ -161,18 +161,6 @@ def test_corrupt_entry_is_a_counted_warned_miss(reader, case, platform, tmp_path
         assert value is None
 
 
-@pytest.mark.parametrize("case", sorted(CORRUPT_ENTRIES))
-def test_corrupt_store_file_is_an_empty_store(case, tmp_path):
-    path = str(tmp_path / "maps.json")
-    with open(path, "wb") as fh:
-        fh.write(CORRUPT_ENTRIES[case])
-    with pytest.warns(RuntimeWarning, match="unusable mapping store"):
-        store = MappingStore(path)
-    assert len(store) == 0
-    with pytest.raises(ValueError):
-        MappingStore().load(path)
-
-
 def test_hits_plus_misses_equals_lookups(platform, tuned, tmp_path):
     """Absent, present and rejected lookups, for both families."""
     mappings = MappingCache(str(tmp_path / "mappings"))
@@ -205,6 +193,52 @@ def test_hits_plus_misses_equals_lookups(platform, tuned, tmp_path):
         assert _delta(family, before) == {
             "hits": 1, "misses": 2, "rejected": 1, "writes": 1,
         }, family
+
+
+@pytest.mark.parametrize("command", ["tune", "simulate"])
+def test_cli_cache_lookup_is_counted_once(command, platform, tmp_path, capsys):
+    """One ``--cache`` lookup per command: a cold run misses once and
+    writes the search's result back; a warm run hits once and evaluates no
+    candidate; a rejected entry is one warned miss, searched and rewritten."""
+    cache = str(tmp_path / "mappings")
+    argv = [command, "--n", "256", "--h", "32", "--f", "64", "--v", "4",
+            "--ct", "8", "--cache", cache]
+    names = [f"mapping_cache.{name}" for name in ("hits", "misses", "rejected", "writes")]
+    names += [f"tuner.{name}" for name in
+              ("store_hits", "store_misses", "candidates_evaluated")]
+    registry = obs.get_registry()
+
+    def run() -> dict:
+        before = {name: registry.counter(name).value for name in names}
+        assert main(argv) == 0
+        return {name: registry.counter(name).value - before[name] for name in names}
+
+    def assert_searched(delta):
+        assert delta["mapping_cache.hits"] == 0
+        assert delta["mapping_cache.misses"] == 1
+        assert delta["mapping_cache.writes"] == 1
+        assert (delta["tuner.store_hits"], delta["tuner.store_misses"]) == (0, 1)
+        assert delta["tuner.candidates_evaluated"] > 0
+        assert "search (" in capsys.readouterr().out
+
+    cold = run()
+    assert_searched(cold)
+    assert cold["mapping_cache.rejected"] == 0
+
+    warm = run()
+    assert (warm["mapping_cache.hits"], warm["mapping_cache.misses"]) == (1, 0)
+    assert warm["mapping_cache.writes"] == 0
+    assert (warm["tuner.store_hits"], warm["tuner.store_misses"]) == (1, 0)
+    assert warm["tuner.candidates_evaluated"] == 0
+    assert f"cache {cache} (search skipped)" in capsys.readouterr().out
+
+    with open(MappingCache(cache).entry_path(platform, SHAPE), "wb") as fh:
+        fh.write(CORRUPT_ENTRIES["truncated"])
+    with pytest.warns(RuntimeWarning, match="unreadable entry"):
+        rejected = run()
+    assert_searched(rejected)
+    assert rejected["mapping_cache.rejected"] == 1
+    assert run()["mapping_cache.hits"] == 1
 
 
 class TestOnDiskCompatibility:
@@ -245,60 +279,3 @@ class TestOnDiskCompatibility:
         assert os.path.basename(path) == LEGACY_SCHEDULE_NAME
         with open(path) as fh:
             assert json.load(fh) == json.loads(LEGACY_SCHEDULE_ENTRY)
-
-
-def _drop_mapping(entry):
-    del entry["mapping"]
-
-
-def _other_platform(entry):
-    entry["platform"] = "aim"  # no longer matches its "upmem::..." key
-
-
-class TestMappingStoreEntryValidation:
-    """A malformed entry inside a well-formed store file."""
-
-    OTHER = LUTShape(n=128, h=32, f=64, v=4, ct=8)
-    ARGS = ["--n", "256", "--h", "32", "--f", "64", "--v", "4", "--ct", "8"]
-
-    def _damaged_store(self, tmp_path, damage=_drop_mapping):
-        path = str(tmp_path / "maps.json")
-        store = MappingStore()
-        tuner = AutoTuner(get_platform("upmem"))
-        for shape in (SHAPE, self.OTHER):
-            store.put("upmem", tuner.tune(shape))
-        store.save(path)
-        with open(path) as fh:
-            payload = json.load(fh)
-        damage(payload["entries"]["upmem::n256_h32_f64_v4_ct8"])
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        return path
-
-    @pytest.mark.parametrize("damage", [_drop_mapping, _other_platform])
-    def test_lenient_constructor_drops_only_the_bad_entry(self, tmp_path, damage):
-        path = self._damaged_store(tmp_path, damage)
-        with pytest.warns(RuntimeWarning, match="malformed entry"):
-            store = MappingStore(path)
-        assert len(store) == 1
-        assert store.get("upmem", SHAPE) is None
-        assert store.get("aim", SHAPE) is None
-        assert store.get("upmem", self.OTHER) is not None
-
-    @pytest.mark.parametrize("damage", [_drop_mapping, _other_platform])
-    def test_strict_load_raises(self, tmp_path, damage):
-        path = self._damaged_store(tmp_path, damage)
-        with pytest.raises(ValueError, match="malformed entry"):
-            MappingStore().load(path)
-
-    def test_tune_cli_retunes_and_rewrites_the_entry(self, tmp_path, capsys):
-        path = self._damaged_store(tmp_path)
-        with pytest.warns(RuntimeWarning, match="malformed entry"):
-            assert main(["tune", *self.ARGS, "--store", path]) == 0
-        out = capsys.readouterr().out
-        assert "search (" in out
-        assert f"mapping saved to {path}" in out
-        store = MappingStore()
-        store.load(path)  # strict: every entry is well-formed again
-        assert len(store) == 2
-        assert store.get("upmem", SHAPE) is not None

@@ -1,5 +1,7 @@
 """Additional property-based tests over the extension modules."""
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core import LUTShape, lut_memory_overhead
 from repro.mapping import (
     Mapping,
-    MappingStore,
+    MappingCache,
     TuningResult,
     estimate_latency,
     is_legal,
@@ -64,11 +66,11 @@ def test_store_round_trip_preserves_results(n, h, f):
         latency=estimate_latency(shape, mapping, platform),
         candidates_evaluated=1,
     )
-    store = MappingStore()
-    store.put("upmem", result)
-    loaded = store.get("upmem", shape)
-    assert loaded.mapping == mapping
-    assert loaded.latency.total == pytest.approx(result.latency.total)
+    with tempfile.TemporaryDirectory() as directory:
+        cache = MappingCache(directory)
+        cache.put(platform, result)
+        loaded = cache.get(platform, shape)
+    assert loaded == result
 
 
 @settings(max_examples=40, deadline=None)

@@ -29,7 +29,7 @@ from repro.core import LUTShape
 from repro.engine import PIMDLEngine
 from repro.engine.serving import GenerationServer
 from repro.kernels import lut_checksums, lut_gather_reduce, verify_lut
-from repro.mapping import AutoTuner, estimate_latency
+from repro.mapping import AutoTuner
 from repro.pim import PIMSimulator, get_platform
 from repro.resilience import (
     DegradationLedger,
@@ -383,20 +383,6 @@ class TestFaultsInModels:
         injector = FaultInjector(FaultPlan(failed_ranks=(0,)))
         with pytest.raises(RankFailure):
             PIMSimulator(platform).run(SHAPE, tuned_mapping, injector=injector)
-
-    def test_analytical_model_uses_degraded_platform(
-        self, platform, tuned_mapping
-    ):
-        injector = FaultInjector(FaultPlan(failed_ranks=(0, 1)))
-        degraded = injector.degraded_platform(platform)
-        with_faults = estimate_latency(
-            SHAPE, tuned_mapping, platform, fault_injector=injector
-        )
-        direct = estimate_latency(SHAPE, tuned_mapping, degraded)
-        assert with_faults.total == pytest.approx(direct.total)
-        assert with_faults.total > estimate_latency(
-            SHAPE, tuned_mapping, platform
-        ).total * 0.999  # fewer ranks can only slow the shared buses
 
 
 class TestServingUnderFaults:

@@ -1,4 +1,4 @@
-"""Unit tests for mapping persistence, kernel tracing, and the CLI."""
+"""Unit tests for mapping serialization, kernel tracing, and the CLI."""
 
 import json
 import os
@@ -10,7 +10,7 @@ from repro.core import LUTShape
 from repro.mapping import (
     AutoTuner,
     Mapping,
-    MappingStore,
+    MappingCache,
     mapping_from_dict,
     mapping_to_dict,
 )
@@ -37,53 +37,6 @@ class TestMappingSerialization:
     def test_dict_is_json_compatible(self):
         m = Mapping(64, 32, 8, 8, 4)
         assert json.loads(json.dumps(mapping_to_dict(m))) == mapping_to_dict(m)
-
-
-class TestMappingStore:
-    def test_put_get_round_trip(self, tuned):
-        shape, result = tuned
-        store = MappingStore()
-        store.put("upmem", result)
-        loaded = store.get("upmem", shape)
-        assert loaded.mapping == result.mapping
-        assert loaded.latency.total == pytest.approx(result.latency.total)
-        assert ("upmem", shape) in store
-        assert len(store) == 1
-
-    def test_get_missing_returns_none(self, tuned):
-        shape, _ = tuned
-        assert MappingStore().get("upmem", shape) is None
-
-    def test_save_load_file(self, tuned, tmp_path):
-        shape, result = tuned
-        path = str(tmp_path / "mappings.json")
-        store = MappingStore()
-        store.put("upmem", result)
-        store.save(path)
-        assert os.path.exists(path)
-
-        reloaded = MappingStore(path)
-        assert reloaded.get("upmem", shape).mapping == result.mapping
-
-    def test_save_without_path_raises(self):
-        with pytest.raises(ValueError):
-            MappingStore().save()
-
-    def test_version_check(self, tmp_path):
-        path = str(tmp_path / "bad.json")
-        with open(path, "w") as fh:
-            json.dump({"version": 99, "entries": {}}, fh)
-        # Strict on explicit load, lenient (warn + empty) on auto-load.
-        with pytest.raises(ValueError):
-            MappingStore().load(path)
-        with pytest.warns(RuntimeWarning):
-            assert len(MappingStore(path)) == 0
-
-    def test_distinct_platforms_do_not_collide(self, tuned):
-        shape, result = tuned
-        store = MappingStore()
-        store.put("upmem", result)
-        assert store.get("aim", shape) is None
 
 
 class TestKernelTrace:
@@ -137,77 +90,36 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "3.66x" in out
 
-    def test_tune_and_simulate_with_store(self, capsys, tmp_path):
-        store = str(tmp_path / "maps.json")
-        args = ["--n", "512", "--h", "64", "--f", "128", "--v", "4", "--ct", "8"]
-        assert main(["tune", "--platform", "upmem", *args, "--store", store]) == 0
-        assert os.path.exists(store)
-        assert main(["simulate", "--platform", "upmem", *args, "--store", store]) == 0
-        out = capsys.readouterr().out
-        assert "using stored mapping" in out
-        assert "analytical-model error" in out
-
-    def test_tune_store_hit_skips_search(self, capsys, tmp_path):
-        """A second ``tune --store`` run must not re-run Algorithm 1."""
-        from repro import obs
-
-        store = str(tmp_path / "maps.json")
-        args = ["--n", "512", "--h", "64", "--f", "128", "--v", "4", "--ct", "8"]
-        assert main(["tune", *args, "--store", store]) == 0
-        capsys.readouterr()
-
-        counter = obs.get_registry().counter("tuner.candidates_evaluated")
-        before = counter.value
-        assert main(["tune", *args, "--store", store]) == 0
-        out = capsys.readouterr().out
-        assert counter.value == before
-        assert "search skipped" in out
-
-    def test_tune_store_keys_amortization_mode(self, capsys, tmp_path, platform):
-        """``tune --store --amortize-lut`` must not answer with the full-mode
+    def test_tune_cache_keys_amortization_mode(self, capsys, tmp_path, platform):
+        """``tune --cache --amortize-lut`` must not answer with the full-mode
         entry: at this shape the full mode picks a static mapping and the
         resident-LUT mode a fine-grain one."""
-        store = str(tmp_path / "maps.json")
+        cache = str(tmp_path / "cache")
         args = ["--n", "128", "--h", "768", "--f", "768", "--v", "4", "--ct", "16"]
         shape = LUTShape(n=128, h=768, f=768, v=4, ct=16)
         full = AutoTuner(platform).tune(shape)
         amortized = AutoTuner(platform, amortize_lut_distribution=True).tune(shape)
         assert full.mapping != amortized.mapping
 
-        assert main(["tune", *args, "--store", store]) == 0
+        assert main(["tune", *args, "--cache", cache]) == 0
         capsys.readouterr()
-        assert main(["tune", *args, "--store", store, "--amortize-lut"]) == 0
+        assert main(["tune", *args, "--cache", cache, "--amortize-lut"]) == 0
         out = capsys.readouterr().out
         assert "search (" in out and "search skipped" not in out
         assert f"{amortized.cost * 1e3:.3f} ms" in out
-        assert main(["tune", *args, "--store", store, "--amortize-lut"]) == 0
+        assert main(["tune", *args, "--cache", cache, "--amortize-lut"]) == 0
         assert "search skipped" in capsys.readouterr().out
 
-        loaded = MappingStore(store)
+        loaded = MappingCache(cache)
         assert len(loaded) == 2
-        assert loaded.get("upmem", shape).mapping == full.mapping
-        assert loaded.get("upmem", shape, amortize=True).mapping == amortized.mapping
-        assert ("upmem", shape, True) in loaded
+        assert loaded.get(platform, shape).mapping == full.mapping
+        assert loaded.get(platform, shape, amortize=True).mapping == amortized.mapping
 
         # simulate reads the full-mode entry.
-        assert main(["simulate", *args, "--store", store]) == 0
-        assert "using stored mapping" in capsys.readouterr().out
-
-    def test_older_store_file_answers_full_mode_only(self, tuned, tmp_path):
-        shape, result = tuned
-        path = str(tmp_path / "old.json")
-        store = MappingStore()
-        store.put("upmem", result)
-        store.save(path)
-        with open(path) as fh:
-            payload = json.load(fh)
-        for entry in payload["entries"].values():
-            del entry["amortize_lut_distribution"]  # written before the mode
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        old = MappingStore(path)
-        assert old.get("upmem", shape).mapping == result.mapping
-        assert old.get("upmem", shape, amortize=True) is None
+        assert main(["simulate", *args, "--cache", cache]) == 0
+        assert f"mapping source: cache {cache} (search skipped)" in (
+            capsys.readouterr().out
+        )
 
     def test_tune_rejects_jobs_flag(self, capsys):
         """``tune --jobs`` is gone: argparse rejects it with status 2."""
@@ -216,6 +128,21 @@ class TestCLI:
             main(["tune", *args, "--jobs", "2"])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, rejected", [
+        (["tune", "--store", "maps.json"], "--store"),
+        (["simulate", "--store", "maps.json"], "--store"),
+        (["trace-export", "--out", "k.json"], "trace-export"),
+        (["simulate", "--profile", "ranks.json"], "ranks.json"),
+    ], ids=["tune-store", "simulate-store", "trace-export", "simulate-profile-path"])
+    def test_removed_mapping_and_trace_flags_exit_2(self, capsys, argv, rejected):
+        """The JSON mapping store, ``trace-export`` and the PATH form of
+        ``simulate --profile`` are gone: argparse exits 2 before tuning."""
+        args = ["--n", "256", "--h", "32", "--f", "64", "--v", "4", "--ct", "8"]
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], *args, *argv[1:]])
+        assert exc.value.code == 2
+        assert rejected in capsys.readouterr().err
 
     def test_tune_cache_warm_start(self, capsys, tmp_path):
         from repro import obs
@@ -241,7 +168,7 @@ class TestCLI:
         capsys.readouterr()
         assert main(["simulate", *args, "--cache", cache]) == 0
         out = capsys.readouterr().out
-        assert "using cached mapping" in out
+        assert f"mapping source: cache {cache} (search skipped)" in out
 
     def test_compare_command(self, capsys):
         assert main(["compare", "--model", "bert-base"]) == 0
