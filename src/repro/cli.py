@@ -1543,6 +1543,22 @@ def _bench_sim_walk(platform_name: str):
     return _best_seconds(run_all, 5, warmup=0), {"model": "bert-base", "mappings": len(runs)}
 
 
+def _bench_tune_cold(platform_name: str):
+    """Measured: this machine's cold Auto-Tuner speed over BERT-base's LUT
+    shapes on every platform, each tuned by a fresh tuner."""
+    platforms = [get_platform(name) for name in PLATFORMS]
+    shapes = model_lut_shapes(EVAL_MODELS["bert-base"])
+
+    def tune_all():
+        for platform in platforms:
+            for shape in shapes:
+                AutoTuner(platform).tune(shape)
+
+    return _best_seconds(tune_all, 5, warmup=0), {
+        "model": "bert-base", "shapes": len(platforms) * len(shapes),
+    }
+
+
 #: bench id -> (suite kind, runner).  Ids are stable across commits — they
 #: key the store history.
 _BENCH_REGISTRY = {
@@ -1555,6 +1571,7 @@ _BENCH_REGISTRY = {
     "kernels.host-codebooks": ("measured", _bench_host_codebooks),
     "kernels.schedule-search": ("measured", _bench_schedule_search),
     "sim.walk": ("measured", _bench_sim_walk),
+    "mapping.tune-cold": ("measured", _bench_tune_cold),
 }
 
 

@@ -112,7 +112,7 @@ def load_lut_model(model: Module, path: str) -> Module:
                 scales=archive[f"scale::{name}"].copy(),
             )
             layer._qlut = qlut
-            layer._lut = qlut.dequantize()
+            layer._lut = None
             layer.set_mode("lut")
     return model
 

@@ -179,12 +179,16 @@ class LUTLinear(Module):
         """Pre-compute the deployment LUT from current centroids and weight.
 
         The paper quantizes LUTs to INT8 for the UPMEM platform (Section 6.3,
-        "<= 0.1% accuracy drop"); pass ``quantize_int8=True`` to match.
+        "<= 0.1% accuracy drop"); pass ``quantize_int8=True`` to match.  An
+        INT8 layer keeps only the int8 table and its scales, one byte per
+        entry: the forward gathers the int8 table directly, and :attr:`lut`
+        dequantizes on demand.  Refreezing without ``quantize_int8`` drops
+        the int8 table.
         """
         lut = build_lut(self.current_codebooks(), self.weight.data)
         if quantize_int8:
             self._qlut = quantize_lut(lut)
-            self._lut = self._qlut.dequantize()
+            self._lut = None
         else:
             self._qlut = None
             self._lut = lut
@@ -200,6 +204,13 @@ class LUTLinear(Module):
 
     @property
     def lut(self) -> Optional[np.ndarray]:
+        """The float ``(CB, CT, F)`` table, None before the first freeze.
+
+        For an INT8 layer this is ``quantized_lut.dequantize()``, built on
+        demand: each call allocates a new float64 table.
+        """
+        if self._qlut is not None:
+            return self._qlut.dequantize()
         return self._lut
 
     @property
@@ -304,7 +315,7 @@ class LUTLinear(Module):
         return a_soft @ self.weight.data
 
     def _lut_forward(self, flat: Tensor) -> Tensor:
-        if self._lut is None:
+        if self._lut is None and self._qlut is None:
             self.freeze_lut()
         indices = self._search(flat.data)
         if self._qlut is not None:

@@ -33,7 +33,8 @@ checking (``indices.min()`` plus ``indices.max()``).  The kernels here:
   sum and one dequantization multiply when the quantization scale is
   shared, one BLAS contraction of the widened block with the ``(CB,)``
   scale vector otherwise.  Neither reduction loops over codebooks in
-  Python, and the kernel never makes a float copy of the LUT.
+  Python, and the kernel never makes a float copy of the LUT; an INT8
+  ``LUTLinear`` holds none either, only the int8 table and its scales.
 """
 
 from __future__ import annotations

@@ -17,6 +17,8 @@ re-measures against our simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -286,9 +288,12 @@ def search_micro_kernels(
 ) -> Optional[Tuple[Mapping, float]]:
     """Vectorized ``KernelSearch`` of paper Algorithm 1 (line 8).
 
-    Evaluates the full micro-kernel space — tile factors x traversal orders
-    x load schemes — for one sub-LUT tiling with numpy grids.  Candidates,
-    legality and reload counts are the :mod:`repro.mapping.space` rules
+    Scores the full micro-kernel space of one sub-LUT tiling as one numpy
+    array over (traversal, load option, n_m, f_m, cb_m), in
+    :data:`TRAVERSALS` x :func:`load_options` x :func:`m_tile_options`
+    order, with illegal candidates at ``inf``; one ``argmin`` picks the
+    first cheapest candidate in that order.  Candidates, legality and
+    reload counts are the :mod:`repro.mapping.space` rules
     :func:`estimate_latency` reads; the cost formulas are its vectorized
     form, which sums some terms in another order, so the two agree to a
     relative 1e-9 (a property test in the suite holds them together), not
@@ -297,7 +302,10 @@ def search_micro_kernels(
     """
     local = platform.local_memory
     cb, ct = shape.cb, shape.ct
-    NM, FM, CBM = np.meshgrid(*m_tile_options(shape, n_s_tile, f_s_tile), indexing="ij")
+    m_tiles = m_tile_options(shape, n_s_tile, f_s_tile)
+    # Open grids: each tile factor varies along its own axis.
+    NM, FM, CBM = np.meshgrid(*m_tiles, indexing="ij", sparse=True)
+    cells = tuple(len(factors) for factors in m_tiles)
     setup = local.access_setup_s
     bw = local.peak_bytes_per_s
     t_index_tile = setup + NM * CBM * INDEX_BYTES / bw
@@ -307,55 +315,69 @@ def search_micro_kernels(
     # Reduce time: constant across the grid except for fine-grain chunking.
     t_reduce_base = tiling_fixed_terms(shape, n_s_tile, f_s_tile, platform).reduce_base
 
-    # Per load option: its legality over the grid (no traversal: legality
-    # and trip counts do not depend on it), the LUT seconds of one stream
-    # (coarse streams repeat per traversal) and the reduce extra.
-    variants = []
-    for scheme, cb_l, f_l in load_options(shape, f_s_tile):
-        grid = MappingGrid(n_s_tile, f_s_tile, NM, FM, CBM, None, scheme, cb_l, f_l)
-        extra = 0.0
-        if scheme == "static":  # the whole sub-LUT resident in the buffer
-            access = min(lut_unique, STATIC_ACCESS_BYTES)
-            t_lut = setup * (lut_unique / access) + lut_unique / bw
-        elif scheme == "coarse":  # all CT candidates, block-wise per visit
-            access = cb_l * ct * f_l * LUT_BYTES
-            t_lut = lut_unique / bw + setup * (lut_unique / access)
-        else:  # fine: gather only the indexed entries
-            access = f_l * LUT_BYTES
-            t_lut = fine_total / bw + setup * (fine_total / access)
-            chunks = max(f_s_tile // f_l, 1)
-            extra = platform.compute.lookup_time(n_s_tile * cb * (chunks - 1))
-        variants.append((grid, fits_buffer(shape, grid, platform), t_lut, extra))
-    trips = _loop_trips(shape, grid)  # the same for every load option
-
-    best_cost = np.inf
-    best: Optional[Tuple[Mapping, float]] = None
-    for traversal in TRAVERSALS:
+    # Per traversal, over (1, n_m, f_m, cb_m): the index and output moves
+    # plus the base reduce, and how often the coarse scheme re-streams the
+    # LUT footprint.  Trip counts do not depend on the load option.
+    grid = MappingGrid(n_s_tile, f_s_tile, NM, FM, CBM, None, None, None, None)
+    trips = _loop_trips(shape, grid)
+    base = np.empty((len(TRAVERSALS), 1) + cells)
+    streams = np.empty_like(base)
+    for t, traversal in enumerate(TRAVERSALS):
         t_index = _load_count(traversal, trips, ("n", "cb")) * t_index_tile
         t_output = 2.0 * _load_count(traversal, trips, ("n", "f")) * t_output_tile
-        base = t_index + t_output + t_reduce_base
+        base[t, 0] = t_index + t_output + t_reduce_base
         revisit = _load_count(traversal, trips, ("cb", "f"))
-        streams = np.maximum(revisit // (trips["cb"] * trips["f"]), 1.0)
-        for grid, legal, t_lut, extra in variants:
-            if grid.load_scheme == "coarse":
-                t_lut = streams * t_lut
-            masked = np.where(legal, base + t_lut + extra, np.inf)
-            idx = np.unravel_index(np.argmin(masked), masked.shape)
-            cost = masked[idx]
-            if cost < best_cost:
-                best_cost = float(cost)
-                best = (
-                    Mapping(
-                        n_s_tile=n_s_tile,
-                        f_s_tile=f_s_tile,
-                        n_m_tile=int(NM[idx]),
-                        f_m_tile=int(FM[idx]),
-                        cb_m_tile=int(CBM[idx]),
-                        traversal=traversal,
-                        load_scheme=grid.load_scheme,
-                        cb_load_tile=grid.cb_load_tile,
-                        f_load_tile=grid.f_load_tile,
-                    ),
-                    best_cost,
-                )
-    return best
+        streams[t, 0] = np.maximum(revisit // (trips["cb"] * trips["f"]), 1.0)
+
+    # One block of load options per scheme, their load tiles on a leading
+    # (option, 1, 1, 1) axis: the LUT seconds (per stream for coarse) fill
+    # the block of ``costs``; the reduce extra, or ``inf`` where a
+    # candidate breaks the buffer rule, fills the block of ``extra``.
+    options = load_options(shape, f_s_tile)
+    costs = np.empty((len(TRAVERSALS), len(options)) + cells)
+    extra = np.empty((len(options),) + cells)
+    stop = 0
+    for scheme, group in groupby(options, key=itemgetter(0)):
+        cb_l, f_l = np.array([load[1:] for load in group]).T.reshape(2, -1, 1, 1, 1)
+        block = slice(stop, stop + len(f_l))
+        stop = block.stop
+        scheme_grid = grid._replace(load_scheme=scheme, cb_load_tile=cb_l, f_load_tile=f_l)
+        legal = fits_buffer(shape, scheme_grid, platform)
+        reduce_extra = 0.0
+        if scheme == "static":  # the whole sub-LUT resident in the buffer
+            access = min(lut_unique, STATIC_ACCESS_BYTES)
+            costs[:, block] = setup * (lut_unique / access) + lut_unique / bw
+        elif scheme == "coarse":  # all CT candidates, block-wise per visit
+            access = cb_l * ct * f_l * LUT_BYTES
+            np.multiply(
+                streams, lut_unique / bw + setup * (lut_unique / access), out=costs[:, block]
+            )
+        else:  # fine: gather only the indexed entries
+            access = f_l * LUT_BYTES
+            costs[:, block] = fine_total / bw + setup * (fine_total / access)
+            chunks = np.maximum(f_s_tile // f_l, 1)
+            reduce_extra = platform.compute.lookup_time(n_s_tile * cb * (chunks - 1))
+        extra[block] = np.where(legal, reduce_extra, np.inf)
+
+    # Each cost is ``(base + t_lut) + extra``, rounded in that order
+    # (adding ``base`` onto the LUT seconds is the same float addition).
+    costs += base
+    costs += extra
+    flat = int(np.argmin(costs))
+    cost = float(costs.flat[flat])
+    if cost == np.inf:
+        return None
+    t, option, i, j, k = np.unravel_index(flat, costs.shape)
+    scheme, cb_l, f_l = options[option]
+    mapping = Mapping(
+        n_s_tile=n_s_tile,
+        f_s_tile=f_s_tile,
+        n_m_tile=m_tiles[0][i],
+        f_m_tile=m_tiles[1][j],
+        cb_m_tile=m_tiles[2][k],
+        traversal=TRAVERSALS[t],
+        load_scheme=scheme,
+        cb_load_tile=cb_l,
+        f_load_tile=f_l,
+    )
+    return mapping, cost

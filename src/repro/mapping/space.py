@@ -88,6 +88,9 @@ def num_pes_used(shape: LUTShape, mapping: Mapping) -> int:
 #: :class:`Mapping`'s fields, unchecked, so numpy arrays can stand in for
 #: the tile factors: the rules below give arrays for such a grid where a
 #: mapping gives Python ints and bools (the vectorized search uses it).
+#: The load tiles may carry one more, leading axis than the m-tile grid,
+#: one entry per load option of the grid's scheme: the buffer rules then
+#: answer for every option at once, on that leading axis.
 MappingGrid = namedtuple("MappingGrid", [f.name for f in fields(Mapping)])
 
 
@@ -136,7 +139,8 @@ def tiling_bursts(
 
 
 def buffer_bytes_required(shape: LUTShape, mapping: Mapping) -> int:
-    """On-chip buffer footprint of the micro kernel under ``mapping``."""
+    """On-chip buffer footprint of the micro kernel under ``mapping``
+    (an array over a :data:`MappingGrid`'s cells and load options)."""
     index_tile = mapping.n_m_tile * mapping.cb_m_tile * INDEX_BYTES
     output_tile = mapping.n_m_tile * mapping.f_m_tile * OUTPUT_BYTES
     if mapping.load_scheme == "static":
@@ -150,7 +154,12 @@ def buffer_bytes_required(shape: LUTShape, mapping: Mapping) -> int:
 
 def fits_buffer(shape: LUTShape, mapping: Mapping, platform: PIMPlatform) -> bool:
     """Whether the tiles fit the buffer and each load tile its m-tile (a
-    larger load block would stream bytes the tile never uses)."""
+    larger load block would stream bytes the tile never uses).
+
+    Over a :data:`MappingGrid` the answer is a bool array; with load tiles
+    on a leading option axis it has that axis too, except under the static
+    scheme, which reads no load tile.
+    """
     fits = buffer_bytes_required(shape, mapping) <= platform.local_memory.buffer_bytes
     if mapping.load_scheme == "coarse":
         fits = fits & (mapping.cb_load_tile <= mapping.cb_m_tile)

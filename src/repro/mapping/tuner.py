@@ -26,6 +26,14 @@ Telemetry: every search records into ``repro.obs`` — counters
 ``tuner.best_cost_s``, and one ``tuner.tiling`` span per tiling under a
 ``tuner.tune`` root span.  An optional ``progress_callback`` surfaces the
 same stream synchronously (the CLI uses it for ``--progress``).
+
+Lookups before a search have their own counters: ``tuner.tune_calls``
+counts :meth:`AutoTuner.tune` calls, ``tuner.cache_hits`` the hits in the
+tuner's in-process memo (not the persistent cache), and
+``tuner.store_hits`` / ``tuner.store_misses`` the lookups in the
+persistent :class:`~repro.mapping.store.MappingCache`, made only on a memo
+miss.  ``--metrics-json`` snapshots carry these names, and the benchmark's
+``mapping.memo_hits`` reads ``tuner.cache_hits``.
 """
 
 from __future__ import annotations

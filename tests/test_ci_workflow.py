@@ -149,7 +149,8 @@ class TestWorkflowFile:
                      "tests/test_obs_instrumentation.py",
                      "tests/test_obs_overhead.py",
                      "tests/test_analytical_model.py",
-                     "tests/test_mapping_space.py"):
+                     "tests/test_mapping_space.py",
+                     "tests/test_kernel_search.py"):
             assert path in step["run"]
 
     def test_tests_job_runs_cost_model_parity(self, workflow):
@@ -245,6 +246,12 @@ class TestWorkflowFile:
         from repro.cli import _BENCH_REGISTRY
 
         assert _BENCH_REGISTRY["sim.walk"][0] == "measured"
+
+    def test_tune_cold_bench_registered_as_measured(self):
+        """`bench run --suite measured` times the cold Auto-Tuner."""
+        from repro.cli import _BENCH_REGISTRY
+
+        assert _BENCH_REGISTRY["mapping.tune-cold"][0] == "measured"
 
     def test_tests_job_python_matrix(self, workflow):
         versions = workflow["jobs"]["tests"]["strategy"]["matrix"]["python-version"]

@@ -4,8 +4,20 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.core import Codebooks, LUTLinear, closest_centroid_search, hard_replace
+from repro.core import (
+    Codebooks,
+    LUTLinear,
+    closest_centroid_search,
+    convert_to_lut_nn,
+    freeze_all_luts,
+    hard_replace,
+    load_lut_model,
+    lut_layers,
+    save_lut_model,
+    set_lut_mode,
+)
 from repro.nn import Linear
+from repro.nn.models import DecoderLM
 
 
 @pytest.fixture
@@ -234,3 +246,129 @@ class TestLUTModeGradients:
         layer.freeze_lut()
         out = layer(Tensor(rng.normal(size=(4, 8))))
         assert out.shape == (4, 5)
+
+
+def _float64_tables(layer):
+    """Every float64 array of the LUT's size reachable from the layer."""
+    size = layer.cb * layer.ct * layer.out_features
+    found, seen, stack = [], set(), [vars(layer)]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.dtype == np.float64 and obj.size == size:
+                found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__") and not isinstance(obj, np.random.Generator):
+            stack.extend(vars(obj).values())
+    return found
+
+
+def _exact_int8_layer():
+    """Integer centroids, weights and inputs, and a peak of 64 in every
+    codebook's table: one shared INT8 scale, so the int32 sum and the one
+    dequantization multiply are exact on any BLAS."""
+    rng = np.random.default_rng(7)
+    centroids = rng.integers(-2, 3, size=(4, 4, 2)).astype(np.float64)
+    centroids[:, 0] = (8.0, 0.0)
+    weight = rng.integers(-3, 4, size=(8, 6)).astype(np.float64)
+    weight[0::2, 0] = 8.0
+    bias = rng.integers(-3, 4, size=6).astype(np.float64)
+    layer = LUTLinear(Tensor(weight), Tensor(bias), Codebooks(centroids))
+    layer.set_mode("lut")
+    layer.freeze_lut(quantize_int8=True)
+    return layer, rng.integers(-3, 4, size=(5, 8)).astype(np.float64)
+
+
+def _tiny_int8_decoder():
+    rng = np.random.default_rng(11)
+    model = DecoderLM(64, 16, dim=32, num_layers=1, num_heads=2, rng=rng)
+    model.eval()
+    calib = rng.integers(0, 64, size=(2, 12))
+    convert_to_lut_nn(model, [calib], v=4, ct=8, rng=rng, kmeans_iters=3,
+                      max_rows=calib.size)
+    freeze_all_luts(model, quantize_int8=True)
+    set_lut_mode(model, "lut")
+    return model, rng.integers(0, 64, size=(2, 6))
+
+
+#: Recorded when INT8 layers still kept a float64 copy of the table.
+EXACT_INT8_FORWARD = [
+    '-0x1.0204081020408p+4', '0x1.43870e1c3870ep+2', '0x1.6204081020408p+3',
+    '0x1.f7efdfbf7efe0p-1', '0x1.63468d1a3468dp+3', '0x1.83060c183060cp+1',
+    '0x1.b366cd9b366cep+5', '0x1.22c58b162c58bp+3', '-0x1.8489122448912p+2',
+    '-0x1.8489122448912p+2', '-0x1.fbf7efdfbf7f0p-1', '-0x1.c3870e1c3870ep+3',
+    '0x1.ebd7af5ebd7afp+5', '0x1.e448912244890p+3', '-0x1.03870e1c3870ep+2',
+    '-0x1.8489122448912p+2', '0x1.0408102040810p+1', '-0x1.e3c78f1e3c78fp+3',
+    '-0x1.83060c183060cp+2', '0x1.850a142850a14p+1', '0x1.e3060c183060cp+3',
+    '0x1.8000000000000p+1', '0x1.a3c78f1e3c78fp+3', '0x1.c3870e1c3870ep+2',
+    '-0x1.72e5cb972e5ccp+4', '-0x1.fbf7efdfbf7f0p-1', '0x1.2183060c18306p+3',
+    '0x1.f7efdfbf7efe0p-1', '0x1.02850a142850ap+3', '0x1.0204081020408p+2',
+]
+TINY_DECODER_TOKENS = [
+    [6, 17, 63, 11, 44, 40, 51, 12, 36, 55, 35, 33],
+    [27, 51, 29, 37, 13, 21, 45, 56, 35, 29, 35, 33],
+]
+TINY_DECODER_ARGMAX = [
+    [44, 31, 35, 36, 55, 51, 12, 36, 55, 35, 33],
+    [0, 25, 54, 36, 61, 45, 56, 35, 29, 35, 33],
+]
+
+
+class TestInt8Storage:
+    """An INT8 layer keeps one byte per table entry, not a float64 copy."""
+
+    def test_int8_freeze_keeps_no_float_table(self, rng):
+        layer, _ = make_layer(rng, h=8, f=5, v=2, ct=4)
+        layer.freeze_lut(quantize_int8=True)
+        assert layer.quantized_lut is not None
+        assert _float64_tables(layer) == []
+        assert np.array_equal(layer.lut, layer.quantized_lut.dequantize())
+        assert layer.lut is not layer.lut  # built on demand
+
+    def test_float_refreeze_drops_int8_table(self, rng):
+        layer, _ = make_layer(rng, h=8, f=5, v=2, ct=4)
+        layer.freeze_lut(quantize_int8=True)
+        layer.freeze_lut(quantize_int8=False)
+        assert layer.quantized_lut is None
+        assert len(_float64_tables(layer)) == 1
+        assert layer.lut is layer.lut
+
+    def test_lazy_freeze_reads_either_table(self, rng, monkeypatch):
+        layer, _ = make_layer(rng, h=8, f=5, v=2, ct=4)
+        layer.set_mode("lut")
+        layer.freeze_lut(quantize_int8=True)
+        calls = []
+        monkeypatch.setattr(layer, "freeze_lut", lambda **kw: calls.append(kw))
+        layer(Tensor(rng.normal(size=(3, 8))))
+        assert calls == []
+
+    def test_loaded_model_keeps_no_float_table(self, tmp_path):
+        model, prompt = _tiny_int8_decoder()
+        expected = model.generate(prompt, 6, use_cache=True)
+        path = save_lut_model(model, str(tmp_path / "model.npz"))
+        fresh, _ = _tiny_int8_decoder()
+        for _, layer in lut_layers(fresh):
+            layer.freeze_lut(quantize_int8=False)
+        load_lut_model(fresh, path)
+        for name, layer in lut_layers(fresh):
+            assert _float64_tables(layer) == [], name
+            assert np.array_equal(layer.lut, layer.quantized_lut.dequantize()), name
+        assert np.array_equal(fresh.generate(prompt, 6, use_cache=True), expected)
+
+    def test_int8_forward_matches_recorded(self):
+        layer, x = _exact_int8_layer()
+        out = layer(Tensor(x)).data
+        assert [v.hex() for v in out.ravel().tolist()] == EXACT_INT8_FORWARD
+
+    def test_int8_generate_matches_recorded(self):
+        model, prompt = _tiny_int8_decoder()
+        tokens = model.generate(prompt, 6, use_cache=True)
+        assert tokens.tolist() == TINY_DECODER_TOKENS
+        logits = model(tokens[:, :-1]).data
+        assert logits.argmax(axis=-1).tolist() == TINY_DECODER_ARGMAX
