@@ -1559,6 +1559,28 @@ def _bench_tune_cold(platform_name: str):
     }
 
 
+def _bench_serving_replay(platform_name: str):
+    """Measured: this machine's serving-loop speed, in microseconds per
+    scheduler step of a warm, seeded colocated replay (best of 5)."""
+    from .baselines import wimpy_host
+    from .engine import (GenerationServer, Request, RequestScheduler,
+                         SchedulerPolicy, poisson_requests)
+
+    config = EVAL_MODELS["bert-base"].with_(num_layers=1)
+    sched = RequestScheduler(
+        GenerationServer(get_platform(platform_name), wimpy_host()), config,
+        policy=SchedulerPolicy(max_batch_size=8),
+    )
+    service_s = sched.fifo_service_time(Request(-1, 0.0, 128, 32))
+    stream = poisson_requests(300, 1.4 / service_s, prompt_len=[64, 128, 256],
+                              generate_len=[16, 32, 64], seed=0)
+    steps = sched.run(stream).steps  # fills the cost memos off the clock
+    best = _best_seconds(lambda: sched.run(stream), 5, warmup=0)
+    return best / steps * 1e6, {
+        "unit": "us", "model": "bert-base", "requests": len(stream), "steps": steps,
+    }
+
+
 #: bench id -> (suite kind, runner).  Ids are stable across commits — they
 #: key the store history.
 _BENCH_REGISTRY = {
@@ -1572,6 +1594,7 @@ _BENCH_REGISTRY = {
     "kernels.schedule-search": ("measured", _bench_schedule_search),
     "sim.walk": ("measured", _bench_sim_walk),
     "mapping.tune-cold": ("measured", _bench_tune_cold),
+    "serving.replay": ("measured", _bench_serving_replay),
 }
 
 
@@ -1633,10 +1656,11 @@ def cmd_bench(args) -> int:
         rows = []
         for bench_id, kind, value, meta in results:
             record = store.record(
-                bench_id, value, git_sha=sha,
-                fingerprint=fingerprint(kind), meta=meta,
+                bench_id, value, git_sha=sha, fingerprint=fingerprint(kind),
+                unit=meta.get("unit", "s"), meta=meta,
             )
-            rows.append([bench_id, kind, f"{record.value:.6g} s", record.git_sha])
+            rows.append([bench_id, kind, f"{record.value:.6g} {record.unit}",
+                         record.git_sha])
         print(format_table(["bench", "suite", "value", "sha"], rows))
         print(f"{len(rows)} result(s) appended to {args.store}")
         return 0
@@ -1651,14 +1675,15 @@ def cmd_bench(args) -> int:
             if args.threshold is not None
             else _BENCH_THRESHOLDS[kind]
         )
-        verdict = detect_regression(bench_id, value, baseline, threshold=threshold)
+        verdict = detect_regression(bench_id, value, baseline, threshold=threshold,
+                                    unit=meta.get("unit", "s"))
         verdicts.append(verdict)
         prefix = "warning" if verdict.status == "insufficient-baseline" else verdict.status
         print(f"[{prefix}] {verdict.render()}")
         if args.record:
             store.record(
                 bench_id, value, git_sha=sha, fingerprint=fingerprint(kind),
-                meta=meta,
+                unit=meta.get("unit", "s"), meta=meta,
             )
     regressions = [v for v in verdicts if v.is_regression]
     if args.json is not None:

@@ -266,6 +266,8 @@ class _PrefillPool:
         #: In-flight KV migrations: (ready_at, tiebreak, flight).
         self.transfers: List[Tuple[float, int, _InFlight]] = []
         self.timeline: List[Tuple[str, str, float, float]] = []
+        #: Decode-pool segment label per batch size, built once per run.
+        self.step_labels: Dict[int, str] = {}
         self.free_at = 0.0
         self.busy_s = 0.0
         self.kv_transfer_s = 0.0
@@ -304,8 +306,14 @@ class _PrefillPool:
         )
         if sched.placement.choose(r, pools) != _POOL:
             return False
-        self.placed_pool.inc()
         duration = pools.pool_prefill_s
+        if not duration > 0.0:
+            # A NaN job would never land, and the idle loop would wait on it.
+            raise ValueError(
+                f"prefill-pool job priced at {duration!r} s (prompt tokens "
+                f"{r.prompt_len}, batch {r.batch}): every step must take time"
+            )
+        self.placed_pool.inc()
         start = max(now, self.free_at)
         done = start + duration
         flight = _InFlight(
@@ -345,7 +353,10 @@ class _PrefillPool:
         return True
 
     def record_step(self, start: float, end: float, seqs: int) -> None:
-        self.timeline.append(("decode_pool", f"step[b={seqs}]", start, end))
+        label = self.step_labels.get(seqs)
+        if label is None:
+            label = self.step_labels[seqs] = f"step[b={seqs}]"
+        self.timeline.append(("decode_pool", label, start, end))
 
     def annotate(self, run_span) -> None:
         run_span.set_attribute("placement", self.sched.placement.name)

@@ -26,7 +26,12 @@ cost model:
 
 One event loop serves every scheduler:
 :class:`~repro.engine.disagg.DisaggScheduler` runs it with a prefill pool
-attached, and the cluster's replicas run it unchanged.
+attached, and the cluster's replicas run it unchanged.  A step pays for
+the step itself: one memoized cost lookup per prefill chunk and one per
+decode iteration, their phase additions, and the step's span.  What
+touches single flights — an admission, a prefill completion, a finish —
+is paid per event: the loop keeps the batch's sums as flights come and
+go, so a step that only decodes costs the same at any batch size.
 
 Everything is instrumented through :mod:`repro.obs` (``scheduler.*``
 counters/histograms/series, a span per scheduler step) and is compatible
@@ -555,19 +560,42 @@ class EngineCostModel:
         return total
 
 
+class _StepClock:
+    """One run's count of executed steps, shared by its decoding flights."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self) -> None:
+        self.steps = 0
+
+
 @dataclass
 class _InFlight:
-    """Mutable bookkeeping for one admitted request."""
+    """Mutable bookkeeping for one admitted request.
+
+    Every step decodes each decoding flight once, so a flight's generated
+    tokens are read off the run's step clock rather than counted per step
+    (and never exceed ``generate_len``).
+    """
 
     request: Request
     admitted_s: float
     prefilled: int = 0
-    generated: int = 0
     prefill_done_s: Optional[float] = None
     first_token_s: Optional[float] = None
-    #: Set at the end of the step that finished prefill; the request
-    #: starts decoding on the *next* step.
+    #: Set once the prompt is prefilled — at the end of the step that
+    #: finished it, or by the prefill pool; the request starts decoding
+    #: on the *next* step.
     decode_ready: bool = False
+    #: The run's step clock once the flight decodes, and its count then.
+    clock: Optional[_StepClock] = None
+    decode_from: int = 0
+
+    @property
+    def generated(self) -> int:
+        if self.clock is None:
+            return 0
+        return min(self.clock.steps - self.decode_from, self.request.generate_len)
 
     @property
     def context_len(self) -> int:
@@ -647,14 +675,6 @@ class RequestScheduler:
             and request.total_context <= self.policy.max_context_tokens
         )
 
-    def _fits(self, request: Request, running: List[_InFlight]) -> bool:
-        seqs = sum(f.request.batch for f in running)
-        tokens = sum(f.request.total_context for f in running)
-        return (
-            seqs + request.batch <= self.policy.max_batch_size
-            and tokens + request.total_context <= self.policy.max_context_tokens
-        )
-
     # ------------------------------------------------------------------
     # FIFO reference costing
     # ------------------------------------------------------------------
@@ -690,23 +710,46 @@ class RequestScheduler:
     def _simulate(self, requests: Sequence[Request]) -> ScheduleResult:
         """The event loop every scheduler class runs (see :meth:`run`).
 
+        A step that only decodes is O(1) in the batch size.  The loop keeps
+        four integer sums of the batch: running sequences (the occupancy),
+        their peak KV footprint (for admission), decoding sequences and
+        the decoding sequences' summed context, which grows by one token
+        per sequence each step.  The sums change only per event: an
+        admission, a prefill completion or a finish.  Per step the loop
+        scans only the flights with prompt left to prefill; it walks the
+        whole batch, in admission order, only on a step where some flight
+        finished its prefill or emitted its last token.  A decoding
+        flight's generated tokens are read off the run's step clock.
+
         Telemetry is paid once per run: the loop keeps local counts and
         records them, with the occupancy series, when the run ends — even
         when it raises.  Only the ``<ns>.step`` span is opened per step.
+        A step priced at no time (or at NaN) raises :class:`ValueError`
+        rather than stalling the simulated clock.
         """
         policy = self.policy
+        max_seqs, max_tokens = policy.max_batch_size, policy.max_context_tokens
+        chunk = policy.prefill_chunk if policy.chunked_prefill else None
         tracer = obs.get_tracer()
         ordered = _ordered(requests)
         tel = _Telemetry(self._ns)
         cost = self.cost
 
         waiting: deque = deque()
+        # Admitted flights in admission order: the order finishes happen in.
         running: List[_InFlight] = []
+        # The running flights with prompt left to prefill, in that order.
+        prefilling: List[_InFlight] = []
+        # Flights whose first decode is the next step.
+        starting: List[_InFlight] = []
+        # Step count -> decoding flights whose last token that step emits.
+        due: Dict[int, int] = {}
+        clock = _StepClock()
+        run_seqs = run_tokens = dec_seqs = dec_ctx = 0
         stats: Dict[int, RequestStats] = {}
         queued = 0
         admitted = 0
         rejected = 0
-        steps = 0
         busy_s = 0.0
         prefill_tokens = 0
         generated_tokens = 0
@@ -743,10 +786,32 @@ class RequestScheduler:
             rejected += 1
             stats[r.request_id] = _stats(r, rejected=True)
 
+        def fits(r: Request) -> bool:
+            return (run_seqs + r.batch <= max_seqs
+                    and run_tokens + r.total_context <= max_tokens)
+
+        def start_decoding(flight: _InFlight) -> None:
+            """Join the decoding set; the next step emits its first token."""
+            nonlocal dec_seqs, dec_ctx
+            r = flight.request
+            flight.clock, flight.decode_from = clock, clock.steps
+            dec_seqs += r.batch
+            dec_ctx += r.prompt_len * r.batch
+            last = clock.steps + r.generate_len
+            due[last] = due.get(last, 0) + 1
+            starting.append(flight)
+
         def admit(flight: _InFlight) -> None:
-            nonlocal admitted
+            nonlocal admitted, run_seqs, run_tokens
+            r = flight.request
             running.append(flight)
             admitted += 1
+            run_seqs += r.batch
+            run_tokens += r.total_context
+            if flight.decode_ready:  # prefilled on the pool
+                start_decoding(flight)
+            else:
+                prefilling.append(flight)
 
         pool = self._prefill_pool(finish, phase_totals)
         owner = f"{tel.run}[{self.name}]" if self.name else tel.run
@@ -780,13 +845,13 @@ class RequestScheduler:
                     #    it there, else into the batch while it has room.
                     if pool is not None:
                         landed = pool.landed(now)
-                        while landed and self._fits(landed[0].request, running):
+                        while landed and fits(landed[0].request):
                             admit(landed.popleft())
                     while waiting:
                         head = waiting[0]
                         if pool is not None and pool.place(head, now, running):
                             waiting.popleft()
-                        elif self._fits(head, running):
+                        elif fits(head):
                             waiting.popleft()
                             admit(_InFlight(request=head, admitted_s=now))
                             if pool is not None:
@@ -805,49 +870,42 @@ class RequestScheduler:
                         continue
 
                     # 4. Execute one scheduler step (serialized on the one
-                    #    PIM system: prefill work, then a decode iteration).
+                    #    PIM system: prefill work, then a decode iteration
+                    #    of every flight that was decoding when it began).
                     step_s = 0.0
                     step_prefill = 0
-                    decoding = [f for f in running if f.decode_ready]
-                    budget = (
-                        policy.prefill_chunk
-                        if policy.chunked_prefill
-                        else float("inf")
-                    )
-                    prefilling: List[_InFlight] = []
-                    with tracer.span(tel.step) as sp:
-                        for f in running:
-                            if f.prefill_remaining <= 0 or budget <= 0:
-                                continue
-                            take = f.prefill_remaining
-                            if policy.chunked_prefill:
-                                take = min(take, int(budget))
-                            seconds, phases = cost.prefill(take, f.request.batch)
+                    seqs = dec_seqs
+                    prompts_done = 0  # flights whose prompt this step completes
+                    with tracer.span(tel.step, batch_seqs=seqs) as sp:
+                        budget = chunk
+                        for f in prefilling:
+                            r = f.request
+                            take = r.prompt_len - f.prefilled
+                            if budget is not None:
+                                if budget <= 0:
+                                    break
+                                take = min(take, budget)
+                                budget -= take
+                            seconds, phases = cost.prefill(take, r.batch)
                             step_s += seconds
                             _accumulate(phase_totals, phases)
                             f.prefilled += take
-                            budget -= take
-                            step_prefill += take * f.request.batch
-                            prefilling.append(f)
-
-                        seqs = sum(f.request.batch for f in decoding)
+                            step_prefill += take * r.batch
+                            if f.prefilled >= r.prompt_len:
+                                prompts_done += 1
                         if seqs:
-                            total_ctx = sum(
-                                f.context_len * f.request.batch for f in decoding
-                            )
-                            seconds, phases = cost.decode_step(seqs, total_ctx / seqs)
+                            seconds, phases = cost.decode_step(seqs, dec_ctx / seqs)
                             step_s += seconds
                             _accumulate(phase_totals, phases)
-                        sp.set_attribute("batch_seqs", seqs)
                         sp.set_attribute("prefill_tokens", step_prefill)
                         sp.set_attribute("model_seconds", step_s)
 
-                    if step_s <= 0.0:
-                        # Nothing runnable this step (all admitted requests
-                        # are freshly prefilled, none decode-ready yet).
-                        for f in running:
-                            f.decode_ready = f.prefilled >= f.request.prompt_len
-                        continue
+                    if not step_s > 0.0:
+                        raise ValueError(
+                            f"{self._ns} step priced at {step_s!r} s "
+                            f"(batch sequences {seqs}, prefill tokens "
+                            f"{step_prefill}): every step must take time"
+                        )
 
                     step_start = now
                     now += step_s
@@ -855,31 +913,48 @@ class RequestScheduler:
                         # ``now`` itself: the timelines share one float per step.
                         pool.record_step(step_start, now, seqs)
                     busy_s += step_s
-                    steps += 1
+                    clock.steps += 1
                     prefill_tokens += step_prefill
                     generated_tokens += seqs
 
-                    # 5. Post-step bookkeeping: prefill completions, token
-                    #    emissions, request completions.
-                    for f in prefilling:
-                        if f.prefill_remaining <= 0 and f.prefill_done_s is None:
+                    # 5. Post-step bookkeeping: token emissions, prefill
+                    #    completions (a prefix of the prefilling list: a
+                    #    flight left unfinished took all the budget), then
+                    #    request completions in admission order.
+                    dec_ctx += seqs
+                    if starting:
+                        for f in starting:
+                            f.first_token_s = now
+                        starting.clear()
+                    finishing = due.pop(clock.steps, 0)
+                    if prompts_done:
+                        for f in prefilling[:prompts_done]:
                             f.prefill_done_s = now
                             f.decode_ready = True
-                    for f in decoding:
-                        f.generated += 1
-                        if f.first_token_s is None:
-                            f.first_token_s = now
-                    for f in list(running):
-                        if f.done:
-                            if f.prefill_done_s is None:
-                                f.prefill_done_s = now
+                            if f.request.generate_len:
+                                start_decoding(f)
+                            else:
+                                finishing += 1
+                        del prefilling[:prompts_done]
+                    if finishing:
+                        kept = []
+                        for f in running:
+                            if not f.done:
+                                kept.append(f)
+                                continue
                             finish(f, now)
-                            running.remove(f)
+                            r = f.request
+                            run_seqs -= r.batch
+                            run_tokens -= r.total_context
+                            if r.generate_len:
+                                dec_seqs -= r.batch
+                                dec_ctx -= (r.prompt_len + r.generate_len) * r.batch
+                        running[:] = kept
 
-                    occ = float(sum(f.request.batch for f in running))
+                    occ = float(run_seqs)
                     occupancy.append((now, occ))
                     occupancy_weighted += occ * step_s
-                    peak_occupancy = max(peak_occupancy, int(occ))
+                    peak_occupancy = max(peak_occupancy, run_seqs)
             finally:
                 tel.record_run(
                     [occ for _, occ in occupancy],
@@ -887,7 +962,7 @@ class RequestScheduler:
                     requests_admitted=admitted,
                     requests_completed=len(stats) - rejected,
                     requests_rejected=rejected,
-                    steps=steps,
+                    steps=clock.steps,
                     prefill_tokens=prefill_tokens,
                     decode_tokens=generated_tokens,
                 )
@@ -912,7 +987,7 @@ class RequestScheduler:
             policy=policy,
             completed=len(done),
             rejected=rejected,
-            steps=steps,
+            steps=clock.steps,
             makespan_s=makespan_s,
             prefill_tokens=prefill_tokens,
             generated_tokens=generated_tokens,

@@ -23,9 +23,9 @@ Telemetry is always-on and cheap: ``tests/test_obs_overhead.py`` holds a
 tuner search to <5% over disabled, and ``tests/test_serving_telemetry.py``
 holds a serving replay to a bounded on/off ratio with registry calls per
 run, not per step.  What remains per scheduler step is its span: on a
-2-core host about 3 us in a 300-request replay, and 5-6 us once the span
-buffer is full and every new span evicts one.  :func:`set_enabled` swaps
-in null implementations when even that overhead is unwanted.
+2-core host about 1.6-3 us in a 300-request replay, and 3-4.3 us once the
+span buffer is full and every new span evicts one.  :func:`set_enabled`
+swaps in null implementations when even that overhead is unwanted.
 """
 
 from __future__ import annotations

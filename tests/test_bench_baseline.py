@@ -241,6 +241,27 @@ class TestBenchCLI:
             ["bench", "compare", "--store", store, "--threshold", "0.5"]
         ) == 0
 
+    def test_runner_names_its_unit(self, tmp_path, monkeypatch, capsys):
+        """A runner's ``meta["unit"]`` labels its records and verdicts;
+        seconds otherwise."""
+        monkeypatch.setattr(cli, "_BENCH_REGISTRY", {
+            "per-step.bench": ("measured", lambda p: (7.5, {"unit": "us"})),
+            "seconds.bench": ("measured", lambda p: (0.5, {})),
+        })
+        store = str(tmp_path / "store")
+        for _ in range(2):
+            assert cli.main(["bench", "run", "--store", store,
+                             "--suite", "measured"]) == 0
+        assert "7.5 us" in capsys.readouterr().out
+        history = BaselineStore(store)
+        units = {bench_id: {r.unit for r in history.records(bench_id, fp)}
+                 for bench_id, fp in history.bench_ids()}
+        assert units == {"per-step.bench": {"us"}, "seconds.bench": {"s"}}
+        assert cli.main(["bench", "compare", "--store", store,
+                         "--suite", "measured"]) == 0
+        out = capsys.readouterr().out
+        assert "current 7.5 us" in out and "current 0.5 s" in out
+
     def test_empty_suite_is_an_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_BENCH_REGISTRY", {})
         code = cli.main(

@@ -200,6 +200,14 @@ class TestWorkflowFile:
                      "tests/test_serving_parity.py"):
             assert path in step["run"]
 
+    def test_tests_job_runs_scheduler_loop_parity(self, workflow):
+        """The event loop's parity with the loop it replaced runs with the
+        scheduler suite."""
+        job = workflow["jobs"]["tests"]
+        step = next(s for s in job["steps"]
+                    if s.get("name", "").startswith("Scheduler + serving"))
+        assert "tests/test_scheduler_loop.py" in step["run"]
+
     def test_coverage_floor_raised(self, workflow):
         """The suite has grown; the line-coverage floor moved 70 -> 75."""
         runs = " ".join(_run_commands(workflow["jobs"]["tests"]))
@@ -252,6 +260,12 @@ class TestWorkflowFile:
         from repro.cli import _BENCH_REGISTRY
 
         assert _BENCH_REGISTRY["mapping.tune-cold"][0] == "measured"
+
+    def test_serving_replay_bench_registered_as_measured(self):
+        """`bench run --suite measured` times the serving event loop."""
+        from repro.cli import _BENCH_REGISTRY
+
+        assert _BENCH_REGISTRY["serving.replay"][0] == "measured"
 
     def test_tests_job_python_matrix(self, workflow):
         versions = workflow["jobs"]["tests"]["strategy"]["matrix"]["python-version"]
