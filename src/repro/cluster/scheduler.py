@@ -63,7 +63,6 @@ from ..engine.scheduler import (
     _stats,
 )
 from ..engine.serving import GenerationServer
-from ..pim.platforms import TransferBandwidth
 from ..resilience.faults import FaultPlan
 from ..resilience.recovery import DegradationSummary, _DegradationScope
 from ..workloads.configs import TransformerConfig
@@ -121,29 +120,20 @@ def failures_from_fault_plan(
 
 
 def _replica_cost(
-    server: GenerationServer,
-    config: TransformerConfig,
-    shards: int,
-    context_bucket: int,
-    interconnect: Optional[TransferBandwidth] = None,
-    activation_dtype_bytes: Optional[int] = None,
+    server: GenerationServer, config: TransformerConfig, shards: int
 ) -> EngineCostModel:
     """Memoized cost model of one replica, layer-split across ``shards``
     pools joined by the platform's scatter path at its GEMM dtype."""
     if shards == 1:
-        return EngineCostModel(server, config, context_bucket=context_bucket)
+        return EngineCostModel(server, config)
     platform = server.platform
     plan = ShardPlan(
         config=config,
         shards=shards,
-        interconnect=platform.scatter if interconnect is None else interconnect,
-        activation_dtype_bytes=(
-            platform.gemm_dtype_bytes
-            if activation_dtype_bytes is None
-            else activation_dtype_bytes
-        ),
+        interconnect=platform.scatter,
+        activation_dtype_bytes=platform.gemm_dtype_bytes,
     )
-    return ShardedCostModel(server, plan, context_bucket=context_bucket)
+    return ShardedCostModel(server, plan)
 
 
 @dataclass(frozen=True)
@@ -199,7 +189,9 @@ class ClusterResult(_ServingSummary):
     #: when the server runs resilient; None otherwise.
     degradation: Optional[DegradationSummary] = None
     #: Phase attribution summed across replicas, same keys as
-    #: :attr:`ScheduleResult.phase_seconds` (plus ``shard_transfer``).
+    #: :attr:`ScheduleResult.phase_seconds`; a sharded cluster adds
+    #: ``prefill/shard_transfer`` and ``decode/shard_transfer``
+    #: (:meth:`phase_attribution` merges them into ``shard_transfer``).
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -215,12 +207,6 @@ class ClusterResult(_ServingSummary):
     @property
     def max_queue_depth(self) -> int:
         return max(self.replica_max_queue_depth, default=0)
-
-    def replica_phase_attribution(
-        self, replica: int, request_class: Optional[str] = None
-    ):
-        """One replica's bottleneck attribution."""
-        return self.replica_results[replica].phase_attribution(request_class)
 
     def to_jsonable(self) -> dict:
         return {
@@ -258,9 +244,10 @@ class ClusterScheduler:
     ``placement`` switches every replica from a single-engine
     :class:`~repro.engine.scheduler.RequestScheduler` to a two-pool
     :class:`~repro.engine.disagg.DisaggScheduler` under that placement
-    policy; ``prefill_server`` / ``kv_transfer`` configure each replica's
-    prefill pool and KV-migration cost (replicas stay homogeneous and
-    share both memoized cost models).
+    policy; ``prefill_server`` sets each replica's prefill pool, so it
+    needs a ``placement`` (replicas stay homogeneous and share both
+    memoized cost models).  ``cost_model`` replaces the replica cost model
+    built from ``shards``; it must price that many shards.
     """
 
     def __init__(
@@ -271,20 +258,21 @@ class ClusterScheduler:
         shards: int = 1,
         policy: Optional[SchedulerPolicy] = None,
         router: Union[str, Router] = "round-robin",
-        context_bucket: int = 32,
-        interconnect: Optional[TransferBandwidth] = None,
-        activation_dtype_bytes: Optional[int] = None,
         failures: Sequence[ReplicaFailure] = (),
         seed: int = 0,
         cost_model: Optional[EngineCostModel] = None,
         placement: Optional[str] = None,
         prefill_server=None,
-        kv_transfer=None,
     ):
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         if shards < 1:
             raise ValueError("shards must be >= 1")
+        if prefill_server is not None and placement is None:
+            raise ValueError(
+                "prefill_server needs a placement: without one, replicas "
+                "have no prefill pool"
+            )
         self.server = server
         self.config = config
         self.replicas = replicas
@@ -308,13 +296,15 @@ class ClusterScheduler:
         )
 
         if cost_model is None:
-            cost_model = _replica_cost(
-                server, config, shards, context_bucket,
-                interconnect=interconnect,
-                activation_dtype_bytes=activation_dtype_bytes,
-            )
+            cost_model = _replica_cost(server, config, shards)
         self.cost = cost_model
         self.shard_plan: Optional[ShardPlan] = getattr(cost_model, "plan", None)
+        priced = self.shard_plan.shards if self.shard_plan else 1
+        if priced != shards:
+            raise ValueError(
+                f"cost_model prices {priced} shard(s) but the cluster has "
+                f"shards={shards}"
+            )
 
         self.placement = placement
         self.schedulers: List[RequestScheduler] = []
@@ -324,11 +314,7 @@ class ClusterScheduler:
         for r in range(replicas):
             if placement is None:
                 sched = RequestScheduler(
-                    server,
-                    config,
-                    policy=self.policy,
-                    context_bucket=context_bucket,
-                    name=f"replica{r}",
+                    server, config, policy=self.policy, name=f"replica{r}"
                 )
             else:
                 from ..engine.disagg import DisaggScheduler
@@ -339,8 +325,6 @@ class ClusterScheduler:
                     policy=self.policy,
                     placement=placement,
                     prefill_server=prefill_server,
-                    kv_transfer=kv_transfer,
-                    context_bucket=context_bucket,
                     name=f"replica{r}",
                 )
                 if prefill_cost is None:
@@ -595,7 +579,6 @@ def cluster_load_sweep(
     generate_len: int = 32,
     batch: int = 1,
     policy: Optional[SchedulerPolicy] = None,
-    context_bucket: int = 32,
     arrivals: str = "poisson",
     seed: int = 0,
     sessions: Optional[int] = None,
@@ -610,9 +593,7 @@ def cluster_load_sweep(
     latency for pool capacity.  Every cell at one load level consumes the
     *identical* seeded stream, so cells are directly comparable.
     """
-    reference = RequestScheduler(
-        server, config, policy=policy, context_bucket=context_bucket
-    )
+    reference = RequestScheduler(server, config, policy=policy)
     streams = _load_streams(
         reference, utilizations, num_requests, prompt_len, generate_len,
         batch, arrivals, seed, sessions=sessions,
@@ -623,7 +604,7 @@ def cluster_load_sweep(
     costs: Dict[int, EngineCostModel] = {1: reference.cost}
     for shards in shard_counts:
         if shards not in costs:
-            costs[shards] = _replica_cost(server, config, shards, context_bucket)
+            costs[shards] = _replica_cost(server, config, shards)
 
     points: List[ClusterSweepPoint] = []
     for rho, rate, stream in streams:
@@ -637,7 +618,6 @@ def cluster_load_sweep(
                         shards=shards,
                         policy=policy,
                         router=router,
-                        context_bucket=context_bucket,
                         seed=seed,
                         cost_model=costs[shards],
                     )

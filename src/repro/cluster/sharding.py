@@ -18,10 +18,10 @@ which the bottleneck attribution relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
-from ..engine.scheduler import EngineCostModel
+from ..engine.scheduler import EngineCostModel, _Report
 from ..engine.serving import GenerationServer
 from ..pim.platforms import TransferBandwidth
 from ..workloads.configs import TransformerConfig
@@ -103,53 +103,38 @@ class ShardedCostModel(EngineCostModel):
     costs (each shard costed through its own memoized
     :class:`EngineCostModel` on the shard's layer slice) plus the
     boundary activation transfers for the tokens processed that step.
-    With ``shards == 1`` this collapses exactly to the base model.
+    With ``shards == 1`` this collapses exactly to the base model.  The
+    model overrides only the base's two pricing hooks; its public
+    accessors and per-step memo are the base's.
     """
 
-    def __init__(
-        self,
-        server: GenerationServer,
-        plan: ShardPlan,
-        context_bucket: int = 32,
-    ):
-        super().__init__(server, plan.config, context_bucket=context_bucket)
+    def __init__(self, server: GenerationServer, plan: ShardPlan):
+        super().__init__(server, plan.config)
         self.plan = plan
-        self._stages = [
-            EngineCostModel(server, cfg, context_bucket=context_bucket)
-            for cfg in plan.shard_configs
-        ]
+        self._stages = [EngineCostModel(server, cfg) for cfg in plan.shard_configs]
 
-    def prefill_s(self, tokens: int, batch: int = 1) -> float:
-        total = sum(stage.prefill_s(tokens, batch) for stage in self._stages)
-        return total + self.plan.transfer_s(tokens * batch)
-
-    def prefill_phases(self, tokens: int, batch: int = 1) -> Dict[str, float]:
-        merged: Dict[str, float] = {}
-        for stage in self._stages:
-            for phase, seconds in stage.prefill_phases(tokens, batch).items():
-                merged[phase] = merged.get(phase, 0.0) + seconds
-        transfer = self.plan.transfer_s(tokens * batch)
-        if transfer:
-            merged[TRANSFER_PHASE] = transfer
-        return merged
-
-    def decode_step_s(self, batch_seqs: int, context_len: float) -> float:
-        total = sum(
-            stage.decode_step_s(batch_seqs, context_len)
-            for stage in self._stages
+    def _prefill_report(self, tokens: int, batch: int) -> _Report:
+        return self._staged(
+            [stage._prefill_report(tokens, batch) for stage in self._stages],
+            tokens * batch,
         )
-        # One token per sequence crosses each boundary per decode step.
-        return total + self.plan.transfer_s(batch_seqs)
 
-    def decode_step_phases(
-        self, batch_seqs: int, context_len: float
-    ) -> Dict[str, float]:
+    def _decode_report(self, batch_seqs: int, context_len: float) -> _Report:
+        # One token per sequence crosses each boundary per decode step.
+        return self._staged(
+            [stage._decode_report(batch_seqs, context_len)
+             for stage in self._stages],
+            batch_seqs,
+        )
+
+    def _staged(self, reports: Sequence[_Report], tokens: int) -> _Report:
+        """The stages' reports in stage order, plus the boundary transfer
+        of ``tokens`` tokens in flight."""
         merged: Dict[str, float] = {}
-        for stage in self._stages:
-            phases = stage.decode_step_phases(batch_seqs, context_len)
+        for _, phases in reports:
             for phase, seconds in phases.items():
                 merged[phase] = merged.get(phase, 0.0) + seconds
-        transfer = self.plan.transfer_s(batch_seqs)
+        transfer = self.plan.transfer_s(tokens)
         if transfer:
             merged[TRANSFER_PHASE] = transfer
-        return merged
+        return sum(seconds for seconds, _ in reports) + transfer, merged

@@ -29,7 +29,7 @@ from ..baselines.roofline import RooflineDevice
 from ..mapping.tuner import AutoTuner
 from ..nn.module import Module
 from ..pim.platforms import PIMPlatform
-from .ccs import hard_replace
+from .ccs import ccs_roofline_time, hard_replace
 from .codebook import Codebooks, LUTShape
 from .conversion import LayerFilter, find_target_linears, record_activations
 
@@ -60,13 +60,6 @@ class LayerConfigPlan:
 
     def config_for(self, layer_name: str) -> Tuple[int, int]:
         return self.assignment[layer_name]
-
-
-def _ccs_latency(host: RooflineDevice, n: int, h: int, v: int, ct: int) -> float:
-    cb = h // v
-    distance = host.small_k_gemm_time(n * cb, v, ct)
-    argmin = host.op_time(n * cb * ct, n * cb * ct * 4.0)
-    return distance + argmin
 
 
 def measure_candidates(
@@ -105,7 +98,9 @@ def measure_candidates(
                 n=serving_rows, h=layer.in_features, f=layer.out_features, v=v, ct=ct
             )
             latency = tuner.tune(shape).cost
-            latency += _ccs_latency(host, serving_rows, layer.in_features, v, ct)
+            latency += ccs_roofline_time(
+                host, serving_rows, layer.in_features, v, ct
+            )
             points.append(CandidatePoint(v=v, ct=ct, error=error, latency_s=latency))
         if not points:
             raise ValueError(f"no legal candidates for layer {name!r}")

@@ -21,13 +21,16 @@ reference precision regardless of input dtype.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ..kernels import CCSKernel
 from ..kernels.ccs import DTypeLike
 from .codebook import Codebooks
+
+if TYPE_CHECKING:
+    from ..baselines.roofline import RooflineDevice
 
 # Shared auto-dtype kernel for the functional API; per-layer callers
 # (LUTLinear) own their kernel so each layer's constants stay cached.
@@ -93,3 +96,19 @@ def hard_replace(x: np.ndarray, codebooks: Codebooks) -> np.ndarray:
 def ccs_flops(n: int, h: int, ct: int) -> int:
     """Operation count of index calculation: 3 * N * H * CT (paper §3.3)."""
     return 3 * n * h * ct
+
+
+def ccs_roofline_time(
+    host: "RooflineDevice", n: int, h: int, v: int, ct: int
+) -> float:
+    """Host roofline seconds of CCS over ``n`` rows at (V, CT).
+
+    The per-column (N, V) x (V, CT) distance GEMMs run at small-K
+    efficiency; the argmin reads the (N, CB, CT) float32 distances.  The
+    N*CB index write is left out (the prefill engine's roofline charges
+    it).
+    """
+    cb = h // v
+    distance = host.small_k_gemm_time(n * cb, v, ct)
+    argmin = host.op_time(n * cb * ct, n * cb * ct * 4.0)
+    return distance + argmin

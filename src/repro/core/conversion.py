@@ -132,15 +132,12 @@ def convert_to_lut_nn(
     kmeans_iters: int = 25,
     centroid_init: str = "kmeans",
     max_rows: int = 100_000,
-    kernel_dtype=None,
-    block_rows: Optional[int] = None,
 ) -> List[Tuple[str, LUTLinear]]:
     """Convert every targeted ``Linear`` in ``model`` to a ``LUTLinear``.
 
     Returns the list of (qualified_name, new_layer) replacements.  The model
     is modified in place; each new layer starts in ``calibrate`` mode, ready
-    for an eLUT-NN calibration pass.  ``kernel_dtype``/``block_rows``
-    configure each layer's host CCS kernel (see :mod:`repro.kernels`).
+    for an eLUT-NN calibration pass.
     """
     targets = find_target_linears(model, layer_filter)
     if not targets:
@@ -153,8 +150,6 @@ def convert_to_lut_nn(
         kmeans_iters=kmeans_iters,
         centroid_init=centroid_init,
         max_rows=max_rows,
-        kernel_dtype=kernel_dtype,
-        block_rows=block_rows,
     )
 
 
@@ -166,8 +161,6 @@ def convert_with_plan(
     kmeans_iters: int = 25,
     centroid_init: str = "kmeans",
     max_rows: int = 100_000,
-    kernel_dtype=None,
-    block_rows: Optional[int] = None,
 ) -> List[Tuple[str, LUTLinear]]:
     """Convert with *per-layer* (V, CT) settings.
 
@@ -197,8 +190,6 @@ def convert_with_plan(
             kmeans_iters=kmeans_iters,
             centroid_init=centroid_init,
             name=name,
-            kernel_dtype=kernel_dtype,
-            block_rows=block_rows,
         )
         model.replace_module(name, lut_layer)
         replacements.append((name, lut_layer))

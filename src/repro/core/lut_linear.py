@@ -61,7 +61,6 @@ class LUTLinear(Module):
         codebooks: Codebooks,
         name: str = "",
         kernel_dtype: DTypeLike = None,
-        block_rows: Optional[int] = None,
     ):
         super().__init__()
         h, f = weight.shape
@@ -93,7 +92,7 @@ class LUTLinear(Module):
         # Host kernel state: cached-constant CCS kernel + the centroid
         # version counter that keys its cache (bumped by
         # mark_centroids_updated after each optimizer step).
-        self._ccs_kernel = CCSKernel(dtype=kernel_dtype, block_rows=block_rows)
+        self._ccs_kernel = CCSKernel(dtype=kernel_dtype)
         self._centroid_version = 0
         self._gather_offsets = gather_offsets(self.cb, self.ct)
 
@@ -111,8 +110,6 @@ class LUTLinear(Module):
         kmeans_iters: int = 25,
         centroid_init: str = "kmeans",
         name: str = "",
-        kernel_dtype: DTypeLike = None,
-        block_rows: Optional[int] = None,
     ) -> "LUTLinear":
         """Convert a trained ``Linear`` using calibration activations.
 
@@ -131,14 +128,7 @@ class LUTLinear(Module):
             codebooks = Codebooks.random_init(activations, v=v, ct=ct, rng=rng)
         else:
             raise ValueError(f"unknown centroid_init {centroid_init!r}")
-        return cls(
-            linear.weight,
-            linear.bias,
-            codebooks,
-            name=name,
-            kernel_dtype=kernel_dtype,
-            block_rows=block_rows,
-        )
+        return cls(linear.weight, linear.bias, codebooks, name=name)
 
     # ------------------------------------------------------------------
     # Helpers

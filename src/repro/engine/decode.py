@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..baselines.roofline import RooflineDevice
+from ..core.ccs import ccs_roofline_time
 from ..kernels import HostKernelProfile
 from ..mapping.tuner import AutoTuner
 from ..pim.gemm_kernels import linear_layer_on_pim
@@ -158,10 +159,7 @@ class LUTDecodeEngine(_LUTEngine):
         # moves the colocated serving figures that tests pin.
         if self.host_kernel_profile is not None:
             return self.host_kernel_profile.ccs_time(batch, h, self.ct)
-        cb = h // self.v
-        distance = self.host.small_k_gemm_time(batch * cb, self.v, self.ct)
-        argmin = self.host.op_time(batch * cb * self.ct, batch * cb * self.ct * 4.0)
-        return distance + argmin
+        return ccs_roofline_time(self.host, batch, h, self.v, self.ct)
 
     def run(
         self,

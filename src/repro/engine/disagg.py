@@ -79,8 +79,8 @@ __all__ = [
     "disagg_load_sweep",
 ]
 
-#: Phase key under which KV-cache migrations appear in phase breakdowns —
-#: a top-level sibling of the cluster's ``shard_transfer``.
+#: Phase key under which KV-cache migrations appear in phase breakdowns:
+#: unprefixed, unlike the cluster's ``prefill/`` / ``decode/shard_transfer``.
 KV_TRANSFER_PHASE = "kv_transfer"
 
 #: Placement decisions a policy can return.
@@ -395,11 +395,10 @@ class DisaggScheduler(RequestScheduler):
         compute-configured platform) or a :class:`HostPrefillPool`.
         ``None`` uses a second engine identical to ``server`` and shares
         its memoized prefill costs.
-    kv_transfer:
-        :class:`KVTransferModel` for the pool->pool KV migration.
-        ``None`` builds one over the platform's scatter path at its GEMM
-        dtype — the same interconnect default the cluster's shard plan
-        uses.
+
+    The pool->pool KV migration (:attr:`kv`) crosses ``server``'s
+    platform scatter path at its GEMM dtype, the interconnect the
+    cluster's shard plan uses too.
     """
 
     _ns = "disagg"
@@ -411,30 +410,20 @@ class DisaggScheduler(RequestScheduler):
         policy: Optional[SchedulerPolicy] = None,
         placement: Union[str, PlacementPolicy] = "hybrid",
         prefill_server=None,
-        kv_transfer: Optional[KVTransferModel] = None,
-        context_bucket: int = 32,
         name: Optional[str] = None,
     ):
-        super().__init__(
-            server, config, policy=policy, context_bucket=context_bucket,
-            name=name,
-        )
+        super().__init__(server, config, policy=policy, name=name)
         self.placement = make_placement(placement)
         if prefill_server is None:
             # A second identical PIM engine: share the memoized costs.
             self.prefill_cost = self.cost
         else:
-            self.prefill_cost = EngineCostModel(
-                prefill_server, config, context_bucket=context_bucket
-            )
-        if kv_transfer is not None:
-            self.kv = kv_transfer
-        else:
-            self.kv = KVTransferModel(
-                config=config,
-                interconnect=server.platform.scatter,
-                kv_dtype_bytes=server.platform.gemm_dtype_bytes,
-            )
+            self.prefill_cost = EngineCostModel(prefill_server, config)
+        self.kv = KVTransferModel(
+            config=config,
+            interconnect=server.platform.scatter,
+            kv_dtype_bytes=server.platform.gemm_dtype_bytes,
+        )
 
     def run(self, requests: Sequence[Request]) -> ScheduleResult:
         """Simulate the stream across both pools; see the module docstring."""
@@ -493,8 +482,6 @@ def disagg_load_sweep(
     batch: int = 1,
     policy: Optional[SchedulerPolicy] = None,
     prefill_server=None,
-    kv_transfer: Optional[KVTransferModel] = None,
-    context_bucket: int = 32,
     arrivals: str = "poisson",
     seed: int = 0,
 ) -> List[DisaggSweepPoint]:
@@ -520,8 +507,6 @@ def disagg_load_sweep(
             policy=policy,
             placement=placement,
             prefill_server=prefill_server,
-            kv_transfer=kv_transfer,
-            context_bucket=context_bucket,
         )
         if shared is None:
             shared = sched

@@ -155,10 +155,6 @@ class RequestStats:
     finished_s: float = 0.0
 
     @property
-    def queue_wait_s(self) -> float:
-        return self.admitted_s - self.arrival_s
-
-    @property
     def ttft_s(self) -> float:
         """Arrival to first generated token (to prefill end when gen=0)."""
         first = self.first_token_s if self.generate_len else self.prefill_done_s
@@ -333,8 +329,9 @@ class ScheduleResult(_ServingSummary):
     #: ``decode`` — e.g. ``"decode/reduce"``.  Sums to ``busy_s`` to float
     #: precision: :class:`EngineCostModel` rescales every engine phase
     #: report to its cost.  Disaggregated runs (:mod:`repro.engine.disagg`)
-    #: add a top-level ``kv_transfer`` phase (sibling to the cluster's
-    #: ``shard_transfer``).
+    #: add an unprefixed ``kv_transfer`` phase; a layer-sharded cost model
+    #: (:class:`~repro.cluster.sharding.ShardedCostModel`) adds
+    #: ``prefill/shard_transfer`` and ``decode/shard_transfer``.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Placement policy name when produced by the disaggregated pool
     #: scheduler (:class:`~repro.engine.disagg.DisaggScheduler`);
@@ -435,35 +432,32 @@ def _accumulate(
         totals[key] = totals.get(key, 0.0) + seconds
 
 
+#: Decode contexts are priced at a multiple of this many tokens.  It bounds
+#: the distinct decode engine evaluations of a run (one per batch size and
+#: bucket) while still following the KV cache's growth step by step.
+CONTEXT_BUCKET = 32
+
+
 class EngineCostModel:
     """Memoized prefill/decode-step costing through a GenerationServer.
 
-    Decode contexts are quantized up to ``context_bucket`` tokens so the
-    number of distinct engine evaluations stays bounded while still
-    tracking the growing KV cache step by step; prefill chunks are costed
-    exactly (the set of distinct chunk sizes is small).  Each memoized
-    phase report is rescaled once, on the miss, to partition its cost, so
-    the phases every scheduler accumulates partition its busy seconds.
+    Decode contexts are quantized up to :data:`CONTEXT_BUCKET` tokens;
+    prefill chunks are costed exactly (the set of distinct chunk sizes is
+    small).  Each memoized phase report is rescaled once, on the miss, to
+    partition its cost, so the phases every scheduler accumulates
+    partition its busy seconds.
 
     The schedulers' per-step path reads :meth:`prefill` and
     :meth:`decode_step`: one key and one dict hit returning the cost with
-    its phase items.  A miss there prices through :meth:`prefill_s` /
-    :meth:`prefill_phases` (or the decode pair), so a subclass overriding
-    those — :class:`~repro.cluster.sharding.ShardedCostModel` — is
-    memoized the same way.
+    its phase items.  A miss there prices through one hook per request
+    class, :meth:`_prefill_report` and :meth:`_decode_report`; a subclass
+    overrides those two — :class:`~repro.cluster.sharding.ShardedCostModel`
+    does — and the public accessors and the per-step memo serve it as is.
     """
 
-    def __init__(
-        self,
-        server: GenerationServer,
-        config: TransformerConfig,
-        context_bucket: int = 32,
-    ):
-        if context_bucket <= 0:
-            raise ValueError("context_bucket must be positive")
+    def __init__(self, server: GenerationServer, config: TransformerConfig):
         self.server = server
         self.config = config
-        self.context_bucket = context_bucket
         #: Engine reports: key -> (seconds, normalized phases).
         self._prefill_cache: Dict[Tuple[int, int], _Report] = {}
         self._decode_cache: Dict[Tuple[int, int], _Report] = {}
@@ -516,8 +510,8 @@ class EngineCostModel:
         return self._prefill_cache[key]
 
     def _decode_key(self, batch_seqs: int, context_len: float) -> Tuple[int, int]:
-        bucket = math.ceil(max(context_len, 1.0) / self.context_bucket)
-        return (batch_seqs, bucket * self.context_bucket)
+        bucket = math.ceil(max(context_len, 1.0) / CONTEXT_BUCKET)
+        return (batch_seqs, bucket * CONTEXT_BUCKET)
 
     def decode_step_s(self, batch_seqs: int, context_len: float) -> float:
         """Cost of one decode iteration for ``batch_seqs`` sequences.
@@ -654,13 +648,12 @@ class RequestScheduler:
         server: GenerationServer,
         config: TransformerConfig,
         policy: Optional[SchedulerPolicy] = None,
-        context_bucket: int = 32,
         name: Optional[str] = None,
     ):
         self.server = server
         self.config = config
         self.policy = policy or SchedulerPolicy()
-        self.cost = EngineCostModel(server, config, context_bucket=context_bucket)
+        self.cost = EngineCostModel(server, config)
         #: Distinguishes this scheduler's ledger scope (and spans) when
         #: several schedulers — e.g. cluster replicas — share one server.
         self.name = name
@@ -1144,10 +1137,7 @@ def scheduler_load_sweep(
         batch, arrivals, seed,
     )
     fifo_sched = RequestScheduler(
-        scheduler.server,
-        scheduler.config,
-        policy=scheduler.policy.fifo(),
-        context_bucket=scheduler.cost.context_bucket,
+        scheduler.server, scheduler.config, policy=scheduler.policy.fifo()
     )
     fifo_sched.cost = scheduler.cost  # share the memoized engine costs
     return [

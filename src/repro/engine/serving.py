@@ -329,19 +329,6 @@ class GenerationServer:
             degraded=degraded,
         )
 
-    def kv_cache_bytes(
-        self, config: TransformerConfig, tokens: int, batch: int = 1
-    ) -> float:
-        """KV-cache footprint at the platform's GEMM dtype — the payload a
-        disaggregated deployment migrates between prefill and decode pools
-        (:class:`~repro.engine.disagg.KVTransferModel`)."""
-        from .decode import kv_cache_bytes
-
-        return kv_cache_bytes(
-            config, tokens, batch=batch,
-            dtype_bytes=self.platform.gemm_dtype_bytes,
-        )
-
     @property
     def prefill_engine(self):
         """The prefill cost engine (PIM-DL or native GEMM)."""

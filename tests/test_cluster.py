@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.baselines import wimpy_host
+from repro.baselines import prefill_host, wimpy_host
 from repro.cluster import (
     ROUTER_POLICIES,
     ClusterScheduler,
@@ -34,6 +34,7 @@ from repro.cluster import (
 from repro.cluster.routing import ReplicaLoad
 from repro.engine import (
     GenerationServer,
+    HostPrefillPool,
     Request,
     RequestScheduler,
     SchedulerPolicy,
@@ -350,6 +351,17 @@ class TestFailover:
                              failures=[ReplicaFailure(0, 1.0),
                                        ReplicaFailure(0, 2.0)])
 
+    def test_prefill_server_needs_placement(self, server, config, cost):
+        # Without a placement the replicas have no prefill pool, so the
+        # prefill server would be dropped without a word.
+        pool = HostPrefillPool(prefill_host())
+        with pytest.raises(ValueError, match="needs a placement"):
+            ClusterScheduler(server, config, cost_model=cost,
+                             prefill_server=pool)
+        cluster = ClusterScheduler(server, config, cost_model=cost,
+                                   prefill_server=pool, placement="hybrid")
+        assert all(s.prefill_cost.server is pool for s in cluster.schedulers)
+
 
 # ----------------------------------------------------------------------
 # Tentpole: sharding with explicit inter-node transfer costs
@@ -393,6 +405,21 @@ class TestSharding:
             ShardPlan(config, shards=0, interconnect=bw)
         with pytest.raises(ValueError, match="cannot split"):
             ShardPlan(config, shards=5, interconnect=bw)
+
+    def test_cost_model_must_price_the_cluster_shards(self, server, config,
+                                                      cost):
+        # An unsharded cost model would price one shard of the two.
+        with pytest.raises(ValueError, match="prices 1 shard"):
+            ClusterScheduler(server, config, replicas=1, shards=2,
+                             cost_model=cost)
+        plan = ShardPlan(config, shards=2,
+                         interconnect=server.platform.scatter)
+        sharded = ShardedCostModel(server, plan)
+        with pytest.raises(ValueError, match="prices 2 shard"):
+            ClusterScheduler(server, config, replicas=1, cost_model=sharded)
+        cluster = ClusterScheduler(server, config, replicas=1, shards=2,
+                                   cost_model=sharded)
+        assert cluster.shard_plan is plan
 
     def test_cluster_run_reports_transfer_phase(self, server, config,
                                                 service_s):

@@ -93,10 +93,12 @@ class TestKVTransferModel:
             KVTransferModel(config, server.platform.scatter, kv_dtype_bytes=0)
 
     def test_server_kv_cache_bytes_uses_platform_dtype(self, config, server):
+        # The scheduler's migrated KV cache is at the server platform's
+        # GEMM dtype (4 bytes on UPMEM; the model's default is 2).
         expect = kv_cache_bytes(
             config, 64, dtype_bytes=server.platform.gemm_dtype_bytes
         )
-        assert server.kv_cache_bytes(config, 64) == expect
+        assert DisaggScheduler(server, config).kv.kv_bytes(64) == expect
 
     def test_jsonable(self, config, server):
         payload = KVTransferModel(config, server.platform.scatter).to_jsonable()

@@ -5,12 +5,18 @@ One seeded, overloaded replay — long enough to wrap the
 rejections and prefill-only requests in it — runs through the colocated
 :class:`~repro.engine.RequestScheduler`, the hybrid
 :class:`~repro.engine.DisaggScheduler` and a 2-replica
-:class:`~repro.cluster.ClusterScheduler`.  Every ``scheduler.*`` /
-``disagg.*`` / ``cluster.*`` instrument and every ``phase_seconds`` entry
-is compared with literals recorded before the serving hot path batched
-its telemetry per run: counters exactly, floats by ``float.hex``, and the
-retained series points and histogram samples by digest.  A change to the
-event loop that moves any recorded value by one bit fails here.
+:class:`~repro.cluster.ClusterScheduler`.  A second replay of the same
+shape, on a 4-layer stack, runs through two layer-sharded 2-replica
+clusters: 2 shards, and 3 shards under hybrid placement, whose phases
+carry the ``prefill/shard_transfer`` and ``decode/shard_transfer``
+boundary transfers of :class:`~repro.cluster.ShardedCostModel`.  Every
+``scheduler.*`` / ``disagg.*`` / ``cluster.*`` instrument and every
+``phase_seconds`` entry is compared with literals recorded before the
+serving hot path batched its telemetry per run (the sharded kinds: before
+the sharded cost model priced a step through one hook): counters exactly,
+floats by ``float.hex``, and the retained series points and histogram
+samples by digest.  A change to the event loop or the cost models that
+moves any recorded value by one bit fails here.
 """
 
 import hashlib
@@ -57,27 +63,48 @@ def _fingerprint(snap: dict):
     raise AssertionError(f"unexpected instrument type {snap['type']!r}")
 
 
+#: The replays' load probe: one request at the stream's median lengths.
+PROBE = Request(-1, 0.0, 64, 32)
+
+
+def _stream(service_s: float):
+    """The seeded, overloaded stream at 2.2x one ``service_s`` server."""
+    return poisson_requests(
+        600, 2.2 / service_s, prompt_len=[32, 64, 128],
+        generate_len=[0, 16, 32, 64], seed=7,
+    )
+
+
 def replays():
-    """``{kind: (result, {metric: fingerprint})}`` of the seeded replay."""
+    """``{kind: (result, {metric: fingerprint})}`` of the seeded replays."""
     config = opt_style(256, seq_len=64, batch_size=1)
     server = GenerationServer(get_platform("upmem"), wimpy_host())
     policy = SchedulerPolicy(max_batch_size=4, max_queue_len=12)
     colocated = RequestScheduler(server, config, policy=policy)
-    service_s = colocated.fifo_service_time(Request(-1, 0.0, 64, 32))
-    stream = poisson_requests(
-        600, 2.2 / service_s, prompt_len=[32, 64, 128],
-        generate_len=[0, 16, 32, 64], seed=7,
-    )
+    stream = _stream(colocated.fifo_service_time(PROBE))
     hybrid = DisaggScheduler(server, config, policy=policy,
                              placement="hybrid")
     hybrid.cost = hybrid.prefill_cost = colocated.cost
     cluster = ClusterScheduler(server, config, replicas=2, policy=policy,
                                cost_model=colocated.cost)
+    # The sharded kinds split a 4-layer stack (3 shards: 2 + 1 + 1
+    # layers, so merging the stages' phases depends on their order).
+    deep = config.with_(num_layers=4)
+    sharded = ClusterScheduler(server, deep, replicas=2, shards=2,
+                               policy=policy)
+    sharded_hybrid = ClusterScheduler(server, deep, replicas=2, shards=3,
+                                      policy=policy, placement="hybrid")
+    deep_stream = _stream(sharded.fifo_service_time(PROBE))
     out = {}
-    for kind, sched in (("colocated", colocated), ("hybrid", hybrid),
-                        ("cluster", cluster)):
+    for kind, sched, requests in (
+        ("colocated", colocated, stream),
+        ("hybrid", hybrid, stream),
+        ("cluster", cluster, stream),
+        ("sharded", sharded, deep_stream),
+        ("sharded-hybrid", sharded_hybrid, deep_stream),
+    ):
         obs.reset()
-        result = sched.run(stream)
+        result = sched.run(requests)
         metrics = {
             name: _fingerprint(snap)
             for name, snap in obs.get_registry().snapshot().items()
@@ -93,8 +120,10 @@ def recorded():
     return replays()
 
 
-# Recorded on the commit before per-run telemetry batching.
-EXPECTED_STEPS = {"colocated": 5186, "hybrid": 7515, "cluster": 10959}
+# Recorded on the commit before per-run telemetry batching; the sharded
+# kinds on the commit before ShardedCostModel priced through one hook.
+EXPECTED_STEPS = {"colocated": 5186, "hybrid": 7515, "cluster": 10959,
+                  "sharded": 10963, "sharded-hybrid": 12282}
 
 EXPECTED_METRICS = {
     "colocated": {
@@ -169,6 +198,69 @@ EXPECTED_METRICS = {
                              "0x1.a24fa7fc10f80p-9", "0x1.6fec806d13840p-5",
                              "31af449898c405d0"),
     },
+    "sharded": {
+        "cluster.completed": (1, 0, 1, "c4f082937c29d62e"),
+        "cluster.requests_routed": 600.0,
+        "cluster.router_backlog_s": (600, "0x1.596777b5ccdc2p+8",
+                                     "-0x1.be00000000000p-50",
+                                     "0x1.a74870ec3d511p+0",
+                                     "97932a93941de011"),
+        "cluster.runs": 1.0,
+        "scheduler.batch_occupancy": (10963, 6867, 4096, "084f9c5278149191"),
+        "scheduler.decode_tokens": 16576.0,
+        "scheduler.e2e_s": (600, "0x1.5fcedf4dd0560p+6",
+                            "0x1.a3253dc818000p-7",
+                            "0x1.bcc0e9a69ac00p-2",
+                            "7699d37dae4932d3"),
+        "scheduler.prefill_tokens": 45216.0,
+        "scheduler.requests_admitted": 600.0,
+        "scheduler.requests_completed": 600.0,
+        "scheduler.requests_queued": 600.0,
+        "scheduler.requests_rejected": 0.0,
+        "scheduler.steps": 10963.0,
+        "scheduler.tpot_s": (460, "0x1.02fd9a49a3173p+1",
+                             "0x1.b42165df3f500p-9",
+                             "0x1.095c0872f9300p-7",
+                             "e6446eb125aee8aa"),
+        "scheduler.ttft_s": (600, "0x1.05e2551b12e19p+4",
+                             "0x1.a3253dc818000p-7",
+                             "0x1.7078751f76940p-3",
+                             "ed6f477ee0f16de9"),
+    },
+    "sharded-hybrid": {
+        "cluster.completed": (1, 0, 1, "c4f082937c29d62e"),
+        "cluster.requests_routed": 600.0,
+        "cluster.router_backlog_s": (600, "0x1.78da6869af393p+8",
+                                     "-0x1.8b00000000000p-50",
+                                     "0x1.c7a7e2b1eccfdp+0",
+                                     "3a7343aba49b1ae1"),
+        "cluster.runs": 1.0,
+        "disagg.batch_occupancy": (12282, 8186, 4096, "3d0ce41c3de51c0c"),
+        "disagg.decode_tokens": 16576.0,
+        "disagg.e2e_s": (600, "0x1.25d6b42fa1460p+6", "0x1.a3fad39420000p-7",
+                         "0x1.3cebea5aed800p-2",
+                         "727bfcabbe9c7b31"),
+        "disagg.kv_transfer_s": (266, "0x1.069ff11067c6fp-5",
+                                 "0x1.0b2355252be9fp-14",
+                                 "0x1.98726915035e4p-13",
+                                 "e06dde6e931f7dee"),
+        "disagg.kv_transfers": 266.0,
+        "disagg.placed_colocated": 245.0,
+        "disagg.placed_pool": 355.0,
+        "disagg.pool_prefills": 355.0,
+        "disagg.prefill_tokens": 18272.0,
+        "disagg.requests_admitted": 511.0,
+        "disagg.requests_completed": 600.0,
+        "disagg.requests_queued": 600.0,
+        "disagg.requests_rejected": 0.0,
+        "disagg.steps": 12282.0,
+        "disagg.tpot_s": (460, "0x1.b49df3d00fd28p+0", "0x1.b6c6369452800p-9",
+                          "0x1.771b0fe188400p-8",
+                          "9aa33f002c19e00d"),
+        "disagg.ttft_s": (600, "0x1.c2f1d6d918609p+3", "0x1.a3fad39420000p-7",
+                          "0x1.f2c40f1c08d00p-5",
+                          "62bda5da67a223f9"),
+    },
 }
 
 EXPECTED_PHASES = {
@@ -227,10 +319,51 @@ EXPECTED_PHASES = {
         "decode/attention": "0x1.bdf3d078a72c4p-4",
         "decode/elementwise": "0x1.65dd9784c8703p-3",
     },
+    "sharded": {
+        "prefill/ccs": "0x1.76018c36a2869p-1",
+        "prefill/distribution": "0x1.812457ce1d2eep+1",
+        "prefill/dma": "0x1.479736daef888p-2",
+        "prefill/reduce": "0x1.a6d6fb2a1aea2p+1",
+        "prefill/gather": "0x1.59671c42ee804p+1",
+        "prefill/launch": "0x1.26e978d4fdf31p-1",
+        "prefill/attention": "0x1.0588470d37fd6p-2",
+        "prefill/elementwise": "0x1.c2e53b85468dfp-4",
+        "prefill/shard_transfer": "0x1.430a8583d1cc2p-6",
+        "decode/distribution": "0x1.52f2253224f98p+2",
+        "decode/dma": "0x1.867cae3871748p+1",
+        "decode/reduce": "0x1.be10a27d243bep+2",
+        "decode/gather": "0x1.39b2c5fe2948ap+3",
+        "decode/launch": "0x1.4a2db61bb0746p+3",
+        "decode/ccs": "0x1.f390de7d3aa98p+0",
+        "decode/attention": "0x1.be03e0988004ap-2",
+        "decode/elementwise": "0x1.65fd0c9515c56p-1",
+        "decode/shard_transfer": "0x1.be0824d38af70p-3",
+    },
+    "sharded-hybrid": {
+        "prefill/ccs": "0x1.76018c36a2869p-1",
+        "prefill/distribution": "0x1.812457ce1d2eep+1",
+        "prefill/dma": "0x1.479736daef888p-2",
+        "prefill/reduce": "0x1.a6d6fb2a1aea2p+1",
+        "prefill/gather": "0x1.59671c42ee804p+1",
+        "prefill/launch": "0x1.26e978d4fdf31p-1",
+        "prefill/attention": "0x1.0588470d37fd6p-2",
+        "prefill/elementwise": "0x1.c2e53b85468dfp-4",
+        "prefill/shard_transfer": "0x1.430a8583d1cc2p-5",
+        "decode/distribution": "0x1.7359aec7ff3dbp+2",
+        "decode/dma": "0x1.afab8839a2cb8p+1",
+        "decode/reduce": "0x1.e11f88d63a40cp+2",
+        "decode/gather": "0x1.50f8639e7b5f2p+3",
+        "decode/launch": "0x1.71c6d1e108dbep+3",
+        "decode/ccs": "0x1.142e81c22d9c4p+1",
+        "decode/attention": "0x1.d92f45d0b538ep-2",
+        "decode/elementwise": "0x1.8d96285a6e353p-1",
+        "decode/shard_transfer": "0x1.f2d449daab834p-2",
+        "kv_transfer": "0x1.069ff11067c61p-5",
+    },
 }
 
 
-@pytest.mark.parametrize("kind", ["colocated", "hybrid", "cluster"])
+@pytest.mark.parametrize("kind", list(EXPECTED_STEPS))
 class TestServingParity:
     def test_replay_wraps_the_occupancy_series(self, recorded, kind):
         result, _ = recorded[kind]
