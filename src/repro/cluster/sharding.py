@@ -23,6 +23,7 @@ from typing import Dict, Sequence, Tuple
 
 from ..engine.scheduler import EngineCostModel, _Report
 from ..engine.serving import GenerationServer
+from ..obs.metrics import left_sum
 from ..pim.platforms import TransferBandwidth
 from ..workloads.configs import TransformerConfig
 
@@ -137,4 +138,4 @@ class ShardedCostModel(EngineCostModel):
         transfer = self.plan.transfer_s(tokens)
         if transfer:
             merged[TRANSFER_PHASE] = transfer
-        return sum(seconds for seconds, _ in reports) + transfer, merged
+        return left_sum(seconds for seconds, _ in reports) + transfer, merged

@@ -28,6 +28,7 @@ import numpy as np
 from ..baselines.roofline import RooflineDevice
 from ..mapping.tuner import AutoTuner
 from ..nn.module import Module
+from ..obs.metrics import left_sum
 from ..pim.platforms import PIMPlatform
 from .ccs import ccs_roofline_time, hard_replace
 from .codebook import Codebooks, LUTShape
@@ -134,17 +135,17 @@ def plan_layer_configs(
         raise ValueError("latency budget must be positive")
 
     fastest = {name: min(p.latency_s for p in points) for name, points in frontier.items()}
-    if sum(fastest.values()) > latency_budget_s:
+    if left_sum(fastest.values()) > latency_budget_s:
         raise ValueError(
             f"budget {latency_budget_s:.4f}s below the fastest feasible "
-            f"total {sum(fastest.values()):.4f}s"
+            f"total {left_sum(fastest.values()):.4f}s"
         )
 
     best: Optional[Tuple[float, Dict[str, CandidatePoint]]] = None
     for lam in np.logspace(-3, 6, sweep_points):
         chosen = _assign_for_lambda(frontier, lam)
-        total_latency = sum(p.latency_s for p in chosen.values())
-        total_error = sum(p.error for p in chosen.values())
+        total_latency = left_sum(p.latency_s for p in chosen.values())
+        total_error = left_sum(p.error for p in chosen.values())
         if total_latency <= latency_budget_s:
             if best is None or total_error < best[0]:
                 best = (total_error, chosen)
@@ -154,7 +155,7 @@ def plan_layer_configs(
     total_error, chosen = best
     return LayerConfigPlan(
         assignment={name: (p.v, p.ct) for name, p in chosen.items()},
-        predicted_latency_s=sum(p.latency_s for p in chosen.values()),
+        predicted_latency_s=left_sum(p.latency_s for p in chosen.values()),
         predicted_error=total_error,
         frontier=frontier,
     )

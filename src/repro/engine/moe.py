@@ -28,6 +28,7 @@ from .. import obs
 from ..baselines.roofline import RooflineDevice
 from ..core.codebook import LUTShape
 from ..mapping.tuner import AutoTuner
+from ..obs.metrics import left_sum
 from ..pim.placement import load_imbalance, place_experts, rank_loads
 from ..pim.platforms import PIMPlatform
 from ..workloads.routing import MoEConfig, route_tokens
@@ -188,7 +189,7 @@ def price_moe_ffn(
     # Host CCS encodes each routed token against the owning expert's
     # codebooks — once per (expert, token) slot for each of the two
     # projections.
-    phases["ccs"] = sum(
+    phases["ccs"] = left_sum(
         ccs_time(int(n_e), hidden_dim) + ccs_time(int(n_e), ffn_dim)
         for n_e in counts
         if n_e > 0
@@ -219,7 +220,7 @@ def price_moe_ffn(
         placement=placement,
         rank_seconds=per_rank,
         lut_makespan_s=makespan_s,
-        lut_serial_s=float(sum(expert_seconds)),
+        lut_serial_s=float(left_sum(expert_seconds)),
         ccs_s=phases["ccs"],
         gate_s=phases["gate"],
         imbalance_index=imbalance,

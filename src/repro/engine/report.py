@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..obs.metrics import left_sum
 from ..pim.energy import EnergyReport
 
 
@@ -36,7 +37,7 @@ class EngineReport:
 
     @property
     def total_s(self) -> float:
-        return sum(op.seconds for op in self.ops) - self.overlap_hidden_s
+        return left_sum(op.seconds for op in self.ops) - self.overlap_hidden_s
 
     def add_phase(self, phase: str, seconds: float) -> None:
         self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
@@ -53,11 +54,11 @@ class EngineReport:
 
     @property
     def host_s(self) -> float:
-        return sum(op.seconds for op in self.ops if op.device == "host")
+        return left_sum(op.seconds for op in self.ops if op.device == "host")
 
     @property
     def pim_s(self) -> float:
-        return sum(op.seconds for op in self.ops if op.device == "pim")
+        return left_sum(op.seconds for op in self.ops if op.device == "pim")
 
     def per_category_seconds(self, device: Optional[str] = None) -> Dict[str, float]:
         """Seconds per op category, optionally restricted to one device.

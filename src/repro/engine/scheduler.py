@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import obs
-from ..obs.metrics import percentiles
+from ..obs.metrics import left_sum, percentiles
 from ..resilience.recovery import DegradationSummary, _DegradationScope
 from ..workloads.configs import TransformerConfig
 from .queueing import generate_arrivals
@@ -401,7 +401,7 @@ def _normalized_phases(
     """
     if duration_s <= 0.0:
         return {}
-    total = sum(phases.values())
+    total = left_sum(phases.values())
     if not phases or total <= 0.0:
         return {"other": duration_s}
     scale = duration_s / total

@@ -146,7 +146,10 @@ def tiling_fixed_terms(
     """The sub-LUT partition (Eqs. 3–5) and base reduce terms of a tiling.
 
     The one source of these terms for :func:`estimate_latency`,
-    :func:`search_micro_kernels` and :func:`tiling_lower_bound`.
+    :func:`search_micro_kernels` and :func:`tiling_lower_bound`.  The tile
+    factors may be equal-shape integer arrays, one entry per tiling: each
+    term is then an array, elementwise by the same float operations as one
+    scalar tiling (:func:`~repro.mapping.space.tiling_bursts`).
     """
     # Following Eq. 4, replicated tiles count their full per-PE traffic
     # against the (faster) broadcast bandwidth; unique tiles go at
@@ -179,7 +182,10 @@ def tiling_lower_bound(
     and the fine-grain reduce extra are never negative.  The sum runs in
     ``LatencyBreakdown.total``'s order and float addition is monotonic, so
     for the sequential model (the tuner's) the bound holds bit-for-bit, not
-    just in exact arithmetic.
+    just in exact arithmetic.  Over arrays of tile factors (as
+    :func:`tiling_fixed_terms`) it gives every tiling's bound in one pass,
+    bit for bit the scalar one; the tuner bounds all of a shape's tilings
+    so.
     """
     fixed = tiling_fixed_terms(
         shape, n_s_tile, f_s_tile, platform, amortize_lut_distribution
@@ -288,24 +294,37 @@ def search_micro_kernels(
 ) -> Optional[Tuple[Mapping, float]]:
     """Vectorized ``KernelSearch`` of paper Algorithm 1 (line 8).
 
-    Scores the full micro-kernel space of one sub-LUT tiling as one numpy
-    array over (traversal, load option, n_m, f_m, cb_m), in
-    :data:`TRAVERSALS` x :func:`load_options` x :func:`m_tile_options`
-    order, with illegal candidates at ``inf``; one ``argmin`` picks the
-    first cheapest candidate in that order.  Candidates, legality and
-    reload counts are the :mod:`repro.mapping.space` rules
-    :func:`estimate_latency` reads; the cost formulas are its vectorized
-    form, which sums some terms in another order, so the two agree to a
-    relative 1e-9 (a property test in the suite holds them together), not
-    bit for bit.  Returns the cheapest legal ``(mapping, t_micro_kernel)``
-    or ``None`` when no candidate fits the on-chip buffer.
+    Scores the micro-kernel space of one sub-LUT tiling with numpy arrays
+    over (traversal, load option, n_m, f_m, cb_m) and returns its first
+    cheapest candidate in :data:`TRAVERSALS` x :func:`load_options` x
+    :func:`m_tile_options` order, in two exact stages:
+
+    1. The minimum cost.  Static and fine-grain candidates are scored in
+       full.  A coarse candidate costs ``streams * K + base``, where ``K``
+       is its load option's LUT seconds per stream and ``streams >= 1``;
+       rounding never decreases as its input grows, so at each (traversal,
+       tile cell) the cheapest legal coarse option is the one with the
+       smallest legal ``K`` there, and the coarse block shrinks to one
+       array over (traversal, tile cell).
+    2. The first candidate at that cost.  In the first traversal where a
+       block reaches it, static, then coarse, then fine is checked.  A
+       larger ``K`` can round to the same cost, so the coarse block is
+       scored for every option, at the cells whose cheapest coarse option
+       reaches the cost.
+
+    Candidates, legality and reload counts are the
+    :mod:`repro.mapping.space` rules :func:`estimate_latency` reads; the
+    cost formulas are its vectorized form, which sums some terms in another
+    order, so the two agree to a relative 1e-9 (a property test in the
+    suite holds them together), not bit for bit.  Returns the cheapest
+    legal ``(mapping, t_micro_kernel)`` or ``None`` when no candidate fits
+    the on-chip buffer.
     """
     local = platform.local_memory
     cb, ct = shape.cb, shape.ct
     m_tiles = m_tile_options(shape, n_s_tile, f_s_tile)
     # Open grids: each tile factor varies along its own axis.
     NM, FM, CBM = np.meshgrid(*m_tiles, indexing="ij", sparse=True)
-    cells = tuple(len(factors) for factors in m_tiles)
     setup = local.access_setup_s
     bw = local.peak_bytes_per_s
     t_index_tile = setup + NM * CBM * INDEX_BYTES / bw
@@ -315,60 +334,74 @@ def search_micro_kernels(
     # Reduce time: constant across the grid except for fine-grain chunking.
     t_reduce_base = tiling_fixed_terms(shape, n_s_tile, f_s_tile, platform).reduce_base
 
-    # Per traversal, over (1, n_m, f_m, cb_m): the index and output moves
-    # plus the base reduce, and how often the coarse scheme re-streams the
-    # LUT footprint.  Trip counts do not depend on the load option.
+    # Over (traversal, n_m, f_m, cb_m): the index and output moves plus the
+    # base reduce, and how often the coarse scheme re-streams the LUT
+    # footprint.  Trip counts do not depend on the load option.
     grid = MappingGrid(n_s_tile, f_s_tile, NM, FM, CBM, None, None, None, None)
     trips = _loop_trips(shape, grid)
-    base = np.empty((len(TRAVERSALS), 1) + cells)
-    streams = np.empty_like(base)
-    for t, traversal in enumerate(TRAVERSALS):
-        t_index = _load_count(traversal, trips, ("n", "cb")) * t_index_tile
-        t_output = 2.0 * _load_count(traversal, trips, ("n", "f")) * t_output_tile
-        base[t, 0] = t_index + t_output + t_reduce_base
-        revisit = _load_count(traversal, trips, ("cb", "f"))
-        streams[t, 0] = np.maximum(revisit // (trips["cb"] * trips["f"]), 1.0)
+    t_index = _load_count(TRAVERSALS, trips, ("n", "cb")) * t_index_tile
+    t_output = 2.0 * _load_count(TRAVERSALS, trips, ("n", "f")) * t_output_tile
+    base = t_index + t_output + t_reduce_base
+    revisit = _load_count(TRAVERSALS, trips, ("cb", "f"))
+    streams = np.maximum(revisit // (trips["cb"] * trips["f"]), 1.0)
 
-    # One block of load options per scheme, their load tiles on a leading
-    # (option, 1, 1, 1) axis: the LUT seconds (per stream for coarse) fill
-    # the block of ``costs``; the reduce extra, or ``inf`` where a
-    # candidate breaks the buffer rule, fills the block of ``extra``.
+    # Each scheme's load tiles on a leading (option, 1, 1, 1) axis, and its
+    # legality over (option, n_m, f_m, cb_m) from one rule call.
     options = load_options(shape, f_s_tile)
-    costs = np.empty((len(TRAVERSALS), len(options)) + cells)
-    extra = np.empty((len(options),) + cells)
-    stop = 0
+    legal, load_tiles = {}, {}
     for scheme, group in groupby(options, key=itemgetter(0)):
         cb_l, f_l = np.array([load[1:] for load in group]).T.reshape(2, -1, 1, 1, 1)
-        block = slice(stop, stop + len(f_l))
-        stop = block.stop
         scheme_grid = grid._replace(load_scheme=scheme, cb_load_tile=cb_l, f_load_tile=f_l)
-        legal = fits_buffer(shape, scheme_grid, platform)
-        reduce_extra = 0.0
-        if scheme == "static":  # the whole sub-LUT resident in the buffer
-            access = min(lut_unique, STATIC_ACCESS_BYTES)
-            costs[:, block] = setup * (lut_unique / access) + lut_unique / bw
-        elif scheme == "coarse":  # all CT candidates, block-wise per visit
-            access = cb_l * ct * f_l * LUT_BYTES
-            np.multiply(
-                streams, lut_unique / bw + setup * (lut_unique / access), out=costs[:, block]
-            )
-        else:  # fine: gather only the indexed entries
-            access = f_l * LUT_BYTES
-            costs[:, block] = fine_total / bw + setup * (fine_total / access)
-            chunks = np.maximum(f_s_tile // f_l, 1)
-            reduce_extra = platform.compute.lookup_time(n_s_tile * cb * (chunks - 1))
-        extra[block] = np.where(legal, reduce_extra, np.inf)
+        legal[scheme] = fits_buffer(shape, scheme_grid, platform)
+        load_tiles[scheme] = cb_l, f_l
 
-    # Each cost is ``(base + t_lut) + extra``, rounded in that order
-    # (adding ``base`` onto the LUT seconds is the same float addition).
-    costs += base
-    costs += extra
-    flat = int(np.argmin(costs))
-    cost = float(costs.flat[flat])
+    # A static or fine cost is ``(t_lut + base) + extra``, rounded in that
+    # order, with ``inf`` as the extra of a candidate that breaks the
+    # buffer rule.  static: the whole sub-LUT resident in the buffer.
+    access = min(lut_unique, STATIC_ACCESS_BYTES)
+    t_static = setup * (lut_unique / access) + lut_unique / bw
+    static = (t_static + base) + np.where(legal["static"], 0.0, np.inf)
+    # coarse: all CT candidates, block-wise per visit, at ``per_stream``
+    # seconds per option, costing ``streams * per_stream + base``; stage 1
+    # takes the smallest legal ``per_stream`` per cell (``inf`` if none).
+    cb_l, f_l = load_tiles["coarse"]
+    per_stream = lut_unique / bw + setup * (lut_unique / (cb_l * ct * f_l * LUT_BYTES))
+    coarse = streams * np.where(legal["coarse"], per_stream, np.inf).min(axis=0) + base
+    # fine: gather only the indexed entries, with a per-chunk reduce extra.
+    _, f_l = load_tiles["fine"]
+    t_fine = fine_total / bw + setup * (fine_total / (f_l * LUT_BYTES))
+    chunks = np.maximum(f_s_tile // f_l, 1)
+    reduce_extra = platform.compute.lookup_time(n_s_tile * cb * (chunks - 1))
+    fine = (t_fine + base[:, None]) + np.where(legal["fine"], reduce_extra, np.inf)
+
+    # Stage 1: the minimum, and the first traversal that reaches it.
+    per_traversal = np.minimum(
+        np.minimum(static.min(axis=(1, 2, 3)), coarse.min(axis=(1, 2, 3))),
+        fine.min(axis=(1, 2, 3, 4)),
+    )
+    t = int(np.argmin(per_traversal))
+    cost = float(per_traversal[t])
     if cost == np.inf:
         return None
-    t, option, i, j, k = np.unravel_index(flat, costs.shape)
-    scheme, cb_l, f_l = options[option]
+    # Stage 2: the first (load option, cell) at that cost in traversal t,
+    # from one block over (option, cell) whose first option is
+    # ``options[first]``.  Only cells whose cheapest coarse option costs
+    # ``cost`` can hold a coarse candidate at that cost.
+    cells = np.arange(static[t].size)
+    if static[t].min() == cost:
+        first, block = 0, static[t].reshape(1, -1)
+    elif coarse[t].min() == cost:
+        first, cells = 1, np.flatnonzero(coarse[t] == cost)
+        block = np.where(
+            legal["coarse"].reshape(len(per_stream), -1)[:, cells],
+            streams[t].flat[cells] * per_stream.reshape(-1, 1) + base[t].flat[cells],
+            np.inf,
+        )
+    else:
+        first, block = 1 + len(per_stream), fine[t].reshape(fine.shape[1], -1)
+    option, column = divmod(int(np.argmin(block)), block.shape[1])
+    i, j, k = np.unravel_index(cells[column], static.shape[1:])
+    scheme, cb_l, f_l = options[first + option]
     mapping = Mapping(
         n_s_tile=n_s_tile,
         f_s_tile=f_s_tile,

@@ -24,8 +24,10 @@ from dataclasses import dataclass, fields, replace
 from itertools import permutations
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from ..core.codebook import LUTShape
-from ..pim.platforms import PIMPlatform, TransferBandwidth
+from ..pim.platforms import PIMPlatform, TransferBandwidth, pick_link
 
 LOAD_SCHEMES = ("static", "coarse", "fine")
 TRAVERSALS: Tuple[Tuple[str, str, str], ...] = tuple(permutations(("n", "f", "cb")))
@@ -122,14 +124,17 @@ def tiling_bursts(
 
     The ``shape.f // f_s_tile`` PEs of a group share one index tile and the
     ``shape.n // n_s_tile`` groups share each LUT tile: a tile with copies
-    on several PEs is broadcast, a unique one scattered.
+    on several PEs is broadcast, a unique one scattered.  The tile factors
+    may be equal-shape integer arrays, one entry per tiling: each burst's
+    sizes are then arrays, and its link one picked per tiling
+    (:func:`~repro.pim.platforms.pick_link`).
     """
     groups = shape.n // n_s_tile
     pes_per_group = shape.f // f_s_tile
     pes = groups * pes_per_group
 
     def fan_out(copies: int) -> TransferBandwidth:
-        return platform.broadcast if copies > 1 else platform.scatter
+        return pick_link(copies > 1, platform.broadcast, platform.scatter)
 
     return TilingBursts(
         index=Burst(fan_out(pes_per_group), n_s_tile * shape.cb * INDEX_BYTES, pes),
@@ -161,11 +166,13 @@ def fits_buffer(shape: LUTShape, mapping: Mapping, platform: PIMPlatform) -> boo
     scheme, which reads no load tile.
     """
     fits = buffer_bytes_required(shape, mapping) <= platform.local_memory.buffer_bytes
+    if mapping.load_scheme == "static":
+        return fits
+    # Combined before the footprint test: over a grid these are the smaller arrays.
+    within = mapping.f_load_tile <= mapping.f_m_tile
     if mapping.load_scheme == "coarse":
-        fits = fits & (mapping.cb_load_tile <= mapping.cb_m_tile)
-    if mapping.load_scheme != "static":
-        fits = fits & (mapping.f_load_tile <= mapping.f_m_tile)
-    return fits
+        within = within & (mapping.cb_load_tile <= mapping.cb_m_tile)
+    return within & fits
 
 
 def _loop_trips(shape: LUTShape, mapping: Mapping) -> Dict[str, int]:
@@ -183,16 +190,35 @@ def _load_count(traversal, trips: Dict[str, int], deps) -> int:
     The resident tile changes exactly when the tensor's tile tag (its
     projection onto ``deps``) changes.  In a lexicographic loop nest that
     happens once per iteration of every loop at or above the innermost
-    *moving* relevant loop — a relevant dim with a single trip never changes
-    the tag, so loops outer to it cause no eviction either.  When no
-    relevant dim moves, the single tile is loaded once.  Trip counts may be
-    numpy grids.
+    *moving* relevant loop (one with more than one trip): a relevant dim
+    with a single trip never changes the tag.  In closed form the count is
+    the product of the relevant trips, times the trips of each other dim
+    that sits outside the innermost moving relevant loop; when no relevant
+    dim moves, the single tile is loaded once.  The arithmetic is integer,
+    so the count is exact.
+
+    Trip counts may be numpy grids.  ``traversal`` is one loop order, or a
+    sequence of them (such as :data:`TRAVERSALS`): the counts of each order
+    then stand on a leading axis.
     """
-    count = outer_iterations = 1
-    for dim in traversal:  # outermost first, so the innermost mover wins
-        outer_iterations = outer_iterations * trips[dim]
-        if dim in deps:  # where ``dim`` moves, the count becomes the product so far
-            count = count + (trips[dim] > 1) * (outer_iterations - count)
+    if isinstance(traversal[0], str):  # one loop order
+        position = {dim: traversal.index(dim) for dim in trips}
+    else:  # one loop order per entry of a leading axis
+        axes = (1,) * max(np.ndim(t) for t in trips.values())
+        position = {
+            dim: np.array([order.index(dim) for order in traversal]).reshape((-1,) + axes)
+            for dim in trips
+        }
+    count = 1
+    for dim in deps:
+        count = count * trips[dim]
+    for other in trips:
+        if other in deps:
+            continue
+        outside = False  # ``other`` is outer to a moving relevant loop
+        for dim in deps:
+            outside = outside | ((trips[dim] > 1) & (position[other] < position[dim]))
+        count = count * (1 + outside * (trips[other] - 1))
     return count
 
 
@@ -241,13 +267,18 @@ def load_options(shape: LUTShape, f_s_tile: int) -> List[Tuple[str, int, int]]:
 def enumerate_sub_lut_tilings(
     shape: LUTShape, platform: PIMPlatform
 ) -> Iterator[Tuple[int, int]]:
-    """Legal (n_s_tile, f_s_tile) pairs — the outer loop of Algorithm 1."""
+    """Legal (n_s_tile, f_s_tile) pairs — the outer loop of Algorithm 1.
+
+    A tiling is legal when its PE count (paper Eq. 5, as
+    :func:`num_pes_used`) fits the platform.
+    """
+    f_options = _pow2_divisors(shape.f)
     for n_s in _pow2_divisors(shape.n):
         groups = shape.n // n_s
         if groups > platform.num_pes:
             continue
-        for f_s in _pow2_divisors(shape.f):
-            if num_pes_used(shape, Mapping(n_s, f_s, 1, 1, 1)) <= platform.num_pes:
+        for f_s in f_options:
+            if groups * (shape.f // f_s) <= platform.num_pes:
                 yield (n_s, f_s)
 
 

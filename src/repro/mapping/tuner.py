@@ -8,10 +8,11 @@ analytical model, and returns the globally cheapest mapping.
 Exact bound pruning: the sub-LUT partition terms (Eqs. 3–5), the base
 reduce + lookup time (Eq. 10) and the launch time are fixed once a tiling
 is chosen, and every micro-kernel transfer term is non-negative, so their
-sum (:func:`~repro.mapping.analytical.tiling_lower_bound`) bounds the
-tiling's cost from below.  Tilings are visited in ascending ``(bound,
-enumeration index)``; once a bound exceeds the best cost found, no later
-tiling can win, and the rest are skipped without a micro-kernel search.
+sum (:func:`~repro.mapping.analytical.tiling_lower_bound`, one array pass
+over all of a shape's tilings) bounds each tiling's cost from below.
+Tilings are visited in ascending ``(bound, enumeration index)``; once a
+bound exceeds the best cost found, no later tiling can win, and the rest
+are skipped without a micro-kernel search.
 The winner is the minimum over ``(cost, enumeration index)``: exactly the
 mapping a full scan in enumeration order keeps, with a bit-identical cost.
 
@@ -40,6 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from .. import obs
 from ..core.codebook import LUTShape
@@ -172,12 +175,13 @@ class AutoTuner:
         tracer = obs.get_tracer()
 
         tilings = list(enumerate_sub_lut_tilings(shape, self.platform))
-        bounds = [
-            tiling_lower_bound(
-                shape, n_s, f_s, self.platform, self.amortize_lut_distribution
-            )
-            for n_s, f_s in tilings
-        ]
+        # Every tiling's bound in one array pass, bit for bit the scalar one.
+        n_s_tiles, f_s_tiles = np.array(tilings, dtype=np.int64).reshape(-1, 2).T
+        bounds = tiling_lower_bound(
+            shape, n_s_tiles, f_s_tiles, self.platform, self.amortize_lut_distribution
+        )
+        order = np.argsort(bounds, kind="stable").tolist()  # by (bound, index)
+        bounds = bounds.tolist()
         # (cost, enumeration index, mapping, breakdown) of the best so far.
         best: Optional[Tuple[float, int, Mapping, LatencyBreakdown]] = None
         evaluated = 0
@@ -188,7 +192,7 @@ class AutoTuner:
             platform=self.platform.name,
             shape=f"N={shape.n} CB={shape.cb} CT={shape.ct} F={shape.f}",
         ) as root:
-            for index in sorted(range(len(tilings)), key=lambda i: (bounds[i], i)):
+            for index in order:
                 n_s, f_s = tilings[index]
                 with tracer.span("tuner.tiling", n_s=n_s, f_s=f_s) as tile_span:
                     evaluated += 1

@@ -62,6 +62,20 @@ def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
     return [_interpolate(ordered, q) for q in qs]
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Sum ``values`` left to right, one rounded addition at a time.
+
+    Builtin ``sum`` compensates float additions (Neumaier) from Python 3.12
+    on, so its last bit depends on the interpreter.  Recorded figures (the
+    parity tests' literals) are this left fold's on every version; like
+    ``sum``, it starts from the int ``0``.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 class Counter:
     """Monotonically increasing count."""
 

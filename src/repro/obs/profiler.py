@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .metrics import left_sum
+
 #: Canonical phase names, in reporting order.  ``distribution``/``gather``
 #: are host<->PIM transfers over the rank buses, ``dma`` is PE-local
 #: MRAM<->WRAM tile movement, ``lookup``/``reduce`` split the micro-kernel
@@ -99,7 +101,7 @@ class PhaseProfile:
 
     @property
     def total_s(self) -> float:
-        return sum(self.phase_seconds.values())
+        return left_sum(self.phase_seconds.values())
 
     def phase_shares(self) -> Dict[str, float]:
         total = self.total_s
@@ -144,7 +146,7 @@ class PhaseProfile:
         peak = max(load)
         if peak <= 0:
             return 0.0
-        return 1.0 - (sum(load) / len(load)) / peak
+        return 1.0 - (left_sum(load) / len(load)) / peak
 
     def top_ranks(self, k: int = 3) -> Tuple[Tuple[int, float], ...]:
         """The ``k`` most loaded ranks as ``(rank_id, load_seconds)``."""
@@ -248,7 +250,7 @@ def build_rank_timelines(
         min(pes_per_rank, max(0, active_pes - r * pes_per_rank))
         for r in range(num_ranks)
     ]
-    kernel_s = sum(
+    kernel_s = left_sum(
         phases.get(p, 0.0) for p in ("dma", "lookup", "reduce", "overhead")
     )
     dist_s = phases.get("distribution", 0.0)
@@ -280,7 +282,7 @@ def build_rank_timelines(
                 )
             )
         segments[rank] = tuple(segs)
-        busy[rank] = sum(seg.duration_s for seg in segs)
+        busy[rank] = left_sum(seg.duration_s for seg in segs)
     profile.per_rank_busy_s = tuple(busy)
     profile.per_rank_active_pes = tuple(per_rank_pes)
     profile.pes_per_rank = pes_per_rank
@@ -319,7 +321,7 @@ class BottleneckReport:
         top_ranks: Sequence[Tuple[int, float]] = (),
         overlap_hidden_s: float = 0.0,
     ) -> "BottleneckReport":
-        total = sum(phase_seconds.values())
+        total = left_sum(phase_seconds.values())
         shares = (
             {p: s / total for p, s in phase_seconds.items()}
             if total > 0
@@ -429,7 +431,7 @@ def attribute_bottleneck(
         for phase, moved in transfers.items():
             seconds = phases.get(phase, 0.0)
             if seconds > 0:
-                utilization[phase] = min(sum(
+                utilization[phase] = min(left_sum(
                     b.total_bytes / seconds / b.link.peak_bytes_per_s for b in moved
                 ), 1.0)
         dma_s = phases.get("dma", 0.0)

@@ -14,8 +14,18 @@ inter-PE datapath (limitation L2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
+
+import numpy as np
+
+
+def _where(condition, if_true, if_false):
+    """``np.where`` over an array ``condition``; over a scalar one a plain
+    pick, so a scalar query keeps its Python scalar."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, if_true, if_false)
+    return if_true if condition else if_false
 
 
 @dataclass(frozen=True)
@@ -32,6 +42,12 @@ class TransferBandwidth:
       ``peak * tile / (tile + tile_knee_bytes)``.
 
     ``tile_knee_bytes = 0`` disables the second effect.
+
+    The sizes given to :meth:`rate` and :meth:`latency`, and the fields of
+    a link picked per element by :func:`pick_link`, may be numpy arrays:
+    the answer is then elementwise, by the same float operations as a
+    scalar query (which still gets a Python float).  The tuner prices all
+    of a shape's sub-LUT tilings this way in one pass.
     """
 
     peak_bytes_per_s: float
@@ -40,17 +56,18 @@ class TransferBandwidth:
 
     def rate(self, tile_bytes: Optional[float] = None) -> float:
         """Achievable bytes/s given the per-PE tile size."""
-        if not self.tile_knee_bytes or tile_bytes is None:
+        if tile_bytes is None:
             return self.peak_bytes_per_s
-        tile_bytes = max(tile_bytes, 1.0)
-        return self.peak_bytes_per_s * tile_bytes / (tile_bytes + self.tile_knee_bytes)
+        tile_bytes = _where(tile_bytes < 1.0, 1.0, tile_bytes)
+        knee_rate = self.peak_bytes_per_s * tile_bytes / (tile_bytes + self.tile_knee_bytes)
+        return _where(self.tile_knee_bytes == 0, self.peak_bytes_per_s, knee_rate)
 
     def latency(self, size_bytes: float, tile_bytes: Optional[float] = None) -> float:
-        if size_bytes < 0:
+        negative = size_bytes < 0
+        if negative.any() if isinstance(negative, np.ndarray) else negative:
             raise ValueError("transfer size must be non-negative")
-        if size_bytes == 0:
-            return 0.0
-        return self.setup_latency_s + size_bytes / self.rate(tile_bytes)
+        seconds = self.setup_latency_s + size_bytes / self.rate(tile_bytes)
+        return _where(size_bytes == 0, 0.0, seconds)
 
     def effective_bandwidth(
         self, size_bytes: float, tile_bytes: Optional[float] = None
@@ -59,6 +76,23 @@ class TransferBandwidth:
         if size_bytes <= 0:
             return 0.0
         return size_bytes / self.latency(size_bytes, tile_bytes)
+
+
+def pick_link(
+    condition, if_true: TransferBandwidth, if_false: TransferBandwidth
+) -> TransferBandwidth:
+    """``if_true`` where ``condition`` holds, else ``if_false``.
+
+    Over an array of conditions the answer is one link whose fields are
+    arrays, so its :meth:`~TransferBandwidth.latency` prices each element
+    on the link picked for it.
+    """
+    if not isinstance(condition, np.ndarray):
+        return if_true if condition else if_false
+    return TransferBandwidth(
+        *(np.where(condition, getattr(if_true, f.name), getattr(if_false, f.name))
+          for f in fields(TransferBandwidth))
+    )
 
 
 @dataclass(frozen=True)

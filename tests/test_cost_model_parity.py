@@ -156,15 +156,17 @@ def record_engines(cache_dir):
     engines' ops, phase seconds, energy, hidden seconds and ledgers.
     """
     cache = MappingCache(str(cache_dir))
-    out = {}
-    for cell in engine_cells():
-        platform, overlap, profiled, plan_name, moe = cell
-        args = (get_platform(platform), cache, overlap, profiled,
-                PLANS[plan_name], MOE if moe else None)
-        total, hidden, prefill = prefill_cell(*args)
-        latencies, decode = decode_cell(*args)
-        out[_cell_id(cell)] = (total, hidden, *latencies, _digest((prefill, decode)))
-    return out
+    return {_cell_id(cell): engine_fingerprint(cell, cache) for cell in engine_cells()}
+
+
+def engine_fingerprint(cell, cache):
+    """One cell's fingerprint (see :func:`record_engines`)."""
+    platform, overlap, profiled, plan_name, moe = cell
+    args = (get_platform(platform), cache, overlap, profiled,
+            PLANS[plan_name], MOE if moe else None)
+    total, hidden, prefill = prefill_cell(*args)
+    latencies, decode = decode_cell(*args)
+    return (total, hidden, *latencies, _digest((prefill, decode)))
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""The one-array ``KernelSearch`` against the per-option loop it replaced.
+"""The two-stage ``KernelSearch`` against the per-option loop it replaced.
 
 ``reference_search`` keeps ``search_micro_kernels`` as it was before the
-search scored a tiling's whole micro-kernel space as one array: one masked
+search scored a tiling's micro-kernel space as arrays: one masked
 ``argmin`` per (traversal, load option) pair, kept only when strictly
-cheaper than the best so far.  The two must return the same ``Mapping`` and
-the same cost to the last bit (``float.hex``) on every sub-LUT tiling of
-the paper's model shapes and of a small-N sweep, on every platform: any
-change of pick, tie-break or rounding moves a tuned mapping.
+cheaper than the best so far, with the reload counts of the loop-nest walk
+``loop_load_count`` (the rule as it was before its closed form).  The two
+must return the same ``Mapping`` and the same cost to the last bit
+(``float.hex``) on every sub-LUT tiling of the paper's model shapes and of
+a small-N sweep, on every platform: any change of pick, tie-break or
+rounding moves a tuned mapping.  The tie cases hold the search's second
+stage to the loop's flat order where coarse load options of different
+per-stream seconds round to the same cost.
 """
 
 from dataclasses import replace
@@ -30,7 +34,6 @@ from repro.mapping.space import (
     STATIC_ACCESS_BYTES,
     TRAVERSALS,
     MappingGrid,
-    _load_count,
     _loop_trips,
     fits_buffer,
     load_options,
@@ -40,6 +43,18 @@ from repro.pim import get_platform
 from repro.workloads import EVAL_MODELS
 
 PLATFORMS = ("upmem", "hbm-pim", "aim")
+
+
+def loop_load_count(traversal, trips, deps):
+    """Reloads of a tensor under a single-resident-tile buffer model, by
+    walking the loop nest outermost first (the reload rule before its
+    closed form)."""
+    count = outer_iterations = 1
+    for dim in traversal:  # outermost first, so the innermost mover wins
+        outer_iterations = outer_iterations * trips[dim]
+        if dim in deps:  # where ``dim`` moves, the count becomes the product so far
+            count = count + (trips[dim] > 1) * (outer_iterations - count)
+    return count
 
 
 def reference_search(shape, n_s_tile, f_s_tile, platform):
@@ -80,10 +95,10 @@ def reference_search(shape, n_s_tile, f_s_tile, platform):
     best_cost = np.inf
     best = None
     for traversal in TRAVERSALS:
-        t_index = _load_count(traversal, trips, ("n", "cb")) * t_index_tile
-        t_output = 2.0 * _load_count(traversal, trips, ("n", "f")) * t_output_tile
+        t_index = loop_load_count(traversal, trips, ("n", "cb")) * t_index_tile
+        t_output = 2.0 * loop_load_count(traversal, trips, ("n", "f")) * t_output_tile
         base = t_index + t_output + t_reduce_base
-        revisit = _load_count(traversal, trips, ("cb", "f"))
+        revisit = loop_load_count(traversal, trips, ("cb", "f"))
         streams = np.maximum(revisit // (trips["cb"] * trips["f"]), 1.0)
         for grid, legal, t_lut, extra in variants:
             if grid.load_scheme == "coarse":
@@ -155,6 +170,64 @@ def _with_buffer(platform, buffer_bytes):
     return replace(
         platform, local_memory=replace(platform.local_memory, buffer_bytes=buffer_bytes)
     )
+
+
+def _with_access_setup(platform, access_setup_s):
+    return replace(
+        platform, local_memory=replace(platform.local_memory, access_setup_s=access_setup_s)
+    )
+
+
+#: A shape whose tilings, on a platform with a vanishing or zero local
+#: access setup, tie coarse load options of different block sizes.
+TIE_SHAPE = LUTShape(n=128, h=768, f=768, v=4, ct=16)
+
+
+def coarse_seconds_per_stream(shape, mapping, platform):
+    """One stream's LUT seconds of a coarse-grain mapping (the search's K)."""
+    local = platform.local_memory
+    lut_unique = shape.cb * shape.ct * mapping.f_s_tile * LUT_BYTES
+    access = mapping.cb_load_tile * shape.ct * mapping.f_load_tile * LUT_BYTES
+    return lut_unique / local.peak_bytes_per_s + local.access_setup_s * (lut_unique / access)
+
+
+def test_equal_costs_from_different_coarse_blocks_resolve_in_flat_order():
+    """At a 1e-20 s access setup a larger coarse block saves less than one
+    rounding step, so options of different per-stream seconds tie: in 19
+    tilings the loop's winner is not the option with the smallest legal
+    per-stream seconds at its tile cell, but the first in flat order."""
+    platform = _with_access_setup(get_platform("upmem"), 1e-20)
+    above_cheapest = 0
+    for n_s, f_s in enumerate_sub_lut_tilings(TIE_SHAPE, platform):
+        mapping, _ = assert_same_search(TIE_SHAPE, n_s, f_s, platform)
+        if mapping.load_scheme != "coarse":
+            continue
+        legal = [
+            coarse_seconds_per_stream(TIE_SHAPE, option, platform)
+            for option in (
+                mapping.with_(cb_load_tile=cb_l, f_load_tile=f_l)
+                for scheme, cb_l, f_l in load_options(TIE_SHAPE, f_s)
+                if scheme == "coarse"
+            )
+            if fits_buffer(TIE_SHAPE, option, platform)
+        ]
+        if coarse_seconds_per_stream(TIE_SHAPE, mapping, platform) > min(legal):
+            above_cheapest += 1
+    assert above_cheapest == 19
+
+
+def test_zero_access_setup_ties_every_coarse_block():
+    """With no access setup every coarse option streams at the same
+    seconds, so a coarse winner is the first option in flat order: the
+    one-codebook, one-column block, legal wherever a larger one is."""
+    platform = _with_access_setup(get_platform("upmem"), 0.0)
+    schemes = set()
+    for n_s, f_s in enumerate_sub_lut_tilings(TIE_SHAPE, platform):
+        mapping, _ = assert_same_search(TIE_SHAPE, n_s, f_s, platform)
+        schemes.add(mapping.load_scheme)
+        if mapping.load_scheme == "coarse":
+            assert (mapping.cb_load_tile, mapping.f_load_tile) == (1, 1), mapping
+    assert "coarse" in schemes
 
 
 @pytest.mark.parametrize("platform_name", PLATFORMS)

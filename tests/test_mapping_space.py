@@ -1,6 +1,9 @@
 """Unit tests for the mapping parameter space (P1-P4) and legality rules."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import LUTShape
 from repro.mapping import (
@@ -13,7 +16,10 @@ from repro.mapping import (
     is_legal,
     num_pes_used,
 )
+from repro.mapping.space import _load_count
 from repro.pim import get_platform
+
+from .test_kernel_search import loop_load_count
 
 
 @pytest.fixture
@@ -132,3 +138,36 @@ class TestEnumeration:
 
     def test_max_points_zero_edge(self, shape, platform):
         assert list(enumerate_micro_kernels(shape, 128, 32, platform, max_points=1))
+
+
+#: Trip counts along one loop dim of an open grid: 1 to 4 tile factors.
+trip_axis = st.lists(st.integers(1, 64), min_size=1, max_size=4)
+
+
+class TestReloadRule:
+    """The closed-form reload count against the loop-nest walk it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=trip_axis, f=trip_axis, cb=trip_axis)
+    def test_closed_form_equals_the_loop(self, n, f, cb):
+        """On an open grid of trips, every traversal (one at a time and all
+        six on a leading axis) and every dependency pair count exactly the
+        loop's reloads; a scalar query gets a Python int."""
+        trips = {
+            "n": np.array(n).reshape(-1, 1, 1),
+            "f": np.array(f).reshape(1, -1, 1),
+            "cb": np.array(cb).reshape(1, 1, -1),
+        }
+        cells = (len(n), len(f), len(cb))
+        for deps in (("n", "cb"), ("n", "f"), ("cb", "f")):
+            every = _load_count(TRAVERSALS, trips, deps)
+            assert every.shape == (len(TRAVERSALS),) + cells
+            for t, traversal in enumerate(TRAVERSALS):
+                expected = np.broadcast_to(loop_load_count(traversal, trips, deps), cells)
+                assert np.array_equal(every[t], expected), (traversal, deps)
+                one = np.broadcast_to(_load_count(traversal, trips, deps), cells)
+                assert np.array_equal(one, expected), (traversal, deps)
+                corner = {dim: int(trips[dim].flat[-1]) for dim in trips}
+                count = _load_count(traversal, corner, deps)
+                assert type(count) is int
+                assert count == loop_load_count(traversal, corner, deps), (traversal, deps)

@@ -11,6 +11,7 @@ a few seeded shapes; the ``slow`` cell covers the 36 paper
 
 import random
 
+import numpy as np
 import pytest
 
 import repro.mapping.tuner as tuner_mod
@@ -167,10 +168,11 @@ class TestTieBreak:
             cost = costs[(mapping.n_s_tile, mapping.f_s_tile)]
             return LatencyBreakdown(0.0, 0.0, 0.0, 0.0, cost, 0.0)
 
-        monkeypatch.setattr(
-            tuner_mod, "tiling_lower_bound",
-            lambda shape, n_s, f_s, platform, amortize: bounds.get((n_s, f_s), 10.0),
-        )
+        def fake_bounds(shape, n_s, f_s, platform, amortize):
+            # The tuner bounds all tilings at once, over arrays of factors.
+            return np.array([bounds.get(t, 10.0) for t in zip(n_s.tolist(), f_s.tolist())])
+
+        monkeypatch.setattr(tuner_mod, "tiling_lower_bound", fake_bounds)
         monkeypatch.setattr(tuner_mod, "search_micro_kernels", fake_search)
         monkeypatch.setattr(tuner_mod, "estimate_latency", fake_estimate)
 
