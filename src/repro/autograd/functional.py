@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _route
+from .tensor import Tensor, _route, is_grad_enabled
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -26,7 +26,24 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation, as in BERT)."""
+    """Gaussian error linear unit (tanh approximation, as in BERT).
+
+    With no tape to record (grad mode off, or ``x`` needs no gradient) it
+    runs the taped ops' float operations in the same order, in place on
+    two numpy arrays where the ops allocate nine: the same bits.
+    """
+    if not (is_grad_enabled() and x.requires_grad):
+        data = x.data
+        t = data * 0.044715
+        t *= data
+        t *= data
+        t += data
+        t *= 0.7978845608028654
+        np.tanh(t, out=t)
+        t += 1.0
+        out = data * 0.5
+        out *= t
+        return Tensor(out)
     inner = 0.7978845608028654 * (x + 0.044715 * x * x * x)
     return 0.5 * x * (1.0 + inner.tanh())
 

@@ -56,7 +56,6 @@ from .scheduler import (
     RequestScheduler,
     ScheduleResult,
     SchedulerPolicy,
-    _accumulate,
     _InFlight,
     _load_streams,
     _point_json,
@@ -256,11 +255,12 @@ class _PrefillPool:
     in ``ready`` for a decode-batch slot.
     """
 
-    def __init__(self, sched: "DisaggScheduler", finish, phase_totals):
+    def __init__(self, sched: "DisaggScheduler", finish, add_phases):
         registry = obs.get_registry()
         self.sched = sched
         self.finish = finish
-        self.phase_totals = phase_totals
+        #: Logs phase items into the run's phase totals.
+        self.add_phases = add_phases
         #: Landed pool output awaiting a decode-batch slot, FIFO.
         self.ready: deque = deque()
         #: In-flight KV migrations: (ready_at, tiebreak, flight).
@@ -323,10 +323,7 @@ class _PrefillPool:
         self.free_at = done
         self.busy_s += duration
         self.prefill_tokens += r.prompt_len * r.batch
-        _accumulate(
-            self.phase_totals,
-            sched.prefill_cost.prefill(r.prompt_len, r.batch)[1],
-        )
+        self.add_phases(sched.prefill_cost.prefill(r.prompt_len, r.batch)[1])
         self.timeline.append(
             ("prefill_pool", f"prefill req {r.request_id}", start, done)
         )
@@ -338,9 +335,7 @@ class _PrefillPool:
         migrate_s = pools.kv_transfer_s
         self.kv_transfer_s += migrate_s
         self.kv_transfers += 1
-        self.phase_totals[KV_TRANSFER_PHASE] = (
-            self.phase_totals.get(KV_TRANSFER_PHASE, 0.0) + migrate_s
-        )
+        self.add_phases(((KV_TRANSFER_PHASE, migrate_s),))
         self.migrations.inc()
         self.migration_s.observe(migrate_s)
         if migrate_s > 0:
@@ -429,8 +424,8 @@ class DisaggScheduler(RequestScheduler):
         """Simulate the stream across both pools; see the module docstring."""
         return self._simulate(requests)
 
-    def _prefill_pool(self, finish, phase_totals: Dict[str, float]):
-        return _PrefillPool(self, finish, phase_totals)
+    def _prefill_pool(self, finish, add_phases):
+        return _PrefillPool(self, finish, add_phases)
 
     def _decode_backlog_s(self, running: List[_InFlight]) -> float:
         """Committed decode-pool work: queued colocated prefills plus the

@@ -28,10 +28,11 @@ One event loop serves every scheduler:
 :class:`~repro.engine.disagg.DisaggScheduler` runs it with a prefill pool
 attached, and the cluster's replicas run it unchanged.  A step pays for
 the step itself: one memoized cost lookup per prefill chunk and one per
-decode iteration, their phase additions, and the step's span.  What
-touches single flights — an admission, a prefill completion, a finish —
-is paid per event: the loop keeps the batch's sums as flights come and
-go, so a step that only decodes costs the same at any batch size.
+decode iteration, a log append of each one's phase items (summed once
+per run), and the step's span.  What touches single flights — an
+admission, a prefill completion, a finish — is paid per event: the loop
+keeps the batch's sums as flights come and go, so a step that only
+decodes costs the same at any batch size.
 
 Everything is instrumented through :mod:`repro.obs` (``scheduler.*``
 counters/histograms/series, a span per scheduler step) and is compatible
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -408,28 +409,64 @@ def _normalized_phases(
     return {phase: seconds * scale for phase, seconds in phases.items()}
 
 
-#: A memoized step cost: ``(seconds, phase items)``, the items
-#: ``("<request class>/<phase>", seconds)`` pairs in the engine's phase
-#: order, ready to add to a run's phase totals.
-CostEntry = Tuple[float, Tuple[Tuple[str, float], ...]]
+#: A cost entry's phase items: ``("<request class>/<phase>", seconds)``
+#: pairs in the engine's phase order, each key once.
+PhaseItems = Tuple[Tuple[str, float], ...]
+#: A memoized step cost: ``(seconds, phase items)``, the items ready to
+#: log into a run's phase totals (:func:`_phase_totals`).
+CostEntry = Tuple[float, PhaseItems]
 #: A memoized engine report: ``(seconds, normalized phases)``.
 _Report = Tuple[float, Dict[str, float]]
 
 
-def _phase_items(
-    request_class: str, phases: Dict[str, float]
-) -> Tuple[Tuple[str, float], ...]:
+def _phase_items(request_class: str, phases: Dict[str, float]) -> PhaseItems:
     return tuple(
         (f"{request_class}/{phase}", seconds) for phase, seconds in phases.items()
     )
 
 
-def _accumulate(
-    totals: Dict[str, float], items: Tuple[Tuple[str, float], ...]
-) -> None:
-    """Add a cost entry's phase items to a run's phase totals, in order."""
-    for key, seconds in items:
-        totals[key] = totals.get(key, 0.0) + seconds
+#: Log entries summed per numpy call by :func:`_phase_totals`: bounds its
+#: (entries x keys) float table at ~1 MiB for a run's ~17 phase keys.
+_PHASE_CHUNK = 8192
+
+
+def _phase_totals(log: Sequence[PhaseItems]) -> Dict[str, float]:
+    """A run's phase seconds from its log of phase items, in step order.
+
+    Keys come in first-appearance order, and each value is the left-to-
+    right float sum of the key's seconds in log order, starting from 0.0:
+    what ``totals[key] = totals.get(key, 0.0) + seconds`` over every
+    entry's items gives, bit for bit.  The loop logs memoized entries, so
+    a run's tens of thousands of entries are few distinct tuples, plus one
+    per KV migration (told apart by identity, which the log keeps alive:
+    serve-stream's hybrid run logs 43,553 entries, 1,624 distinct).  Each
+    distinct entry is one row of a zero-padded (entries x keys) table,
+    and ``np.add.accumulate`` adds the log's rows in log order,
+    sequentially per key, in chunks that carry the running total as their
+    first row.  A key an entry lacks adds +0.0, which leaves any total as
+    it is: a sum that starts at 0.0 is never -0.0.
+    """
+    if not log:
+        return {}
+    ids = np.fromiter(map(id, log), dtype=np.uintp, count=len(log))
+    _, first, rows = np.unique(ids, return_index=True, return_inverse=True)
+    entries = [log[i] for i in first.tolist()]
+    columns: Dict[str, int] = {}
+    for i in np.sort(first).tolist():  # first use fixes the key order
+        for key, _ in log[i]:
+            columns.setdefault(key, len(columns))
+    table = np.zeros((len(entries), len(columns)))
+    for row, items in enumerate(entries):
+        for key, seconds in items:
+            table[row, columns[key]] = seconds
+    block = np.zeros((min(rows.size, _PHASE_CHUNK) + 1, len(columns)))
+    for start in range(0, rows.size, _PHASE_CHUNK):
+        part = rows[start:start + _PHASE_CHUNK]
+        chunk = block[:part.size + 1]
+        np.take(table, part, axis=0, out=chunk[1:])
+        np.add.accumulate(chunk, axis=0, out=chunk)
+        block[0] = chunk[-1]
+    return dict(zip(columns, block[0].tolist()))
 
 
 #: Decode contexts are priced at a multiple of this many tokens.  It bounds
@@ -691,12 +728,13 @@ class RequestScheduler:
         """Simulate the stream and return per-request + aggregate stats."""
         return self._simulate(requests)
 
-    def _prefill_pool(self, finish, phase_totals: Dict[str, float]):
+    def _prefill_pool(self, finish, add_phases: Callable[[PhaseItems], None]):
         """Per-run state of a separate prefill pool; this scheduler has none.
 
         A two-pool subclass returns an object the loop calls into for
         placement, migrated admissions and its share of the result (see
-        :class:`~repro.engine.disagg.DisaggScheduler`).
+        :class:`~repro.engine.disagg.DisaggScheduler`).  The pool logs the
+        phase items of its work through ``add_phases``.
         """
         return None
 
@@ -717,8 +755,11 @@ class RequestScheduler:
         Telemetry is paid once per run: the loop keeps local counts and
         records them, with the occupancy series, when the run ends — even
         when it raises.  Only the ``<ns>.step`` span is opened per step.
-        A step priced at no time (or at NaN) raises :class:`ValueError`
-        rather than stalling the simulated clock.
+        Phase seconds are summed once per run too: a step logs the phase
+        items of its memoized cost entries, and :func:`_phase_totals` adds
+        the log up at the end.  A step priced at no time (or at NaN)
+        raises :class:`ValueError` rather than stalling the simulated
+        clock.
         """
         policy = self.policy
         max_seqs, max_tokens = policy.max_batch_size, policy.max_context_tokens
@@ -752,7 +793,9 @@ class RequestScheduler:
         last_finish = 0.0
         now = 0.0
         idx = 0
-        phase_totals: Dict[str, float] = {}
+        # The phase items of every cost this run pays, in the order paid.
+        phase_log: List[PhaseItems] = []
+        log_phases = phase_log.append
 
         def finish(flight: _InFlight, when: float) -> None:
             nonlocal last_finish
@@ -806,7 +849,7 @@ class RequestScheduler:
             else:
                 prefilling.append(flight)
 
-        pool = self._prefill_pool(finish, phase_totals)
+        pool = self._prefill_pool(finish, log_phases)
         owner = f"{tel.run}[{self.name}]" if self.name else tel.run
         with _DegradationScope(self.server.resilience, owner) as scope, tracer.span(
             tel.run,
@@ -881,7 +924,7 @@ class RequestScheduler:
                                 budget -= take
                             seconds, phases = cost.prefill(take, r.batch)
                             step_s += seconds
-                            _accumulate(phase_totals, phases)
+                            log_phases(phases)
                             f.prefilled += take
                             step_prefill += take * r.batch
                             if f.prefilled >= r.prompt_len:
@@ -889,7 +932,7 @@ class RequestScheduler:
                         if seqs:
                             seconds, phases = cost.decode_step(seqs, dec_ctx / seqs)
                             step_s += seconds
-                            _accumulate(phase_totals, phases)
+                            log_phases(phases)
                         sp.set_attribute("prefill_tokens", step_prefill)
                         sp.set_attribute("model_seconds", step_s)
 
@@ -992,7 +1035,7 @@ class RequestScheduler:
             occupancy_timeline=tuple(occupancy),
             requests=tuple(stats[r.request_id] for r in ordered),
             degradation=degradation,
-            phase_seconds=phase_totals,
+            phase_seconds=_phase_totals(phase_log),
             **pool_fields,
         )
 

@@ -162,13 +162,17 @@ class DecoderLM(Module):
             raise ValueError("cached generation cannot exceed max_seq_len")
         caches = self.encoder.make_caches()
         x = self.encoder.forward_incremental(self._embed(tokens), caches)
-        for _ in range(new_tokens):
+        for step in range(new_tokens):
+            if step:
+                # Encode the token sampled last; the final one is never read.
+                fresh = self._embed(
+                    tokens[:, -1:], position_offset=tokens.shape[1] - 1
+                )
+                x = self.encoder.forward_incremental(fresh, caches)
             hidden = self.norm(x[:, -1:, :])
             logits = self.lm_head(hidden).data[:, -1, :]
             next_token = self._sample(logits, greedy, rng)
             tokens = np.concatenate([tokens, next_token[:, None]], axis=1)
-            fresh = self._embed(tokens[:, -1:], position_offset=tokens.shape[1] - 1)
-            x = self.encoder.forward_incremental(fresh, caches)
         return tokens
 
 

@@ -12,6 +12,7 @@ from repro.autograd import (
     l2_reconstruction,
     log_softmax,
     mse,
+    no_grad,
     relu,
     sigmoid,
     softmax,
@@ -64,6 +65,23 @@ class TestActivations:
     def test_gelu_grad(self):
         rng = np.random.default_rng(5)
         check_grad(lambda t: gelu(t).sum(), rng.normal(size=(4,)), atol=1e-5)
+
+    def test_gelu_without_a_tape_equals_the_taped_ops(self):
+        """No grad needed, or grad mode off: the in-place numpy path gives
+        the taped ops' values bit for bit, and records nothing."""
+        rng = np.random.default_rng(7)
+        data = rng.normal(scale=4.0, size=(33, 65))
+        data[0, :4] = [0.0, -0.0, 1e-300, -30.0]
+        taped = gelu(Tensor(data, requires_grad=True))
+        assert taped.requires_grad
+        for x in (Tensor(data), Tensor(data.T.copy()).T):
+            out = gelu(x)
+            assert not out.requires_grad and out._prev == ()
+            assert out.data.tobytes() == taped.data.tobytes()
+        with no_grad():
+            quiet = gelu(Tensor(data, requires_grad=True))
+        assert not quiet.requires_grad
+        assert quiet.data.tobytes() == taped.data.tobytes()
 
     def test_relu_matches_tensor_method(self):
         x = Tensor([-1.0, 2.0])

@@ -189,15 +189,16 @@ class TestWorkflowFile:
             assert path in step["run"]
 
     def test_tests_job_runs_serving_telemetry_guards(self, workflow):
-        """The per-run telemetry guards and the bit-level serving parity
-        run with the scheduler suite."""
+        """The per-run telemetry guards, the bit-level serving parity and
+        the tracer's span-buffer tests run with the scheduler suite."""
         job = workflow["jobs"]["tests"]
         step = next(s for s in job["steps"]
                     if s.get("name", "").startswith("Scheduler + serving"))
         for path in ("tests/test_scheduler.py",
                      "tests/test_serving_invariants.py",
                      "tests/test_serving_telemetry.py",
-                     "tests/test_serving_parity.py"):
+                     "tests/test_serving_parity.py",
+                     "tests/test_obs_tracing_export.py"):
             assert path in step["run"]
 
     def test_tests_job_runs_scheduler_loop_parity(self, workflow):

@@ -1,10 +1,13 @@
 """Unit tests for KV-cache incremental decoding."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
 from repro.nn import DecoderLM, KVCache, MultiHeadAttention, TransformerEncoder
+from repro.nn.transformer import EncoderLayer
 
 
 @pytest.fixture
@@ -89,6 +92,28 @@ class TestCachedGeneration:
         without = model.generate(prompt, new_tokens=10, use_cache=False)
         with_cache = model.generate(prompt, new_tokens=10, use_cache=True)
         np.testing.assert_array_equal(without, with_cache)
+
+    @pytest.mark.parametrize("new_tokens", [1, 2, 5])
+    def test_one_incremental_forward_per_new_token(self, rng, new_tokens):
+        """The prompt's forward yields the first token and each later token
+        needs one; the last sampled token is never encoded."""
+        model = DecoderLM(vocab_size=24, max_seq_len=16, dim=32,
+                          num_layers=3, num_heads=4, rng=rng)
+        prompt = np.array([[1, 5, 9], [2, 6, 10]])
+        calls = []
+        original = EncoderLayer.forward_incremental
+
+        def counting(layer, x, cache):
+            calls.append(id(layer))
+            return original(layer, x, cache)
+
+        with mock.patch.object(EncoderLayer, "forward_incremental", counting):
+            tokens = model.generate(prompt, new_tokens=new_tokens, use_cache=True)
+        assert tokens.shape == (2, 3 + new_tokens)
+        per_layer = [calls.count(id(layer)) for layer in model.encoder.layers]
+        assert per_layer == [new_tokens] * 3
+        np.testing.assert_array_equal(
+            tokens, model.generate(prompt, new_tokens=new_tokens, use_cache=False))
 
     def test_cached_generation_bounds_checked(self, rng):
         model = DecoderLM(vocab_size=24, max_seq_len=8, dim=32,

@@ -1,6 +1,8 @@
 """Tests for span tracing, the exporters, and the Chrome-trace bridges."""
 
+import gc
 import json
+import sys
 import threading
 
 import pytest
@@ -93,6 +95,96 @@ class TestTracer:
         (span,) = tracer.finished_spans()
         assert span.end_s is not None
         assert tracer.current_span() is None
+
+
+_FIELDS = ("name", "span_id", "parent_id", "thread_id", "start_s", "end_s",
+           "duration_s")
+
+
+class TestFinishedSpanBuffer:
+    """Finished spans are buffered as records and read back as views."""
+
+    def test_buffered_spans_leave_nothing_for_the_gc_to_track(self):
+        tracer = Tracer()
+        gc.collect()
+        before = len(gc.get_objects())
+        for i in range(10_000):
+            with tracer.span("step", batch_seqs=i % 8) as sp:
+                sp.set_attribute("prefill_tokens", i)
+                sp.set_attribute("model_seconds", i * 1e-3)
+                sp.set_attribute("note", None)
+        gc.collect()
+        assert len(tracer) == 10_000
+        # A buffered Span object would add 10,000 tracked objects.
+        assert len(gc.get_objects()) - before < 100
+
+    def test_views_equal_the_live_spans_field_by_field(self, tracer):
+        live = []
+        with tracer.span("outer", stage="demo") as outer:
+            live.append(outer)
+            for i in range(3):
+                with tracer.span("inner", index=i) as sp:
+                    sp.set_attribute("k", i * 0.5)
+                live.append(sp)
+        views = tracer.finished_spans()
+        assert [v.name for v in views] == ["inner"] * 3 + ["outer"]
+        for view, span in zip(views, live[1:] + live[:1]):
+            assert view is not span
+            for name in _FIELDS:
+                assert getattr(view, name) == getattr(span, name), name
+            assert view.attributes is span.attributes
+            assert view.to_dict() == span.to_dict()
+
+    def test_a_value_set_after_close_is_visible(self, tracer):
+        with tracer.span("run") as sp:
+            pass
+        sp.set_attribute("completed", 12)
+        (view,) = tracer.finished_spans()
+        assert view.attributes == {"completed": 12}
+
+    def test_threads_keep_records_and_attributes_in_step(self):
+        """More threads than cores close spans at once, switching often:
+        every view still carries its own span's attributes."""
+        tracer = Tracer(max_spans=20_000)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def work(tag):
+                for i in range(6_000):
+                    with tracer.span(f"t{tag}-{i}", label=f"t{tag}-{i}",
+                                     owner=threading.get_ident()):
+                        pass
+
+            threads = [threading.Thread(target=work, args=(tag,), daemon=True)
+                       for tag in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        views = tracer.finished_spans()
+        assert len(views) == 20_000  # the oldest 16,000 were evicted
+        for view in views:
+            assert view.attributes == {"label": view.name,
+                                       "owner": view.thread_id}
+
+    def test_eviction_drops_records_and_attributes_in_step(self):
+        tracer = Tracer(max_spans=4)
+        for i in range(10):
+            with tracer.span(f"s{i}", index=i):
+                pass
+        views = tracer.finished_spans()
+        assert len(tracer) == 4
+        assert [(v.name, v.attributes) for v in views] == [
+            (f"s{i}", {"index": i}) for i in range(6, 10)]
+        tracer.clear()
+        assert len(tracer) == 0 and tracer.finished_spans() == []
+        with tracer.span("after", index=10):
+            pass
+        assert [(v.name, v.attributes) for v in tracer.finished_spans()] == [
+            ("after", {"index": 10})]
 
 
 class TestJsonlExport:

@@ -18,7 +18,9 @@ model, and the two must agree exactly:
   latency samples fix the order in which flights finish.
 
 Also here: a step priced at no time (or NaN) raises instead of spinning,
-and the ``serving.replay`` bench times a fixed number of steps.
+the ``serving.replay`` bench times a fixed number of steps, and the phase
+totals summed once per run from the step log (``_phase_totals``) equal the
+reference's step-by-step dict sums on any log (a hypothesis property).
 """
 
 import contextlib
@@ -27,9 +29,12 @@ import signal
 from collections import deque
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.baselines import wimpy_host
@@ -44,10 +49,10 @@ from repro.engine import (
     poisson_requests,
 )
 from repro.engine import disagg as disagg_module
+from repro.engine import scheduler as scheduler_module
 from repro.engine.scheduler import (
     RequestStats,
     ScheduleResult,
-    _accumulate,
     _latency_fields,
     _ordered,
     _stats,
@@ -93,8 +98,22 @@ class _InFlight:
         )
 
 
+def _accumulate(
+    totals: Dict[str, float], items: Tuple[Tuple[str, float], ...]
+) -> None:
+    """Add a cost entry's phase items to a run's phase totals, in order."""
+    for key, seconds in items:
+        totals[key] = totals.get(key, 0.0) + seconds
+
+
 class ReferenceLoop:
-    """``RequestScheduler``'s admission test and event loop, verbatim."""
+    """``RequestScheduler``'s admission test and event loop, verbatim.
+
+    The loop summed phase seconds into a dict step by step
+    (``_accumulate``, kept here as it was); the prefill pool now logs its
+    phase items through a callable, so the reference hands it one that
+    adds them to that dict.
+    """
 
     def _fits(self, request: Request, running: List[_InFlight]) -> bool:
         seqs = sum(f.request.batch for f in running)
@@ -165,7 +184,9 @@ class ReferenceLoop:
             running.append(flight)
             admitted += 1
 
-        pool = self._prefill_pool(finish, phase_totals)
+        pool = self._prefill_pool(
+            finish, lambda items: _accumulate(phase_totals, items)
+        )
         owner = f"{tel.run}[{self.name}]" if self.name else tel.run
         with _DegradationScope(self.server.resilience, owner) as scope, tracer.span(
             tel.run,
@@ -649,6 +670,69 @@ def test_the_error_names_the_step():
     with _deadline(5), pytest.raises(ValueError) as err:
         sched.run([Request(0, 0.0, 32, 4, batch=2)])
     assert "batch sequences 0, prefill tokens 64" in str(err.value)
+
+
+# ----------------------------------------------------------------------
+# Phase totals from the step log
+# ----------------------------------------------------------------------
+#: Keys of memoized entries, and one that only one-off entries carry (the
+#: prefill pool logs each KV migration as its own entry).
+_SHARED_KEYS = ("prefill/lut", "prefill/gemm", "decode/lut", "decode/ccs",
+                "decode/attention", "decode/other")
+_SECONDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, 5e-324]),
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.floats(1e-9, 1e-3),
+)
+
+
+def _entries(keys):
+    return st.lists(st.tuples(st.sampled_from(keys), _SECONDS), max_size=4,
+                    unique_by=lambda item: item[0]).map(tuple)
+
+
+@st.composite
+def _phase_logs(draw):
+    """A log mixing shared entries, logged many times, with one-off ones."""
+    shared = draw(st.lists(_entries(_SHARED_KEYS), min_size=1, max_size=5))
+    one_off = _entries(_SHARED_KEYS + ("kv_transfer",))
+    steps = draw(st.lists(
+        st.one_of(st.integers(0, len(shared) - 1), one_off), max_size=80))
+    return [shared[step] if isinstance(step, int) else step for step in steps]
+
+
+def _reference_totals(log):
+    totals: Dict[str, float] = {}
+    for items in log:
+        _accumulate(totals, items)
+    return totals
+
+
+def _bits(totals):
+    return [(key, float(value).hex()) for key, value in totals.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=_phase_logs(), chunk=st.integers(1, 9))
+def test_phase_totals_equal_the_step_by_step_sums(log, chunk):
+    with mock.patch.object(scheduler_module, "_PHASE_CHUNK", chunk):
+        totals = scheduler_module._phase_totals(log)
+    assert all(type(value) is float for value in totals.values())
+    assert _bits(totals) == _bits(_reference_totals(log))
+
+
+def test_phase_totals_of_a_long_log():
+    """Chunk boundaries at the default chunk, over ~3 chunks of entries."""
+    rng = np.random.default_rng(3)
+    shared = [tuple((key, float(s)) for key, s in zip(_SHARED_KEYS[k:], rng.random(3)))
+              for k in range(4)]
+    log = []
+    for i in range(3 * scheduler_module._PHASE_CHUNK + 17):
+        log.append(shared[int(rng.integers(4))])
+        if i % 97 == 0:
+            log.append((("kv_transfer", float(rng.random())),))
+    assert _bits(scheduler_module._phase_totals(log)) == _bits(_reference_totals(log))
+    assert scheduler_module._phase_totals([]) == {}
 
 
 # ----------------------------------------------------------------------
