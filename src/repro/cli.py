@@ -16,9 +16,7 @@ Subcommands mirror the offline workflow of paper Fig. 5:
   it for the host roofline;
 * ``kernels`` — benchmark + parity-check the :mod:`repro.kernels` host
   kernels (``--dtype``, ``--block-rows``, ``--int8``) against the frozen
-  pre-kernel references; ``--search [--schedule-cache DIR]`` instead runs
-  the measured kernel-schedule search (block sizes, gather strategy) and
-  persists the winner;
+  pre-kernel references;
 * ``serve-sim`` — discrete-event continuous-batching serving simulation
   (:mod:`repro.engine.scheduler`): a Poisson/uniform arrival stream is
   scheduled into the running batch with chunked-prefill and admission
@@ -503,50 +501,6 @@ def _resolve_cli_dtype(dtype: str):
     return None if dtype == "auto" else dtype
 
 
-def _kernels_search(args) -> int:
-    """``kernels --search``: measured host kernel-schedule search."""
-    import numpy as np
-
-    from .kernels import KernelScheduleCache, search_kernel_schedule
-
-    cache = (
-        KernelScheduleCache(args.schedule_cache) if args.schedule_cache else None
-    )
-    schedule = search_kernel_schedule(
-        n=args.n, h=args.h, f=args.f, v=args.v, ct=args.ct,
-        dtype=_resolve_cli_dtype(args.dtype) or "float32",
-        repeats=args.repeats,
-        rng=np.random.default_rng(args.seed),
-        cache=cache,
-    )
-    if args.json:
-        _print_json(schedule.to_jsonable())
-        return _finish_telemetry(args)
-    source = (
-        f"cache {args.schedule_cache} (search skipped)"
-        if schedule.candidates_evaluated == 0
-        else f"measured search ({schedule.candidates_evaluated} candidates)"
-    )
-    print(format_table(
-        ["parameter", "value"],
-        [
-            ["workload (N,H,F,V,CT)",
-             f"({args.n}, {args.h}, {args.f}, {args.v}, {args.ct})"],
-            ["dtype", schedule.dtype],
-            ["ccs block_rows", schedule.ccs_block_rows],
-            ["gather block_rows", schedule.gather_block_rows],
-            ["gather strategy", schedule.gather_strategy],
-            ["ccs / gather time",
-             f"{schedule.ccs_seconds * 1e3:.3f} / "
-             f"{schedule.gather_seconds * 1e3:.3f} ms"],
-            ["default-schedule time", f"{schedule.baseline_seconds * 1e3:.3f} ms"],
-            ["speedup vs default", f"{schedule.speedup_vs_default:.2f}x"],
-            ["schedule source", source],
-        ],
-    ))
-    return _finish_telemetry(args)
-
-
 def cmd_kernels(args) -> int:
     """Benchmark + parity-check the host kernels against the references."""
     import numpy as np
@@ -561,8 +515,6 @@ def cmd_kernels(args) -> int:
 
     if args.h % args.v:
         raise UsageError(f"--h {args.h} is not divisible by --v {args.v}")
-    if args.search:
-        return _kernels_search(args)
     rng = np.random.default_rng(args.seed)
     dtype = _resolve_cli_dtype(args.dtype)
     x = rng.normal(size=(args.n, args.h))
@@ -643,7 +595,7 @@ def cmd_compare(args) -> int:
             f=config.hidden_dim,
             v=args.v,
             ct=args.ct,
-            dtype=_resolve_cli_dtype(args.dtype) or "float32",
+            dtype=_resolve_cli_dtype(args.dtype),
             block_rows=args.block_rows,
         )
         print(
@@ -1460,22 +1412,6 @@ def _bench_sim_overlap_bert(platform_name: str):
     }
 
 
-def _bench_schedule_search(platform_name: str):
-    """Measured: cold host kernel-schedule search (winner's total time)."""
-    import numpy as np
-
-    from .kernels import search_kernel_schedule
-
-    schedule = search_kernel_schedule(
-        n=256, h=256, f=256, v=4, ct=16,
-        repeats=3, rng=np.random.default_rng(0), cache=None,
-    )
-    return schedule.total_seconds, {
-        "shape": "n256-h256-f256-v4-ct16",
-        "speedup_vs_default": schedule.speedup_vs_default,
-    }
-
-
 def _bench_host_ccs(platform_name: str):
     """Measured: this machine's host CCS kernel (seconds, best-of-N)."""
     import numpy as np
@@ -1591,7 +1527,6 @@ _BENCH_REGISTRY = {
     "kernels.host-ccs": ("measured", _bench_host_ccs),
     "kernels.host-lut": ("measured", _bench_host_lut),
     "kernels.host-codebooks": ("measured", _bench_host_codebooks),
-    "kernels.schedule-search": ("measured", _bench_schedule_search),
     "sim.walk": ("measured", _bench_sim_walk),
     "mapping.tune-cold": ("measured", _bench_tune_cold),
     "serving.replay": ("measured", _bench_serving_replay),
@@ -1773,13 +1708,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also benchmark the fused INT8 lookup path")
     kernels.add_argument("--repeats", type=int, default=3,
                          help="best-of-N timing repeats")
-    kernels.add_argument("--search", action="store_true",
-                         help="search the measured kernel schedule (block "
-                              "sizes, gather strategy) for this shape "
-                              "instead of the parity benchmark")
-    kernels.add_argument("--schedule-cache", metavar="DIR",
-                         help="persistent kernel-schedule cache directory "
-                              "for --search (hit skips all measurements)")
     kernels.add_argument("--seed", type=int, default=0)
     _add_output_arguments(kernels)
 

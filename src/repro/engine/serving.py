@@ -23,7 +23,6 @@ from .. import obs
 from ..baselines.roofline import RooflineDevice
 from ..core.codebook import LUTShape
 from ..kernels import HostKernelProfile
-from ..kernels.schedule import KernelScheduleCache, search_kernel_schedule
 from ..mapping.store import MappingCache
 from ..mapping.tuner import AutoTuner, TuningResult, model_lut_shapes
 from ..pim.platforms import PIMPlatform
@@ -113,9 +112,9 @@ class GenerationServer:
         A :class:`~repro.mapping.store.MappingCache` (or a directory path
         for one).  The serving tuners warm-start from it, so a server
         whose model was tuned offline (``repro tune --cache DIR`` or
-        :func:`~repro.mapping.tuner.tune_model_parallel`) never re-runs
-        Algorithm 1; searches it does perform are persisted for the next
-        process.
+        :meth:`~repro.mapping.tuner.AutoTuner.tune_many` with the same
+        cache) never re-runs Algorithm 1; searches it does perform are
+        persisted for the next process.
     host_kernel_profile:
         Measured host CCS throughput (:func:`repro.kernels.measure_host_kernels`);
         forwarded to both the prefill and decode engines so their latency
@@ -130,13 +129,6 @@ class GenerationServer:
         Double-buffer the LUT micro-kernel loop in both phases: the
         transfer of tile *i+1* overlaps the lookup/reduce of tile *i*,
         so the reports charge only the exposed transfer time.
-    schedule_cache:
-        A :class:`~repro.kernels.KernelScheduleCache` (or a directory
-        path for one).  :meth:`warmup` then searches the host-kernel
-        schedule (block sizes, gather strategy) for the serving batch
-        shape and persists the winner; when no ``host_kernel_profile``
-        was given, the winning schedule's measured throughput becomes
-        the engines' host kernel model.
     """
 
     def __init__(
@@ -150,7 +142,6 @@ class GenerationServer:
         host_kernel_profile: Optional[HostKernelProfile] = None,
         resilience: Optional[RecoveryManager] = None,
         overlap: bool = False,
-        schedule_cache: Optional[Union[KernelScheduleCache, str]] = None,
     ):
         self.platform = platform
         self.host = host
@@ -161,9 +152,6 @@ class GenerationServer:
         if isinstance(mapping_cache, str):
             mapping_cache = MappingCache(mapping_cache)
         self.mapping_cache = mapping_cache
-        if isinstance(schedule_cache, str):
-            schedule_cache = KernelScheduleCache(schedule_cache)
-        self.schedule_cache = schedule_cache
         self.resilience = resilience if lut_nn else None
         if lut_nn:
             # Prefill follows the PIMDLEngine default (LUTs resident only on
@@ -214,12 +202,6 @@ class GenerationServer:
         searching (zero candidates evaluated); on a cold cache it runs the
         searches once and persists them.
 
-        When a ``schedule_cache`` is configured, the warmup also searches
-        the host-kernel schedule for the first prefill shape (persisted
-        the same way); if the server was built without an explicit
-        ``host_kernel_profile``, the winning schedule's measured
-        throughput is installed on both engines.
-
         Returns the tuned results by shape; a no-op for native serving.
         """
         if not self.lut_nn:
@@ -238,19 +220,6 @@ class GenerationServer:
             ]
             tuned.update(self._decode.tuner.tune_many(decode_shapes))
             span.set_attribute("shapes", len(tuned))
-            if self.schedule_cache is not None and prefill_shapes:
-                shape = prefill_shapes[0]
-                schedule = search_kernel_schedule(
-                    n=shape.n, h=shape.h, f=shape.f, v=shape.v, ct=shape.ct,
-                    cache=self.schedule_cache,
-                )
-                span.set_attribute(
-                    "schedule_speedup", schedule.speedup_vs_default
-                )
-                if self._prefill.host_kernel_profile is None:
-                    profile = schedule.to_profile()
-                    self._prefill.host_kernel_profile = profile
-                    self._decode.host_kernel_profile = profile
         obs.get_registry().counter("serving.warmup_shapes").inc(len(tuned))
         return tuned
 

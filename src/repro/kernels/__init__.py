@@ -39,11 +39,6 @@ from .lut import (
     lut_gather_reduce_quantized,
 )
 from .profile import HostKernelProfile, measure_host_kernels
-from .schedule import (
-    KernelSchedule,
-    KernelScheduleCache,
-    search_kernel_schedule,
-)
 
 __all__ = [
     "CCSKernel",
@@ -57,7 +52,4 @@ __all__ = [
     "lut_gather_reduce_quantized",
     "HostKernelProfile",
     "measure_host_kernels",
-    "KernelSchedule",
-    "KernelScheduleCache",
-    "search_kernel_schedule",
 ]

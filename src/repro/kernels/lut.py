@@ -4,7 +4,7 @@ The reference :func:`repro.core.lut.lut_lookup` gathers with a 2-D fancy
 index and pays two full passes over the index matrix per call for bounds
 checking (``indices.min()`` plus ``indices.max()``).  The kernels here:
 
-* pick the float gather strategy by working-set size: small row blocks
+* pick the float gather path by working-set size: small row blocks
   use one **flat gather** on a ``(CB*CT, F)`` view of the table (one index
   array, one gather, one reduction); once the ``(nb, CB, F)`` intermediate
   would outgrow ``_GATHER_BUDGET_BYTES`` the kernel switches to
@@ -46,7 +46,7 @@ import numpy as np
 from .. import obs
 from .ccs import DEFAULT_BLOCK_ROWS
 
-#: Largest (nb, CB, F) gather intermediate the flat strategy may create;
+#: Largest (nb, CB, F) gather intermediate the flat path may create;
 #: beyond this the per-codebook path wins on memory traffic.  8 MiB is not
 #: cache-resident: the budget only keeps small (decode-sized) blocks on
 #: the one-gather path.
@@ -63,26 +63,6 @@ _GATHER_TILE_BYTES = 512 << 10
 #: the int8 gather itself under a shared scale.  L2-sized blocks beat one
 #: 8 MiB block at both 4-row (decode) and 128-row (prompt) calls.
 _INT8_BLOCK_BYTES = 256 << 10
-
-#: Valid gather strategies: ``auto`` picks by working-set size (the
-#: heuristic above); ``flat``/``per-codebook`` force one path — used by the
-#: measured schedule search to replace the heuristic with a decision
-#: actually timed on this machine.
-GATHER_STRATEGIES = ("auto", "flat", "per-codebook")
-
-
-def _flat_row_budget(strategy: str, n: int, row_bytes: int) -> int:
-    """Rows per block the flat gather may take under ``strategy``."""
-    if strategy not in GATHER_STRATEGIES:
-        raise ValueError(
-            f"unknown gather strategy {strategy!r}; choose from {GATHER_STRATEGIES}"
-        )
-    if strategy == "flat":
-        return n if n > 0 else 1
-    if strategy == "per-codebook":
-        return 0
-    return max(1, _GATHER_BUDGET_BYTES // max(row_bytes, 1))
-
 
 def _block_rows(block_rows: Optional[int]) -> int:
     """``block_rows`` as a positive int; ``None`` means the default."""
@@ -132,7 +112,6 @@ def lut_gather_reduce(
     lut: np.ndarray,
     offsets: Optional[np.ndarray] = None,
     block_rows: Optional[int] = None,
-    strategy: str = "auto",
 ) -> np.ndarray:
     """Fused table lookup + accumulate: ``out[n] = sum_cb lut[cb, idx[n, cb]]``.
 
@@ -144,9 +123,6 @@ def lut_gather_reduce(
     block_rows: rows per block (``None``: the default); bounds the
         (nb, CB, F) gather working set.  The per-codebook path further
         walks each block in L2-sized row tiles.
-    strategy: ``"auto"`` (working-set heuristic), ``"flat"``, or
-        ``"per-codebook"`` — force a gather path, e.g. from a measured
-        :class:`~repro.kernels.schedule.KernelSchedule`.
 
     Raises
     ------
@@ -165,7 +141,7 @@ def lut_gather_reduce(
         offsets = gather_offsets(cb, ct)
     lut2d = lut.reshape(cb * ct, f)
     n = unsigned.shape[0]
-    flat_rows = _flat_row_budget(strategy, n, cb * f * lut.itemsize)
+    flat_rows = max(1, _GATHER_BUDGET_BYTES // max(cb * f * lut.itemsize, 1))
     tile = max(1, _GATHER_TILE_BYTES // max(f * lut.itemsize, 1))
     out = np.empty((n, f), dtype=lut.dtype)
     if cb == 0:

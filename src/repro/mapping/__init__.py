@@ -35,7 +35,6 @@ from .tuner import (
     TuneProgress,
     TuningResult,
     model_lut_shapes,
-    tune_model_parallel,
 )
 
 __all__ = [
@@ -67,5 +66,4 @@ __all__ = [
     "mapping_to_dict",
     "mapping_from_dict",
     "model_lut_shapes",
-    "tune_model_parallel",
 ]

@@ -314,24 +314,3 @@ def model_lut_shapes(config, v: int = 4, ct: int = 16) -> List[LUTShape]:
             shapes.append(shape)
     return shapes
 
-
-def tune_model_parallel(
-    config,
-    platform: PIMPlatform,
-    v: int = 4,
-    ct: int = 16,
-    cache: Optional["MappingCache"] = None,
-    amortize_lut_distribution: bool = False,
-) -> Dict[LUTShape, TuningResult]:
-    """Tune every LUT shape of a model.
-
-    The offline entry point of the paper's workflow ("each model need to
-    be tuned only once", §5.3): results land in ``cache`` when given, so
-    serving processes warm-start instead of re-running Algorithm 1.
-    """
-    tuner = AutoTuner(
-        platform,
-        amortize_lut_distribution=amortize_lut_distribution,
-        cache=cache,
-    )
-    return tuner.tune_many(model_lut_shapes(config, v=v, ct=ct))

@@ -1,6 +1,5 @@
-"""The entry directory behind :class:`repro.mapping.MappingCache` and
-:class:`repro.kernels.KernelScheduleCache`: standard library only, so both
-``repro.kernels`` and ``repro.mapping`` may build on it.
+"""The entry directory behind :class:`repro.mapping.MappingCache`:
+standard library only, so any package may build on it.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ while passing on identical re-runs.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -278,3 +279,22 @@ class TestBenchCLI:
         out = capsys.readouterr().out
         assert "sim.lut-kernel" in out
         assert "engine.bert-base" in out
+
+    def test_real_measured_suite_records(self, tmp_path):
+        """The shipped measured suite runs end-to-end and records each of
+        its ids once, each a finite positive value."""
+        store = str(tmp_path / "store")
+        assert cli.main(
+            ["bench", "run", "--store", store, "--suite", "measured"]
+        ) == 0
+        history = BaselineStore(store)
+        recorded = {}
+        for bench_id, fp in history.bench_ids():
+            recorded.setdefault(bench_id, []).extend(
+                r.value for r in history.records(bench_id, fp))
+        measured = {bench_id for bench_id, (kind, _)
+                    in cli._BENCH_REGISTRY.items() if kind == "measured"}
+        assert set(recorded) == measured
+        for bench_id, values in recorded.items():
+            assert len(values) == 1, bench_id
+            assert math.isfinite(values[0]) and values[0] > 0, bench_id

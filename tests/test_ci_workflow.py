@@ -76,10 +76,9 @@ class TestWorkflowFile:
         assert "tests/test_cluster.py" in runs
 
     def test_tests_job_runs_overlap_and_schedule_suites(self, workflow):
-        """The overlap pipeline + schedule cache are explicit tier-1 members."""
+        """The overlap pipeline is an explicit tier-1 member."""
         runs = " ".join(_run_commands(workflow["jobs"]["tests"]))
         assert "tests/test_overlap.py" in runs
-        assert "tests/test_kernel_schedule.py" in runs
 
     def test_tests_job_runs_disagg_suite(self, workflow):
         """The disaggregated serving module is an explicit tier-1 member."""
@@ -179,8 +178,8 @@ class TestWorkflowFile:
         assert all("continue-on-error" not in s for s in job["steps"])
 
     def test_tests_job_runs_persistent_cache_suite(self, workflow):
-        """The mapping and kernel-schedule caches' shared entry primitive
-        is checked in one explicit step."""
+        """The mapping cache and its entry primitive are checked in one
+        explicit step."""
         job = workflow["jobs"]["tests"]
         step = next(s for s in job["steps"]
                     if s.get("name", "").startswith("Persistent caches"))
@@ -237,12 +236,11 @@ class TestWorkflowFile:
                 )
 
     def test_overlap_and_schedule_benches_registered(self):
-        """The nightly `bench` suites carry the new ids (modeled overlap
+        """The nightly `bench` suites carry the modeled overlap id (it
         flows through `bench compare --suite modeled` automatically)."""
         from repro.cli import _BENCH_REGISTRY
 
         assert _BENCH_REGISTRY["sim.overlap-bert-base"][0] == "modeled"
-        assert _BENCH_REGISTRY["kernels.schedule-search"][0] == "measured"
 
     def test_codebook_bench_registered_as_measured(self):
         """`bench run --suite measured` times the k-means codebook build."""

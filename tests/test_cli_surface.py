@@ -33,7 +33,7 @@ OPTIONS = {
     "compare": {*MODEL, *OUTPUT, "--attribution", "--measure-host",
                 "--dtype", "--block-rows", "--overlap"},
     "kernels": {*SHAPE, *OUTPUT, "--dtype", "--block-rows", "--int8",
-                "--repeats", "--search", "--schedule-cache", "--seed"},
+                "--repeats", "--seed"},
     "faults": {*MODEL, *OUTPUT, "--layers", "--prompt-len", "--generate-len",
                "--batch", "--requests", "--scenario", "--seed", "--fail-ranks",
                "--fail-pes", "--straggler", "--timeouts", "--bit-flips",

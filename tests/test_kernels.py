@@ -350,21 +350,26 @@ class TestGatherTiling:
     def test_tiles_are_bit_identical(self, monkeypatch, dtype, cb, tile_rows,
                                      strategy, block_rows):
         """1-row and ragged 3-row tiles (17 rows; blocks of 5 split tiles
-        too) equal one tile and the flat gather exactly."""
+        too) equal one tile and the flat gather exactly.  ``per-codebook``
+        sends every block of 2+ rows down the tiled path; ``auto`` leaves
+        a two-row gather budget, so with blocks of 5 the full blocks walk
+        tiles while the 2-row tail takes the flat gather in the same call."""
         from repro.kernels import lut as lut_mod
 
         rng = np.random.default_rng(2)
         f = 6
         lut = rng.normal(size=(cb, 7, f)).astype(dtype)
         idx = rng.integers(0, 7, size=(17, cb)).astype(np.int32)
-        flat = lut_gather_reduce(idx, lut, strategy="flat")
-        one_tile = lut_gather_reduce(idx, lut, strategy="per-codebook")
+        flat = lut_gather_reduce(idx, lut)
+        # A 1-byte budget gathers every block of 2+ rows per codebook.
+        monkeypatch.setattr(lut_mod, "_GATHER_BUDGET_BYTES", 1)
+        one_tile = lut_gather_reduce(idx, lut)
         if strategy == "auto":
-            monkeypatch.setattr(lut_mod, "_GATHER_BUDGET_BYTES", 1)
+            monkeypatch.setattr(lut_mod, "_GATHER_BUDGET_BYTES",
+                                2 * cb * f * lut.itemsize)
         monkeypatch.setattr(lut_mod, "_GATHER_TILE_BYTES",
                             tile_rows * f * lut.itemsize)
-        tiled = lut_gather_reduce(idx, lut, block_rows=block_rows,
-                                  strategy=strategy)
+        tiled = lut_gather_reduce(idx, lut, block_rows=block_rows)
         assert tiled.dtype == dtype
         np.testing.assert_array_equal(tiled, one_tile)
         np.testing.assert_array_equal(tiled, flat)
@@ -724,6 +729,40 @@ class TestHostKernelProfile:
         )
         assert server._prefill.host_kernel_profile is profile
         assert server._decode.host_kernel_profile is profile
+
+    @pytest.mark.parametrize("flag, dtype", [("auto", None),
+                                             ("float32", "float32"),
+                                             ("float64", "float64")])
+    def test_compare_measure_host_passes_dtype(self, monkeypatch, flag, dtype):
+        """``compare --measure-host --dtype auto`` measures in the input's
+        dtype (``None``), not float32."""
+        import repro.kernels
+        from repro.cli import main
+
+        class Measured(Exception):
+            pass
+
+        seen = {}
+
+        def measure(**kwargs):
+            seen.update(kwargs)
+            raise Measured  # the engine comparison after it is not needed
+
+        monkeypatch.setattr(repro.kernels, "measure_host_kernels", measure)
+        with pytest.raises(Measured):
+            main(["compare", "--model", "bert-base", "--measure-host",
+                  "--dtype", flag])
+        assert seen["dtype"] == dtype
+
+
+class TestMeasureRepeats:
+    def test_measure_host_kernels_records_repeats(self):
+        profile = measure_host_kernels(n=32, h=32, f=16, repeats=2)
+        assert profile.repeats == 2
+
+    def test_repeats_floor_is_one(self):
+        profile = measure_host_kernels(n=32, h=32, f=16, repeats=0)
+        assert profile.repeats == 1
 
 
 # ---------------------------------------------------------------------------

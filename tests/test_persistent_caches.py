@@ -1,27 +1,24 @@
-"""The persistent caches on one entry primitive: corrupt entries, counter
+"""The persistent cache on its entry primitive: corrupt entries, counter
 balance (in the CLI's tune and simulate too), and on-disk compatibility.
 
-``MappingCache`` and ``KernelScheduleCache`` both sit on
-:class:`repro.obs.entries.EntryDirectory`, so every corrupt entry must be
-a warned miss counted under ``<family>.rejected`` and ``<family>.misses``
-alike, and files written by earlier releases must keep hitting.
+``MappingCache`` sits on :class:`repro.obs.entries.EntryDirectory`, so
+every corrupt entry must be a warned miss counted under
+``mapping_cache.rejected`` and ``mapping_cache.misses`` alike, and files
+written by earlier releases must keep hitting.
 """
 
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro import obs
 from repro.cli import main
 from repro.core import LUTShape
-from repro.kernels import KernelScheduleCache, search_kernel_schedule
 from repro.mapping import AutoTuner, MappingCache, platform_fingerprint
 from repro.pim import get_platform
 
 SHAPE = LUTShape(n=256, h=32, f=64, v=4, ct=8)
-SEARCH_KW = dict(n=64, h=64, f=32, v=4, ct=16, dtype="float32")
 
 #: Entry files no reader can use, by what is wrong with them.
 CORRUPT_ENTRIES = {
@@ -77,16 +74,6 @@ LEGACY_MAPPING_ENTRY = """{
   "version": 2
 }"""
 
-#: A kernel-schedule entry exactly as the v1 format writes it.
-LEGACY_SCHEDULE_NAME = "v1-deadbeef0000-n64_h64_f32_v4_ct16-float32.json"
-LEGACY_SCHEDULE_ENTRY = (
-    '{"fingerprint": "deadbeef0000", "format_version": 1, "schedule": '
-    '{"baseline_seconds": 0.005, "ccs_block_rows": 1024, "ccs_seconds": '
-    '0.00125, "dtype": "float32", "gather_block_rows": 256, '
-    '"gather_seconds": 0.0025, "gather_strategy": "flat", "repeats": 3, '
-    '"shape": [64, 64, 32, 4, 16]}}'
-)
-
 
 @pytest.fixture(scope="module")
 def platform():
@@ -113,34 +100,17 @@ def _delta(family, before):
 def _targets(tmp_path, platform):
     """``(family, entry path, lookup)`` for every lenient cache reader."""
     mappings = MappingCache(str(tmp_path / "mappings"))
-    schedules = KernelScheduleCache(str(tmp_path / "schedules"))
     return {
         "MappingCache.get": (
             "mapping_cache",
             mappings.entry_path(platform, SHAPE),
             lambda: mappings.get(platform, SHAPE),
         ),
-        "KernelScheduleCache.get": (
-            "kernel_schedule_cache",
-            schedules.entry_path(**SEARCH_KW),
-            lambda: schedules.get(**SEARCH_KW),
-        ),
-        "search_kernel_schedule": (
-            "kernel_schedule_cache",
-            schedules.entry_path(**SEARCH_KW),
-            lambda: search_kernel_schedule(
-                repeats=1, rng=np.random.default_rng(0), cache=schedules,
-                **SEARCH_KW,
-            ),
-        ),
     }
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPT_ENTRIES))
-@pytest.mark.parametrize(
-    "reader",
-    ["MappingCache.get", "KernelScheduleCache.get", "search_kernel_schedule"],
-)
+@pytest.mark.parametrize("reader", ["MappingCache.get"])
 def test_corrupt_entry_is_a_counted_warned_miss(reader, case, platform, tmp_path):
     family, path, lookup = _targets(tmp_path, platform)[reader]
     os.makedirs(os.path.dirname(path))
@@ -152,47 +122,26 @@ def test_corrupt_entry_is_a_counted_warned_miss(reader, case, platform, tmp_path
     delta = _delta(family, before)
     assert delta["rejected"] == 1
     assert delta["hits"] + delta["misses"] == 1  # one lookup
-    if reader == "search_kernel_schedule":
-        # The miss re-measures and rewrites the entry, which now hits.
-        assert value.candidates_evaluated > 0
-        assert delta["writes"] == 1
-        assert lookup().candidates_evaluated == 0
-    else:
-        assert value is None
+    assert value is None
 
 
 def test_hits_plus_misses_equals_lookups(platform, tuned, tmp_path):
-    """Absent, present and rejected lookups, for both families."""
+    """Absent, present and rejected lookups."""
     mappings = MappingCache(str(tmp_path / "mappings"))
-    schedules = KernelScheduleCache(str(tmp_path / "schedules"))
-    schedule = search_kernel_schedule(repeats=1, **SEARCH_KW)
-    families = {
-        "mapping_cache": (
-            lambda: mappings.get(platform, SHAPE),
-            lambda: mappings.put(platform, tuned),
-            "version",
-        ),
-        "kernel_schedule_cache": (
-            lambda: schedules.get(**SEARCH_KW),
-            lambda: schedules.put(schedule),
-            "format_version",
-        ),
+    before = _counts("mapping_cache")
+    assert mappings.get(platform, SHAPE) is None
+    path = mappings.put(platform, tuned)
+    assert mappings.get(platform, SHAPE) is not None
+    with open(path) as fh:
+        payload = json.load(fh)
+    payload["version"] += 10
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.warns(RuntimeWarning, match="format version"):
+        assert mappings.get(platform, SHAPE) is None
+    assert _delta("mapping_cache", before) == {
+        "hits": 1, "misses": 2, "rejected": 1, "writes": 1,
     }
-    for family, (get, put, version_field) in families.items():
-        before = _counts(family)
-        assert get() is None
-        path = put()
-        assert get() is not None
-        with open(path) as fh:
-            payload = json.load(fh)
-        payload[version_field] += 10
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        with pytest.warns(RuntimeWarning, match="format version"):
-            assert get() is None
-        assert _delta(family, before) == {
-            "hits": 1, "misses": 2, "rejected": 1, "writes": 1,
-        }, family
 
 
 @pytest.mark.parametrize("command", ["tune", "simulate"])
@@ -263,19 +212,3 @@ class TestOnDiskCompatibility:
         assert os.path.basename(path) == name
         with open(path) as fh:
             assert json.load(fh) == json.loads(text)
-
-    def test_v1_schedule_entry_hits_and_rewrites_identically(self, tmp_path):
-        cache = KernelScheduleCache(str(tmp_path), fingerprint="deadbeef0000")
-        with open(tmp_path / LEGACY_SCHEDULE_NAME, "w") as fh:
-            fh.write(LEGACY_SCHEDULE_ENTRY)
-        before = _counts("kernel_schedule_cache")
-        hit = cache.get(**SEARCH_KW)
-        assert _delta("kernel_schedule_cache", before)["hits"] == 1
-        assert (hit.ccs_block_rows, hit.gather_strategy) == (1024, "flat")
-        assert hit.candidates_evaluated == 0
-
-        os.remove(tmp_path / LEGACY_SCHEDULE_NAME)
-        path = cache.put(hit)
-        assert os.path.basename(path) == LEGACY_SCHEDULE_NAME
-        with open(path) as fh:
-            assert json.load(fh) == json.loads(LEGACY_SCHEDULE_ENTRY)

@@ -1,7 +1,7 @@
 """Auto-Tuner model helpers, and the removed ``jobs`` knob.
 
-``model_lut_shapes`` / ``tune_model_parallel`` / ``tune_many`` tune a
-whole model through one bound-pruned serial search per distinct shape.
+``model_lut_shapes`` / ``tune_many`` tune a whole model through one
+bound-pruned serial search per distinct shape.
 ``AutoTuner(jobs=...)`` was accepted and ignored once the search stopped
 using a process pool; the keyword is now rejected.
 """
@@ -9,7 +9,7 @@ using a process pool; the keyword is now rejected.
 import pytest
 
 from repro.core import LUTShape
-from repro.mapping import AutoTuner, model_lut_shapes, tune_model_parallel
+from repro.mapping import AutoTuner, model_lut_shapes
 from repro.pim import get_platform
 from repro.workloads import EVAL_MODELS
 
@@ -39,10 +39,10 @@ class TestModelHelpers:
         with pytest.raises(ValueError):
             model_lut_shapes(config, v=7)
 
-    def test_tune_model_parallel_matches_per_shape_serial(self):
+    def test_tune_many_matches_per_shape_serial(self):
         config = EVAL_MODELS["bert-base"].with_(seq_len=16, batch_size=2)
         platform = get_platform("upmem")
-        results = tune_model_parallel(config, platform)
+        results = AutoTuner(platform).tune_many(model_lut_shapes(config))
         assert len(results) == 4
         serial = AutoTuner(platform)
         for shape, result in results.items():
