@@ -1413,19 +1413,22 @@ def _bench_sim_overlap_bert(platform_name: str):
 
 
 def _bench_host_ccs(platform_name: str):
-    """Measured: this machine's host CCS kernel (seconds, best-of-N)."""
+    """Measured: this machine's host CCS kernel (seconds, best-of-N), at the
+    auto dtype every converted ``LUTLinear`` runs."""
     import numpy as np
 
     from .kernels import CCSKernel
+    from .kernels.ccs import resolve_dtype
 
     rng = np.random.default_rng(0)
     x = rng.normal(size=(512, 256))
     centroids = rng.normal(size=(64, 16, 4))
-    kernel = CCSKernel(dtype="float32")
+    kernel = CCSKernel(dtype=None)
     kernel.prepare(centroids, version=0)
     value = _best_seconds(lambda: kernel.search(x, centroids, version=0),
                           5, warmup=0)
-    return value, {"shape": "n512-h256-v4-ct16"}
+    return value, {"shape": "n512-h256-v4-ct16",
+                   "dtype": str(resolve_dtype(None, x))}
 
 
 def _bench_host_lut(platform_name: str):
@@ -1517,6 +1520,33 @@ def _bench_serving_replay(platform_name: str):
     }
 
 
+def _bench_lut_decode(platform_name: str):
+    """Measured: this machine's LUT-NN decode speed, in microseconds per
+    generated token of a warm cached greedy ``generate`` on a seeded INT8
+    ``DecoderLM`` (best of 5 after one warm-up)."""
+    import numpy as np
+
+    from .core import convert_to_lut_nn, freeze_all_luts, set_lut_mode
+    from .nn import DecoderLM
+
+    vocab, prompt_len, new_tokens = 100, 16, 16
+    rng = np.random.default_rng(0)
+    model = DecoderLM(vocab, prompt_len + new_tokens, dim=64, num_layers=2,
+                      num_heads=4, rng=rng)
+    model.eval()
+    calib = rng.integers(0, vocab, size=(2, prompt_len))
+    convert_to_lut_nn(model, [calib], v=4, ct=16, rng=rng, kmeans_iters=3)
+    freeze_all_luts(model, quantize_int8=True)
+    set_lut_mode(model, "lut")
+    prompt = rng.integers(0, vocab, size=(2, prompt_len))
+    best = _best_seconds(
+        lambda: model.generate(prompt, new_tokens, use_cache=True), 5)
+    return best / (prompt.shape[0] * new_tokens) * 1e6, {
+        "unit": "us", "model": "decoder-lm-d64-l2-h4-int8", "v": 4, "ct": 16,
+        "prompt": "2x16", "new_tokens": new_tokens,
+    }
+
+
 #: bench id -> (suite kind, runner).  Ids are stable across commits — they
 #: key the store history.
 _BENCH_REGISTRY = {
@@ -1530,6 +1560,7 @@ _BENCH_REGISTRY = {
     "sim.walk": ("measured", _bench_sim_walk),
     "mapping.tune-cold": ("measured", _bench_tune_cold),
     "serving.replay": ("measured", _bench_serving_replay),
+    "nn.lut-decode": ("measured", _bench_lut_decode),
 }
 
 

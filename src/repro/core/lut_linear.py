@@ -19,11 +19,12 @@ weight/bias, and exposes three forward modes:
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, is_grad_enabled
 from ..autograd.tensor import _route
 from ..kernels import (
     CCSKernel,
@@ -211,10 +212,24 @@ class LUTLinear(Module):
     # Forward paths
     # ------------------------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:
+        """Run the layer in its mode.
+
+        A ``lut``-mode call with no tape to record (grad mode off, or neither
+        ``x`` nor the bias needs a gradient) runs the kernels on ``x.data``
+        and adds the bias in place into their fresh output, which gives the
+        taped ops' bits.
+        """
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float64))
         leading = x.shape[:-1]
-        n = int(np.prod(leading)) if leading else 1
+        n = math.prod(leading)
+        if self.mode == "lut" and not (is_grad_enabled() and (
+                x.requires_grad
+                or (self.bias is not None and self.bias.requires_grad))):
+            out = self._lut_kernels(x.data.reshape(n, self.in_features))
+            if self.bias is not None:
+                out += self.bias.data
+            return Tensor(out.reshape(*leading, self.out_features))
         flat = x.reshape(n, self.in_features)
 
         if self.mode == "exact":
@@ -304,10 +319,11 @@ class LUTLinear(Module):
         a_soft = mixed.transpose(1, 0, 2).reshape(n, self.in_features)
         return a_soft @ self.weight.data
 
-    def _lut_forward(self, flat: Tensor) -> Tensor:
+    def _lut_kernels(self, flat: np.ndarray) -> np.ndarray:
+        """CCS plus lookup-reduce of ``(N, H)`` rows: a fresh float64 ``(N, F)``."""
         if self._lut is None and self._qlut is None:
             self.freeze_lut()
-        indices = self._search(flat.data)
+        indices = self._search(flat)
         if self._qlut is not None:
             # Fused INT8 path: gather the int8 table directly and
             # dequantize once per output (paper §6.3 deployment numerics).
@@ -318,6 +334,10 @@ class LUTLinear(Module):
             out = lut_gather_reduce(
                 indices, self._lut, offsets=self._gather_offsets
             )
+        return np.asarray(out, dtype=np.float64)
+
+    def _lut_forward(self, flat: Tensor) -> Tensor:
+        out = self._lut_kernels(flat.data)
         result = Tensor(out)
 
         # Keep the tape alive for upstream layers via STE so mixed

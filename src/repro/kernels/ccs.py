@@ -17,10 +17,14 @@ the spirit of LUT-NN's blocked AVX kernels (Tang et al., MobiSys 2023):
   ``||a||^2`` term is constant per (row, codebook) and is dropped, so the
   score tensor is one batched ``(CB, nb, V) @ (CB, V, CT)`` matmul (BLAS
   GEMM per codebook) plus a broadcast add.
-* **Blocked over N.**  Rows are processed in ``block_rows`` chunks, so
-  the ``(CB, nb, CT)`` score tensor grows with the block, not the batch.
-  It is not cache-resident at the default block: 4,096 float64 rows of
-  an H=256 layer (CB=64, CT=16) score into 33 MB.
+* **Blocked over N.**  Rows are processed in blocks of at most
+  ``block_rows`` rows whose ``(CB, nb, CT)`` score tensor fits
+  ``_SCORE_BLOCK_BYTES``, so the scores stay cache-resident while the
+  elementwise passes and the argmin read them (1,024 float64 rows of an
+  H=1,024 layer score into 33.5 MB).  A block has at least two
+  rows unless a ``block_rows`` block has one: numpy runs a one-row matmul
+  through BLAS gemv, whose sums round differently from gemm's, so the
+  walk gives every row the bits a ``block_rows``-only walk gives it.
 * **Dtype-aware.**  The kernel computes in float32 by default (the
   deployment dtype); float64 is opt-in.  ``dtype=None`` preserves the
   input's floating dtype.  Accuracy contract: float64 reproduces the
@@ -38,8 +42,14 @@ import numpy as np
 
 from .. import obs
 
-#: Default row-block size: bounds the (CB, block, CT) score working set.
+#: Default row-block size: the row cap of a CCS (and gather) block.
 DEFAULT_BLOCK_ROWS = 4096
+
+#: Largest (CB, rows, CT) score block a CCS block builds: the scores stay
+#: in L2 through the elementwise passes and the argmin.  The fastest budget,
+#: or within 1% of it, of a 256 KiB-4 MiB sweep at n = 4, 128 and 1,024
+#: (EXPERIMENTS.md).
+_SCORE_BLOCK_BYTES = 1 << 20
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -120,7 +130,8 @@ class CCSKernel:
         Compute dtype: ``"float32"`` (default), ``"float64"``, or ``None``
         / ``"auto"`` to preserve the input's floating dtype per call.
     block_rows:
-        Rows per block; bounds the score-tensor working set.
+        Row cap of a block; a block is smaller where its score tensor
+        would outgrow ``_SCORE_BLOCK_BYTES``.
     """
 
     def __init__(
@@ -196,10 +207,25 @@ class CCSKernel:
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
+    def _row_blocks(self, n: int, rows: int):
+        """``(start, stop)`` blocks of at most ``rows`` rows within each
+        ``block_rows`` block, never leaving a one-row tail in a block that
+        has more (see the module docstring: a one-row matmul is gemv)."""
+        for head in range(0, n, self.block_rows):
+            end = min(head + self.block_rows, n)
+            start = head
+            while start < end:
+                stop = min(start + rows, end)
+                if end - stop == 1:
+                    stop = end
+                yield start, stop
+                start = stop
+
     def _apply_blocked(self, x: np.ndarray, prep: PreparedCentroids, emit) -> None:
         """Blocked batched-GEMM score computation shared by both kernels.
 
-        Walks ``x`` in ``block_rows`` chunks, builds the ``(CB, nb, CT)``
+        Walks ``x`` in row blocks (:meth:`_row_blocks`, at most
+        ``_SCORE_BLOCK_BYTES`` of scores each), builds the ``(CB, nb, CT)``
         score tensor ``||c||^2 - 2 a.c`` for each, and hands it to
         ``emit(start, stop, sub, scores)`` — the only part where
         :meth:`search` (argmin) and :meth:`squared_distances` (add
@@ -208,8 +234,8 @@ class CCSKernel:
         """
         dt = prep.dtype
         n = x.shape[0]
-        for start in range(0, n, self.block_rows):
-            stop = min(start + self.block_rows, n)
+        rows = max(2, _SCORE_BLOCK_BYTES // (prep.cb * prep.ct * dt.itemsize))
+        for start, stop in self._row_blocks(n, rows):
             # Contiguous cast only when the dtype actually changes.
             xb = np.ascontiguousarray(x[start:stop], dtype=dt)
             sub = xb.reshape(stop - start, prep.cb, prep.v).transpose(1, 0, 2)

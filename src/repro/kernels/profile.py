@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .. import obs
-from .ccs import CCSKernel
+from .ccs import CCSKernel, DTypeLike
 from .lut import lut_gather_reduce
 
 
@@ -85,14 +85,15 @@ def measure_host_kernels(
     f: int = 768,
     v: int = 4,
     ct: int = 16,
-    dtype: str = "float32",
+    dtype: DTypeLike = None,
     block_rows: Optional[int] = None,
     repeats: int = 5,
     rng: Optional[np.random.Generator] = None,
 ) -> HostKernelProfile:
     """Measure CCS + gather-reduce throughput on one representative shape.
 
-    Defaults to the BERT-base eval shape (N=128, H=768, CT=16).  Returns
+    Defaults to the BERT-base eval shape (N=128, H=768, CT=16) and to the
+    auto dtype every converted ``LUTLinear`` runs (float64 here).  Returns
     the best-of-``repeats`` effective throughputs after one warmup call
     per kernel; constant preparation is excluded (warm cache), matching
     steady-state serving.

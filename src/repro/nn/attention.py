@@ -83,10 +83,10 @@ class MultiHeadAttention(Module):
         positions (covered by a test), at per-token cost.
         """
         batch, new, dim = x.shape
-        fused = self.qkv(x)
+        fused = self.qkv(x).data
 
-        def split_heads(t: Tensor) -> np.ndarray:
-            return t.data.reshape(batch, new, self.num_heads, self.head_dim).transpose(
+        def split_heads(t: np.ndarray) -> np.ndarray:
+            return t.reshape(batch, new, self.num_heads, self.head_dim).transpose(
                 0, 2, 1, 3
             )
 
@@ -111,27 +111,89 @@ class MultiHeadAttention(Module):
 
 
 class KVCache:
-    """Per-layer key/value cache for incremental decoding."""
+    """Per-layer key/value cache for incremental decoding.
+
+    Keys and values live in buffers along the sequence axis that grow
+    geometrically, so an append writes only the new entries; ``keys`` and
+    ``values`` are views of the filled prefix.  Each (batch, head) matrix of
+    a view has the strides of the same matrix in a concatenated array, so
+    attention's matmuls make the same BLAS calls and give the same bits.
+    """
 
     def __init__(self):
-        self.keys: np.ndarray = None
-        self.values: np.ndarray = None
+        self._keys: np.ndarray = None
+        self._values: np.ndarray = None
+        self._length = 0
 
     @property
     def length(self) -> int:
-        return 0 if self.keys is None else self.keys.shape[2]
+        return self._length
+
+    @property
+    def keys(self) -> np.ndarray:
+        return None if self._keys is None else self._keys[:, :, : self._length]
+
+    @property
+    def values(self) -> np.ndarray:
+        return None if self._values is None else self._values[:, :, : self._length]
 
     def append(self, k_new: np.ndarray, v_new: np.ndarray):
-        """Append (batch, heads, new, head_dim) entries; return the totals."""
-        if self.keys is None:
-            self.keys, self.values = k_new, v_new
-        else:
-            if k_new.shape[0] != self.keys.shape[0]:
+        """Append (batch, heads, new, head_dim) entries; return the totals.
+
+        Raises ``ValueError`` unless both arrays are 4-D, agree in (batch,
+        heads, new), and match the cache's batch, heads and head dims.
+        """
+        if (k_new.ndim != 4 or v_new.ndim != 4
+                or k_new.shape[:3] != v_new.shape[:3]):
+            raise ValueError(
+                f"keys {k_new.shape} and values {v_new.shape} must be 4-D "
+                "(batch, heads, new, head_dim) and agree in (batch, heads, new)"
+            )
+        keys = self._keys
+        if keys is not None:
+            if k_new.shape[0] != keys.shape[0]:
                 raise ValueError("batch size changed mid-generation")
-            self.keys = np.concatenate([self.keys, k_new], axis=2)
-            self.values = np.concatenate([self.values, v_new], axis=2)
+            if (k_new.shape[1] != keys.shape[1] or k_new.shape[3] != keys.shape[3]
+                    or v_new.shape[3] != self._values.shape[3]):
+                raise ValueError(
+                    f"keys {k_new.shape} and values {v_new.shape} do not match "
+                    f"the cache's keys {keys.shape} and values "
+                    f"{self._values.shape} in heads or head_dim"
+                )
+        start = self._length
+        stop = start + k_new.shape[2]
+        if keys is None or stop > keys.shape[2] or not (
+                np.can_cast(k_new.dtype, keys.dtype)
+                and np.can_cast(v_new.dtype, self._values.dtype)):
+            self._reserve(k_new, v_new, stop)
+        self._keys[:, :, start:stop] = k_new
+        self._values[:, :, start:stop] = v_new
+        self._length = stop
         return self.keys, self.values
 
+    def _reserve(self, k_new: np.ndarray, v_new: np.ndarray, needed: int) -> None:
+        """Reallocate both buffers to hold ``needed`` entries.
+
+        A buffer that grows at least doubles; the dtype is what concatenating
+        the cached and new entries would give.
+        """
+        old_k, old_v, length = self._keys, self._values, self._length
+        if old_k is None:
+            capacity, k_dtype, v_dtype = needed, k_new.dtype, v_new.dtype
+        else:
+            capacity = old_k.shape[2]
+            if needed > capacity:
+                capacity = max(needed, 2 * capacity)
+            k_dtype = np.result_type(old_k, k_new)
+            v_dtype = np.result_type(old_v, v_new)
+        batch, heads = k_new.shape[:2]
+        self._keys = np.empty((batch, heads, capacity, k_new.shape[3]), k_dtype)
+        self._values = np.empty((batch, heads, capacity, v_new.shape[3]), v_dtype)
+        if length:
+            self._keys[:, :, :length] = old_k[:, :, :length]
+            self._values[:, :, :length] = old_v[:, :, :length]
+
     def reset(self) -> None:
-        self.keys = None
-        self.values = None
+        self._keys = None
+        self._values = None
+        self._length = 0

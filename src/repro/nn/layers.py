@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, functional as F
+from ..autograd import Tensor, functional as F, is_grad_enabled
 from ..autograd.init import normal, ones, zeros
 from .module import Module
 
@@ -89,6 +89,22 @@ class LayerNorm(Module):
         self.beta = zeros((dim,))
 
     def forward(self, x: Tensor) -> Tensor:
+        """Normalize ``x``; with no tape to record (grad mode off, or none of
+        ``x``, gamma and beta needs a gradient) it runs the taped ops' float
+        operations in the same order on numpy arrays: the same bits."""
+        if not (is_grad_enabled() and (x.requires_grad or self.gamma.requires_grad
+                                       or self.beta.requires_grad)):
+            data = x.data
+            count = data.shape[-1]
+            centered = data - data.sum(axis=-1, keepdims=True) / count
+            var = (centered * centered).sum(axis=-1, keepdims=True)
+            var /= count
+            var += self.eps
+            np.sqrt(var, out=var)
+            centered /= var
+            centered *= self.gamma.data
+            centered += self.beta.data
+            return Tensor(centered)
         mu = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         normed = (x - mu) / (var + self.eps).sqrt()

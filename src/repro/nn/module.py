@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, no_grad
+from ..autograd import Tensor, is_grad_enabled, no_grad
 
 
 class _CallState(threading.local):
@@ -142,7 +142,7 @@ class Module:
             return self.forward(*args, **kwargs)
         state.active = True
         try:
-            if self.training:
+            if self.training or not is_grad_enabled():
                 return self.forward(*args, **kwargs)
             with no_grad():
                 return self.forward(*args, **kwargs)

@@ -109,6 +109,15 @@ class TestWorkflowFile:
             "Host kernels + benchmark self-test (explicit tier-1 member)")
         assert "tests/test_inference_mode.py" in step["run"]
 
+    def test_tests_job_runs_decode_parity_suite(self, workflow):
+        """The lean eval forward's parity with the taped forward (decode
+        tokens and logits, gradients, CCS score blocks) runs with the host
+        kernels."""
+        job = workflow["jobs"]["tests"]
+        step = next(s for s in job["steps"]
+                    if s.get("name", "").startswith("Host kernels + benchmark"))
+        assert "tests/test_decode_parity.py" in step["run"]
+
     def test_tests_job_runs_kmeans_parity(self, workflow):
         """The batched k-means parity suite is one explicit step, ahead of
         the host-kernel step whose benchmark self-test can stop the job."""
@@ -265,6 +274,12 @@ class TestWorkflowFile:
         from repro.cli import _BENCH_REGISTRY
 
         assert _BENCH_REGISTRY["serving.replay"][0] == "measured"
+
+    def test_lut_decode_bench_registered_as_measured(self):
+        """`bench run --suite measured` times a whole LUT-NN decode."""
+        from repro.cli import _BENCH_REGISTRY
+
+        assert _BENCH_REGISTRY["nn.lut-decode"][0] == "measured"
 
     def test_tests_job_python_matrix(self, workflow):
         versions = workflow["jobs"]["tests"]["strategy"]["matrix"]["python-version"]

@@ -756,6 +756,31 @@ class TestHostKernelProfile:
 
 
 class TestMeasureRepeats:
+    def test_measure_host_kernels_defaults_to_the_forward_dtype(self, monkeypatch):
+        """The profile times the CCS every converted ``LUTLinear`` runs: the
+        auto dtype, which computes float64 inputs in float64."""
+        import repro.kernels.profile as profile_module
+
+        built = []
+
+        class Recording(CCSKernel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(profile_module, "CCSKernel", Recording)
+        profile = measure_host_kernels(n=8, h=32, f=16, repeats=1)
+        assert profile.dtype == "auto"
+        assert built[0].dtype is None
+        assert list(built[0]._cache) == [np.dtype(np.float64)]
+
+    def test_host_ccs_bench_runs_the_auto_dtype(self):
+        from repro.cli import _bench_host_ccs
+
+        value, meta = _bench_host_ccs("upmem")
+        assert value > 0
+        assert meta["dtype"] == "float64"
+
     def test_measure_host_kernels_records_repeats(self):
         profile = measure_host_kernels(n=32, h=32, f=16, repeats=2)
         assert profile.repeats == 2

@@ -35,6 +35,37 @@ class TestKVCache:
         with pytest.raises(ValueError):
             cache.append(rng.normal(size=(3, 4, 1, 8)), rng.normal(size=(3, 4, 1, 8)))
 
+    @pytest.mark.parametrize("k_shape, v_shape", [
+        ((1, 2, 3, 4), (1, 2, 1, 4)),   # keys and values disagree in new
+        ((1, 2, 3, 4), (1, 3, 3, 4)),   # ... in heads
+        ((2, 2, 3, 4), (1, 2, 3, 4)),   # ... in batch
+        ((1, 2, 4), (1, 2, 4)),         # not 4-D
+    ])
+    def test_disagreeing_keys_and_values_rejected(self, k_shape, v_shape):
+        cache = KVCache()
+        with pytest.raises(ValueError, match=r"must be 4-D"):
+            cache.append(np.zeros(k_shape), np.zeros(v_shape))
+        assert cache.length == 0 and cache.keys is None
+
+    @pytest.mark.parametrize("k_shape, v_shape", [
+        ((1, 3, 1, 4), (1, 3, 1, 4)),   # heads differ from the cache's
+        ((1, 2, 1, 5), (1, 2, 1, 4)),   # key head_dim differs
+        ((1, 2, 1, 4), (1, 2, 1, 6)),   # value head_dim differs
+    ])
+    def test_mismatch_with_cache_names_the_shapes(self, k_shape, v_shape):
+        cache = KVCache()
+        cache.append(np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 3, 4)))
+        with pytest.raises(ValueError, match=r"\(1, 2, 3, 4\)"):
+            cache.append(np.zeros(k_shape), np.zeros(v_shape))
+        assert cache.length == 3
+
+    def test_append_copies_its_inputs(self, rng):
+        cache = KVCache()
+        k = rng.normal(size=(1, 2, 2, 4))
+        keys, _ = cache.append(k, k)
+        k[:] = 0.0
+        assert np.all(keys != 0.0)
+
     def test_reset(self, rng):
         cache = KVCache()
         cache.append(rng.normal(size=(1, 2, 1, 4)), rng.normal(size=(1, 2, 1, 4)))
